@@ -110,6 +110,8 @@ def _cmd_epi(args) -> int:
 
 
 def _cmd_homsearch(args) -> int:
+    if args.threads < 1:
+        raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
     p = _presentation_from_args(args)
     result = homsearch.enumerate_homs(
         p,

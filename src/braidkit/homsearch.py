@@ -6,11 +6,24 @@ the permutation module.  The census search assigns generator images in
 order of decreasing relator usage (so the heavily constrained sigma
 generators go first) and prunes on every relator whose generators are all
 assigned.
+
+One kernel evaluates relators for the census and for verify_hom (and so
+for classify_hom).  Each relator is compiled once into (generator index,
+is_inverse) pairs, and each permutation in play gets one (image, inverse)
+table pair: the census builds them for all of S_m before it starts and
+then only assigns element indices.  ``_holds`` follows one point at a time
+through the word over those tables and stops at the first point the word
+moves, so a rejected candidate usually costs len(word) lookups.
+
+``enumerate_homs(workers=N)`` shards the first assigned image over at most
+min(N, m!, usable CPUs) processes; shards are merged by sorting, so the
+result equals the serial one.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from bisect import insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -85,13 +98,41 @@ class GeneratorAssignment:
         return cls(presentation, degree, tuple(images))
 
 
-def _evaluate(letters, images: tuple[Permutation, ...], degree: int) -> tuple[int, ...]:
-    point_map = list(range(degree))
-    for let in letters:
-        img = images[abs(let) - 1]
-        table = img.images if let > 0 else img.inverse().images
-        point_map = [table[x] for x in point_map]
-    return tuple(point_map)
+def _compile(letters) -> tuple[tuple[int, bool], ...]:
+    """A word as (0-based generator index, is_inverse) pairs."""
+    return tuple((abs(let) - 1, let < 0) for let in letters)
+
+
+def _tables(images: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (image, inverse) pair of one permutation's image tuple."""
+    inverse = [0] * len(images)
+    for i, j in enumerate(images):
+        inverse[j] = i
+    return images, tuple(inverse)
+
+
+def _holds(word, tables) -> bool:
+    """True when the compiled word evaluates to the identity, where
+    tables[g] is the (image, inverse) pair of generator g.
+
+    One point at a time is followed through the whole word, and the
+    first point the word moves ends the check.  Point 0 is traced
+    straight through the tables, which settles most failing words in
+    len(word) lookups; the steps are resolved once for the other points.
+    """
+    y = 0
+    for g, inv in word:
+        y = tables[g][inv][y]
+    if y:
+        return False
+    steps = [tables[g][inv] for g, inv in word]
+    for x in range(1, len(steps[0])):
+        y = x
+        for step in steps:
+            y = step[y]
+        if y != x:
+            return False
+    return True
 
 
 def verify_hom(presentation: Presentation, assignment: GeneratorAssignment) -> int | None:
@@ -99,9 +140,11 @@ def verify_hom(presentation: Presentation, assignment: GeneratorAssignment) -> i
     index of the first failing relator."""
     if assignment.presentation.generator_count != presentation.generator_count:
         raise InvalidInputError("assignment arity does not match the presentation")
-    ident = tuple(range(assignment.degree))
+    if assignment.degree == 0:  # S_0 is trivial, and _holds starts at point 0
+        return None
+    tables = [_tables(p.images) for p in assignment.images]
     for idx, rel in enumerate(presentation.relators, start=1):
-        if _evaluate(rel.letters, assignment.images, assignment.degree) != ident:
+        if not _holds(_compile(rel.letters), tables):
             return idx
     return None
 
@@ -143,12 +186,8 @@ def classify_hom(
     gens = list(assignment.images) or [identity_perm(m)]
     image = closure(gens, closure_bound)
     order = len(image)
-    abelian = all(
-        (a * b).images == (b * a).images
-        for i, a in enumerate(gens)
-        for b in gens[i + 1 :]
-    )
-    cyclic = any(p.order() == order for p in image)
+    abelian = _commute(gens)
+    cyclic = _cyclic(image, abelian)
     parts = orbits(gens, m)
     transitive = len(parts) == 1
     primitive, _ = is_primitive(gens, m)
@@ -161,6 +200,23 @@ def classify_hom(
         primitive=primitive,
         surjective_onto_sym=order == factorial(m),
     )
+
+
+def _commute(perms) -> bool:
+    """True when the permutations commute pairwise."""
+    tables = [p.images for p in perms]
+    return all(
+        tuple(map(b.__getitem__, a)) == tuple(map(a.__getitem__, b))
+        for i, a in enumerate(tables)
+        for b in tables[i + 1 :]
+    )
+
+
+def _cyclic(group: list[Permutation], abelian: bool) -> bool:
+    """Whether a closed element list is a cyclic group.  A cyclic group is
+    abelian, so only an abelian one is searched for an element of full
+    order."""
+    return abelian and any(p.order() == len(group) for p in group)
 
 
 def _predicate_transitive(images, m):
@@ -181,16 +237,11 @@ def _predicate_surjective(images, m):
 
 def _predicate_cyclic(images, m):
     gens = list(images) or [identity_perm(m)]
-    group = closure(gens, factorial(m))
-    return any(p.order() == len(group) for p in group)
+    return _cyclic(closure(gens, factorial(m)), _commute(gens))
 
 
 def _predicate_abelian(images, m):
-    return all(
-        (a * b).images == (b * a).images
-        for i, a in enumerate(images)
-        for b in images[i + 1 :]
-    )
+    return _commute(images)
 
 
 PREDICATES = {
@@ -217,7 +268,7 @@ class CensusResult:
 
 def _search_plan(presentation: Presentation):
     """Assignment order (most-used generators first) and, per depth, the
-    relators that become fully assigned at that depth."""
+    compiled relators that become fully assigned at that depth."""
     n = presentation.generator_count
     usage = [0] * n
     rel_gens = []
@@ -231,7 +282,7 @@ def _search_plan(presentation: Presentation):
     by_depth = [[] for _ in range(n + 1)]
     for rel, gens in zip(presentation.relators, rel_gens):
         depth = max(depth_of[g] for g in gens) + 1
-        by_depth[depth].append(rel.letters)
+        by_depth[depth].append(_compile(rel.letters))
     return order, by_depth
 
 
@@ -245,29 +296,19 @@ def _search(
     n = presentation.generator_count
     order, by_depth = _search_plan(presentation)
     perms = [Permutation(t) for t in itertools.permutations(range(m))]
-    ident = tuple(range(m))
-    images: list = [None] * n
+    tables = [_tables(p.images) for p in perms]
+    chosen = [0] * n  # index into perms, per generator
+    current: list = [None] * n  # tables[chosen[g]], per generator
     count = 0
-    reps: list = []  # sorted (key, images tuple) pairs, capped
-
-    def relators_hold(depth: int) -> bool:
-        for letters in by_depth[depth]:
-            point_map = list(range(m))
-            for let in letters:
-                img = images[abs(let) - 1]
-                table = img.images if let > 0 else img.inverse().images
-                point_map = [table[x] for x in point_map]
-            if tuple(point_map) != ident:
-                return False
-        return True
+    reps: list = []  # sorted image-tuple keys, capped
 
     def leaf():
         nonlocal count
-        if not predicate(tuple(images), m):
+        if not predicate(tuple(perms[i] for i in chosen), m):
             return
         count += 1
         if max_representatives > 0:
-            key = tuple(p.images for p in images)
+            key = tuple(tables[i][0] for i in chosen)
             if len(reps) < max_representatives:
                 insort(reps, key)
             elif key < reps[-1]:
@@ -279,14 +320,18 @@ def _search(
             leaf()
             return
         gen = order[depth]
-        choices = perms
+        words = by_depth[depth + 1]
+        choices = range(len(perms))
         if depth == 0 and first_image_indices is not None:
-            choices = [perms[i] for i in first_image_indices]
-        for p in choices:
-            images[gen] = p
-            if relators_hold(depth + 1):
+            choices = first_image_indices
+        for i in choices:
+            chosen[gen] = i
+            current[gen] = tables[i]
+            for word in words:
+                if not _holds(word, current):
+                    break
+            else:
                 descend(depth + 1)
-        images[gen] = None
 
     if n == 0:
         # the trivial group has exactly one homomorphism anywhere
@@ -301,6 +346,13 @@ def _search_shard(args):
     pres_json, m, predicate_name, max_reps, shard = args
     presentation = Presentation.from_json(pres_json)
     return _search(presentation, m, PREDICATES[predicate_name], max_reps, shard)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def enumerate_homs(
@@ -327,10 +379,12 @@ def enumerate_homs(
             f"unpruned search space {factorial(m)}^{n} exceeds bound {search_bound}"
         )
     pred = PREDICATES[predicate]
+    nperms = factorial(m)
+    # a process per shard, never more than there are first images or CPUs
+    workers = min(workers, nperms, _usable_cpus())
     if workers <= 1 or n == 0:
         count, reps = _search(presentation, m, pred, max_representatives)
     else:
-        nperms = factorial(m)
         shards = [list(range(i, nperms, workers)) for i in range(workers)]
         args = [
             (presentation.to_json(), m, predicate, max_representatives, shard)
@@ -379,11 +433,9 @@ def direct_sum(assignments) -> GeneratorAssignment:
 
 
 def _genus1_assignment(
-    presentation: Presentation, degree: int, a_img: str, b_img: str, s_img: str
+    presentation: Presentation, a: Permutation, b: Permutation, s: Permutation
 ) -> GeneratorAssignment:
-    a = parse_cycles(a_img, degree)
-    b = parse_cycles(b_img, degree)
-    s = parse_cycles(s_img, degree)
+    """Send a1 to a, b1 to b and every sigma generator to s."""
     images = []
     for name in presentation.generator_names:
         if name == "a1":
@@ -396,7 +448,7 @@ def _genus1_assignment(
             raise InvalidInputError(
                 f"presentation has unexpected generator {name!r} for a genus-1 assignment"
             )
-    return GeneratorAssignment(presentation, degree, tuple(images))
+    return GeneratorAssignment(presentation, a.degree, tuple(images))
 
 
 def imprimitive_s8_assignment(
@@ -411,10 +463,9 @@ def imprimitive_s8_assignment(
         presentation = closed_orientable(1, strands)
     return _genus1_assignment(
         presentation,
-        8,
-        "(1,3)(2,4)",
-        "(1,5)(2,6)(3,7)(4,8)",
-        "(1,2,3,4)(5,6,7,8)",
+        parse_cycles("(1,3)(2,4)", 8),
+        parse_cycles("(1,5)(2,6)(3,7)(4,8)", 8),
+        parse_cycles("(1,2,3,4)(5,6,7,8)", 8),
     )
 
 
@@ -489,22 +540,12 @@ def wreath_cycle_assignment(
             # sigma^2 under left-to-right composition
             b_img[src] = point(i - 1, c)
             s_img[src] = point(i, c + 1)
-    a = Permutation(tuple(a_img))
-    b = Permutation(tuple(b_img))
-    s = Permutation(tuple(s_img))
-    images = []
-    for name in presentation.generator_names:
-        if name == "a1":
-            images.append(a)
-        elif name == "b1":
-            images.append(b)
-        elif name.startswith("sigma"):
-            images.append(s)
-        else:
-            raise InvalidInputError(
-                f"presentation has unexpected generator {name!r} for a genus-1 assignment"
-            )
-    return GeneratorAssignment(presentation, degree, tuple(images))
+    return _genus1_assignment(
+        presentation,
+        Permutation(tuple(a_img)),
+        Permutation(tuple(b_img)),
+        Permutation(tuple(s_img)),
+    )
 
 
 def composite_s408_assignment() -> GeneratorAssignment:

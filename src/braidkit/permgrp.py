@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, InvalidInputError
@@ -306,14 +307,18 @@ def closure(
         if g.degree != m:
             raise InvalidInputError("generator degree mismatch")
     ident = tuple(range(m))
+    if m < 2:  # the identity is the only permutation
+        return [Permutation(ident)]
     seen = {ident}
     frontier = [ident]
-    gen_images = [g.images for g in gens]
+    # pick(x) is the product g * x, so this grows the group from the left;
+    # itemgetter builds the image tuple in one C call
+    pickers = [itemgetter(*g.images) for g in gens]
     while frontier:
         new = []
         for x in frontier:
-            for g in gen_images:
-                y = tuple(g[i] for i in x)
+            for pick in pickers:
+                y = pick(x)
                 if y not in seen:
                     if len(seen) >= bound:
                         raise BoundExceededError(

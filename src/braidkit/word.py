@@ -20,7 +20,6 @@ __all__ = [
     "inverse",
     "concat",
     "power",
-    "conjugate",
     "commutator",
     "exponent_vector",
 ]
@@ -125,11 +124,6 @@ def power(w: Word, k: int) -> Word:
         if k:
             base = base * base
     return out
-
-
-def conjugate(w: Word, by: Word) -> Word:
-    """by^-1 * w * by."""
-    return ~by * w * by
 
 
 def commutator(u: Word, v: Word) -> Word:

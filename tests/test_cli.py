@@ -48,6 +48,17 @@ def test_homsearch_threaded_matches_serial():
     assert serial["count"] == 8
 
 
+def test_homsearch_threads_below_one_exits_two():
+    for threads in ("0", "-2"):
+        out = run(
+            "homsearch", "--surface", "artin", "--strands", "3",
+            "--target-sym", "3", "--threads", threads, "--json",
+        )
+        assert out.returncode == 2
+        assert "--threads must be >= 1" in out.stderr
+        assert out.stdout == ""
+
+
 def test_present_round_trips_through_abelianize(tmp_path):
     out = run("present", "--surface", "nonorientable", "--genus", "2", "--strands", "3", "--json")
     assert out.returncode == 0

@@ -4,8 +4,9 @@ from math import factorial
 
 import pytest
 
+from braidkit import homsearch
 from braidkit.errors import BoundExceededError, InvalidInputError
-from braidkit.fpgroup import artin_presentation, class2_quotient_presentation, closed_orientable, nonorientable
+from braidkit.fpgroup import Presentation, artin_presentation, class2_quotient_presentation, closed_orientable, nonorientable
 from braidkit.homsearch import (
     GeneratorAssignment,
     classify_hom,
@@ -20,6 +21,7 @@ from braidkit.homsearch import (
 )
 from braidkit.permgrp import Permutation, closure, identity_perm, parse_cycles
 from braidkit.permgrp import finite_group_invariants
+from braidkit.word import reduce_word
 
 
 def assignment(p, degree, images):
@@ -32,8 +34,9 @@ def assignment(p, degree, images):
 
 def test_all_identity_assignment_is_valid():
     p = closed_orientable(1, 3)
-    a = GeneratorAssignment(p, 3, tuple(identity_perm(3) for _ in range(4)))
-    assert verify_hom(p, a) is None
+    for m in (3, 1, 0):
+        a = GeneratorAssignment(p, m, tuple(identity_perm(m) for _ in range(4)))
+        assert verify_hom(p, a) is None
 
 
 def test_braid_to_s3_classic_surjection():
@@ -52,6 +55,46 @@ def test_braid_relator_failure_is_reported_first():
     p = artin_presentation(3)
     a = assignment(p, 3, ["(1,2)", "(1,2,3)"])
     assert verify_hom(p, a) == 1
+
+
+def plain_value(letters, perms, m):
+    """A word's image by plain Permutation products, left to right."""
+    out = identity_perm(m)
+    for let in letters:
+        img = perms[abs(let) - 1]
+        out = out * (img if let > 0 else img.inverse())
+    return out
+
+
+def test_verify_matches_plain_composition_on_random_words():
+    rng = random.Random(2718)
+    first_failing = []
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(2, 6)
+        perms = []
+        for _ in range(n):
+            images = list(range(m))
+            rng.shuffle(images)
+            perms.append(Permutation(tuple(images)))
+        relators, wanted = [], rng.randint(1, 5)
+        while len(relators) < wanted:
+            letters = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.7:
+                # a power of the word equal to the identity under perms
+                letters *= plain_value(letters, perms, m).order()
+            word = reduce_word(letters, n)
+            if len(word):
+                relators.append(word)
+        p = Presentation(tuple(f"x{i}" for i in range(1, n + 1)), tuple(relators))
+        expected = next(
+            (i for i, rel in enumerate(relators, start=1)
+             if not plain_value(rel.letters, perms, m).is_identity()),
+            None,
+        )
+        assert verify_hom(p, GeneratorAssignment(p, m, tuple(perms))) == expected
+        first_failing.append(expected)
+    assert None in first_failing
+    assert {1, 2, 3} <= set(first_failing)
 
 
 def test_verify_arity_mismatch():
@@ -181,6 +224,18 @@ def test_total_census_matches_naive_enumeration():
         assert enumerate_homs(p, m, predicate="all").count == brute_total_hom_count(p, m)
 
 
+@pytest.mark.parametrize("m,classes,expected", [(3, 3, 18), (4, 5, 120), (5, 7, 840)])
+def test_torus_census_counts_commuting_pairs(m, classes, expected):
+    # closed_orientable(1, 1) presents Z^2 = <a1, b1 | [a1, b1]>, so its homs
+    # into S_m are the commuting pairs; by the class equation there are
+    # |S_m| times the number p(m) of conjugacy classes of them
+    p = closed_orientable(1, 1)
+    assert p.generator_names == ("a1", "b1")
+    assert [r.letters for r in p.relators] == [(1, -2, -1, 2)]
+    assert expected == factorial(m) * classes
+    assert enumerate_homs(p, m).count == expected
+
+
 def test_surjective_census_closed_genus1_five_strands_is_empty():
     assert enumerate_homs(closed_orientable(1, 5), 3, predicate="surjective").count == 0
 
@@ -257,6 +312,41 @@ def test_worker_sharding_matches_serial_search():
     assert [a.to_json() for a in parallel.representatives] == [
         a.to_json() for a in serial.representatives
     ]
+
+
+def test_worker_pool_is_capped(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Runs the shards in this process and records the pool it was asked for."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            self.shards = list(items)
+            return map(fn, self.shards)
+
+    monkeypatch.setattr(homsearch, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 4)
+    p = artin_presentation(4)
+    for m, workers, cap in [(3, 10**9, 4), (3, 3, 3), (2, 10**9, 2)]:
+        serial = enumerate_homs(p, m, max_representatives=5)
+        pools.clear()
+        sharded = enumerate_homs(p, m, max_representatives=5, workers=workers)
+        assert [(pool.max_workers, len(pool.shards)) for pool in pools] == [(cap, cap)]
+        assert sharded == serial
+    monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 1)
+    pools.clear()
+    assert enumerate_homs(p, 3, workers=10**9) == enumerate_homs(p, 3)
+    assert pools == []
 
 
 # --- image constraints over the full census ----------------------------------------
