@@ -21,7 +21,7 @@ from .homsearch import (
     enumerate_homs,
     verify_hom,
 )
-from .nilq import HallBasis, NilpotentQuotient, free_layer_rank, hall_basis, lcs_layer, nilpotent_quotient
+from .nilq import NilpotentQuotient, free_layer_rank, lcs_layer, nilpotent_quotient
 from .permgrp import (
     CycleType,
     Permutation,

@@ -95,7 +95,9 @@ def _cmd_abelianize(args) -> int:
 
 
 def _cmd_lcs(args) -> int:
-    group = nilq.lcs_layer(_presentation_from_args(args), args.layer)
+    group = nilq.lcs_layer(
+        _presentation_from_args(args), args.layer, _bound_override(nilq.DEFAULT_LCS_BOUND)
+    )
     _emit(args, group.to_json(), str(group))
     return EXIT_OK
 

@@ -1,42 +1,48 @@
 """Lower central series layers of finitely presented groups, through
-nilpotency class 3.
+nilpotency class 3, in Lyndon coordinates.
 
-The engine works in the free nilpotent group of class c, coordinatised by
-truncated power-series expansions (each generator maps to 1 + X_i in the
-tensor algebra over Z, cut above degree c).  A word's degree-w component
-is its image in the weight-w layer of the free group once all lower
-components vanish, so the relation lattice of each layer can be assembled
-from explicit group elements:
+The Magnus map sends the generator x_i to 1 + X_i in the power series
+ring over Z in non-commuting X_1..X_n, cut above degree c.  It sends an
+element of the free group's Γ_w to 1 + (a Lie element of degree w) +
+higher terms, and it maps Γ_2/Γ_{c+1} additively and injectively into
+the degree 2..c parts.  A degree-w Lie element is fixed by its
+coefficients at the Lyndon words of length w, since the standard
+bracketing of a Lyndon word is that word plus larger ones
+(Chen-Fox-Lyndon 1958); those coefficients are the Z-coordinates of the
+weight-w layer.  The weight-w layer of the presented group is then the
+cokernel of the relation rows projected onto them:
 
-* commutators of relators with generators (and iterated once more for
-  weight 3),
-* commutators of relators with weight-2 basic commutators,
-* products of relator powers whose lower-weight parts cancel.
+* weight 1: the relators' exponent vectors;
+* weights 2..c: commutators [r, x] of relators with generators (for
+  c = 3 also [[r, x], y] and [r, [x_k, x_l]]) and products of relator
+  powers whose exponent sums cancel.  Each row is projected as it is
+  made; the weight-w lattice is spanned by the rows whose lower weights
+  vanish after one echelon.
 
-The weight-w layer of the presented group is then the quotient of the
-free weight-w layer (basic commutators as a basis) by that lattice,
-reported in Smith normal form.  All arithmetic is exact.
+For u in Γ_i and v in Γ_j the image of [u, v] is 1 + [u_i, v_j] plus
+terms above degree i + j, so the weight-3 commutator rows are brackets
+of sparse leading parts; only [r, x] and the relator products multiply
+whole series.  Arithmetic is exact, and the work is bounded by an
+estimate of the matrix size made before any row is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import BoundExceededError, InvalidInputError
 from .fpgroup import Presentation
+from .word import exponent_vector
 from .zlinalg import (
     FgAbelianGroup,
     IntMatrix,
     _kernel_basis,
     _row_echelon,
-    _solve_in_lattice,
     smith_normal_form,
 )
 
 __all__ = [
-    "HallBasis",
-    "hall_basis",
+    "DEFAULT_LCS_BOUND",
     "NilpotentQuotient",
     "nilpotent_quotient",
     "lcs_layer",
@@ -44,6 +50,9 @@ __all__ = [
 ]
 
 MAX_CLASS = 3
+# relation rows x Lyndon columns; every corpus and test presentation needs
+# under 3 million, which take about a second and a few tens of MB
+DEFAULT_LCS_BOUND = 10**7
 
 # ---------------------------------------------------------------------------
 # truncated tensor-series arithmetic (exact, over Z)
@@ -52,10 +61,15 @@ Series = dict  # {tuple of 0-based generator indices: int coefficient}
 
 
 def _series_mul(s: Series, t: Series, c: int) -> Series:
+    # t's terms grouped by degree, so no pair above degree c is formed: the
+    # product of two dense degree-3 series costs O(n^3) steps, not O(n^6)
+    by_degree: list[list] = [[] for _ in range(c + 1)]
+    for k2, v2 in t.items():
+        by_degree[len(k2)].append((k2, v2))
     out: Series = {}
     for k1, v1 in s.items():
-        for k2, v2 in t.items():
-            if len(k1) + len(k2) <= c:
+        for d in range(c + 1 - len(k1)):
+            for k2, v2 in by_degree[d]:
                 key = k1 + k2
                 val = out.get(key, 0) + v1 * v2
                 if val:
@@ -99,91 +113,63 @@ def _series_pow(s: Series, k: int, c: int) -> Series:
     return out
 
 
-def _series_commutator(s: Series, t: Series, c: int) -> Series:
-    return _series_mul(
-        _series_mul(_series_inv(s, c), _series_inv(t, c), c), _series_mul(s, t, c), c
-    )
-
-
-def _word_series(letters: Sequence[int], n: int, c: int) -> Series:
+def _word_series(letters, c: int) -> Series:
     gens = {}
     out: Series = {(): 1}
     for let in letters:
-        i = abs(let) - 1
         if let not in gens:
-            g = {(): 1, (i,): 1}
+            g = {(): 1, (abs(let) - 1,): 1}
             gens[let] = g if let > 0 else _series_inv(g, c)
         out = _series_mul(out, gens[let], c)
     return out
 
 
-def _deg_part(s: Series, d: int, n: int) -> list[int]:
-    out = [0] * (n**d)
+# ---------------------------------------------------------------------------
+# Lyndon coordinates
+
+
+def _lyndon_words(n: int, c: int):
+    """Lyndon words of length 1..c over 0..n-1, in lexicographic order
+    (Duval's algorithm)."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        m = len(w)
+        while len(w) < c:
+            w.append(w[len(w) - m])
+        while w and w[-1] == n - 1:
+            w.pop()
+
+
+def _lyndon_index(n: int, c: int) -> dict[tuple[int, ...], int]:
+    """Column of each Lyndon word of length 2..c: weight blocks in
+    increasing order, words in lexicographic order within a block."""
+    words = sorted((w for w in _lyndon_words(n, c) if len(w) > 1), key=len)
+    return {w: j for j, w in enumerate(words)}
+
+
+def _project(s: Series, index: dict, width: int) -> list[int]:
+    row = [0] * width
     for key, v in s.items():
-        if len(key) == d:
-            idx = 0
-            for i in key:
-                idx = idx * n + i
-            out[idx] = v
-    return out
+        j = index.get(key)
+        if j is not None:
+            row[j] = v
+    return row
 
 
-def _tensor_bracket(s: Series, t: Series) -> Series:
-    """Lie bracket s*t - t*s of homogeneous tensor elements (untruncated)."""
-    out: Series = {}
+def _bracket_row(s: Series, t: Series, index: dict, width: int) -> list[int]:
+    """Lyndon coordinates of the bracket st - ts of homogeneous s and t."""
+    row = [0] * width
     for k1, v1 in s.items():
         for k2, v2 in t.items():
-            for key, val in ((k1 + k2, v1 * v2), (k2 + k1, -v1 * v2)):
-                new = out.get(key, 0) + val
-                if new:
-                    out[key] = new
-                elif key in out:
-                    del out[key]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Hall basis of basic commutators, weights 1..3
-
-
-@dataclass(frozen=True)
-class HallBasis:
-    """Basic commutators over n generators (1-based indices).
-
-    weight2 holds the pairs (j, i) standing for [x_j, x_i] with j > i;
-    weight3 holds the triples (j, i, k) standing for [[x_j, x_i], x_k]
-    with j > i and k >= i.
-    """
-
-    n: int
-    weight2: tuple[tuple[int, int], ...]
-    weight3: tuple[tuple[int, int, int], ...]
-
-
-def hall_basis(n: int) -> HallBasis:
-    if n < 0:
-        raise InvalidInputError("generator count must be >= 0")
-    w2 = tuple((j, i) for j in range(2, n + 1) for i in range(1, j))
-    w3 = tuple((j, i, k) for (j, i) in w2 for k in range(i, n + 1))
-    return HallBasis(n, w2, w3)
-
-
-def _hall_tensor_rows(basis: HallBasis, weight: int) -> list[list[int]]:
-    n = basis.n
-    if weight == 1:
-        return [[int(j == i) for j in range(n)] for i in range(n)]
-    if weight == 2:
-        rows = []
-        for j, i in basis.weight2:
-            t = _tensor_bracket({(j - 1,): 1}, {(i - 1,): 1})
-            rows.append(_deg_part(t, 2, n))
-        return rows
-    rows = []
-    for j, i, k in basis.weight3:
-        inner = _tensor_bracket({(j - 1,): 1}, {(i - 1,): 1})
-        t = _tensor_bracket(inner, {(k - 1,): 1})
-        rows.append(_deg_part(t, 3, n))
-    return rows
+            j = index.get(k1 + k2)
+            if j is not None:
+                row[j] += v1 * v2
+            j = index.get(k2 + k1)
+            if j is not None:
+                row[j] -= v1 * v2
+    return row
 
 
 def free_layer_rank(n: int, w: int) -> int:
@@ -203,20 +189,14 @@ def free_layer_rank(n: int, w: int) -> int:
 # relation lattices per weight
 
 
-def _relator_series(p: Presentation, c: int) -> list[Series]:
-    n = p.generator_count
-    return [_word_series(r.letters, n, c) for r in p.relators]
-
-
-def _kernel_combinations(series: list[Series], n: int, c: int) -> list[Series]:
+def _kernel_combinations(series: list[Series], exponents, n: int, c: int) -> list[Series]:
     """Products of relator powers whose exponent vectors cancel.
 
     One product per basis element of the lattice of multiplicity vectors
     with vanishing weight-1 part.
     """
-    vs = [_deg_part(s, 1, n) for s in series]
     out = []
-    for lam in _kernel_basis(vs, n):
+    for lam in _kernel_basis(exponents, n):
         prod: Series = {(): 1}
         for idx, k in enumerate(lam):
             if k:
@@ -225,70 +205,60 @@ def _kernel_combinations(series: list[Series], n: int, c: int) -> list[Series]:
     return out
 
 
-def _weight_rows(p: Presentation, c: int) -> list[list[int]]:
-    """Rows spanning the relation lattice, in concatenated tensor
-    coordinates (degree 2 block first, then degree 3 for c = 3)."""
-    n = p.generator_count
-    series = _relator_series(p, c)
-    n2 = n * n
-    gens = [{(): 1, (i,): 1} for i in range(n)]
+def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[list[int]]:
+    """Rows spanning the relation lattice of weights 2..c, in the
+    concatenated Lyndon coordinates of ``index``."""
+    n, width = p.generator_count, len(index)
+    series = [_word_series(r.letters, c) for r in p.relators]
     rows: list[list[int]] = []
-    if c == 2:
-        for s in series:
-            for x in gens:
-                cs = _series_commutator(s, x, c)
-                rows.append(_deg_part(cs, 2, n))
-        for prod in _kernel_combinations(series, n, c):
-            rows.append(_deg_part(prod, 2, n))
-        return rows
-    # c == 3: track (degree-2 | degree-3) pairs
-    for s in series:
-        for x in gens:
-            cs = _series_commutator(s, x, c)
-            rows.append(_deg_part(cs, 2, n) + _deg_part(cs, 3, n))
-            for y in gens:
-                cs2 = _series_commutator(cs, y, c)
-                rows.append([0] * n2 + _deg_part(cs2, 3, n))
-        for kk in range(n):
-            for ll in range(kk):
-                basic = _series_commutator(gens[kk], gens[ll], c)
-                cs3 = _series_commutator(s, basic, c)
-                rows.append([0] * n2 + _deg_part(cs3, 3, n))
-    for prod in _kernel_combinations(series, n, c):
-        rows.append(_deg_part(prod, 2, n) + _deg_part(prod, 3, n))
+    for s, vec in zip(series, exponents):
+        s1 = {(i,): v for i, v in enumerate(vec) if v}
+        s_inv = _series_inv(s, c)
+        for x in range(n):
+            g = {(): 1, (x,): 1}  # [s, x] = s^-1 x^-1 s x
+            cs = _series_mul(_series_mul(s_inv, _series_inv(g, c), c), _series_mul(s, g, c), c)
+            rows.append(_project(cs, index, width))
+            if c == 3:  # [[s, x], y] leads with [deg2 [s, x], X_y]
+                c2 = {k: v for k, v in cs.items() if len(k) == 2}
+                rows.extend(_bracket_row(c2, {(y,): 1}, index, width) for y in range(n))
+        if c == 3:  # [s, [x_k, x_l]] leads with [s1, X_k X_l - X_l X_k]
+            for k in range(n):
+                for l in range(k):
+                    rows.append(_bracket_row(s1, {(k, l): 1, (l, k): -1}, index, width))
+    for prod in _kernel_combinations(series, exponents, n, c):
+        rows.append(_project(prod, index, width))
     return rows
 
 
 def _layer_from_lattice(
-    hall_rows: list[list[int]], lattice_rows: list[list[int]]
+    lattice_rows: list[list[int]], width: int
 ) -> tuple[FgAbelianGroup, IntMatrix]:
-    """Quotient of the free weight layer by a lattice of tensor rows."""
-    d = len(hall_rows)
-    if d == 0:
-        return FgAbelianGroup(0), IntMatrix(0, 0, ())
-    ncols = len(hall_rows[0])
-    basis = _row_echelon(hall_rows, ncols)
-    if len(basis) != d:
-        raise ArithmeticError("basic commutators failed to be independent")
-    coords = [_solve_in_lattice(basis, row) for row in lattice_rows if any(row)]
-    reduced = _row_echelon(coords, d)
-    lattice = IntMatrix.from_rows(reduced, cols=d)
+    """Quotient of the free weight layer (``width`` Lyndon coordinates)
+    by a lattice of rows."""
+    lattice = IntMatrix.from_rows(_row_echelon(lattice_rows, width), cols=width)
     snf = smith_normal_form(lattice)
-    return FgAbelianGroup(d - snf.rank, snf.factors), lattice
+    return FgAbelianGroup(width - snf.rank, snf.factors), lattice
 
 
 @dataclass(frozen=True)
 class NilpotentQuotient:
-    """Per-weight relation lattices and layer isomorphism types of the
-    class-c nilpotent quotient of a presented group."""
+    """Per-weight relation lattices, in Lyndon coordinates, and layer
+    isomorphism types of the class-c nilpotent quotient of a presented
+    group."""
 
     nilpotency_class: int
     relation_lattices: tuple[IntMatrix, ...]
     layers: tuple[FgAbelianGroup, ...]
 
 
-def nilpotent_quotient(p: Presentation, nilpotency_class: int) -> NilpotentQuotient:
-    """Compute all lower central layers of weight <= nilpotency_class."""
+def nilpotent_quotient(
+    p: Presentation, nilpotency_class: int, bound: int = DEFAULT_LCS_BOUND
+) -> NilpotentQuotient:
+    """Compute all lower central layers of weight <= nilpotency_class.
+
+    Raises BoundExceededError, before building any row, if the relation
+    rows times the Lyndon columns would exceed ``bound``.
+    """
     c = nilpotency_class
     if c not in (1, 2, 3):
         raise InvalidInputError(f"class-{c} quotients are unsupported (max {MAX_CLASS})")
@@ -298,36 +268,36 @@ def nilpotent_quotient(p: Presentation, nilpotency_class: int) -> NilpotentQuoti
         return NilpotentQuotient(
             c, tuple(IntMatrix(0, 0, ()) for _ in range(c)), tuple(trivial for _ in range(c))
         )
-    basis = hall_basis(n)
+    widths = [free_layer_rank(n, w) for w in range(1, c + 1)]
+    # rows per relator: its exponent vector at c = 1; otherwise n rows
+    # [r, x], at c = 3 also n^2 rows [[r, x], y] and n(n-1)/2 rows
+    # [r, [x_k, x_l]], and at most one relator product
+    per_relator = 1 if c == 1 else 1 + n + (n * n + n * (n - 1) // 2 if c == 3 else 0)
+    cells = len(p.relators) * per_relator * (sum(widths[1:]) if c > 1 else n)
+    if cells > bound:
+        raise BoundExceededError(
+            f"class-{c} quotient needs about {cells} matrix cells, over the bound {bound}"
+        )
 
-    # weight 1 from the degree-1 expansion coefficients
-    series1 = _relator_series(p, 1)
-    v_rows = [_deg_part(s, 1, n) for s in series1]
-    layer1, lattice1 = _layer_from_lattice(_hall_tensor_rows(basis, 1), v_rows)
-    lattices = [lattice1]
-    layers = [layer1]
-
+    exponents = [exponent_vector(r, n) for r in p.relators]
+    blocks = [exponents]
     if c >= 2:
-        n2 = n * n
-        rows = _weight_rows(p, c)
-        if c == 2:
-            w2_rows = rows
-        else:
-            w2_rows = [r[:n2] for r in rows]
-        layer2, lattice2 = _layer_from_lattice(_hall_tensor_rows(basis, 2), w2_rows)
-        lattices.append(lattice2)
-        layers.append(layer2)
-        if c == 3:
-            ech = _row_echelon(rows, len(rows[0]) if rows else 0)
-            w3_rows = [r[n2:] for r in ech if not any(r[:n2])]
-            layer3, lattice3 = _layer_from_lattice(_hall_tensor_rows(basis, 3), w3_rows)
-            lattices.append(lattice3)
-            layers.append(layer3)
-
+        rows = _weight_rows(p, c, exponents, _lyndon_index(n, c))
+        if c > 2:  # the top weight's lattice is the rows whose lower weights vanish
+            rows = _row_echelon(rows, sum(widths[1:]))
+        start = 0
+        for width in widths[1:]:
+            blocks.append([r[start : start + width] for r in rows if not any(r[:start])])
+            start += width
+    lattices, layers = [], []
+    for block, width in zip(blocks, widths):
+        layer, lattice = _layer_from_lattice(block, width)
+        layers.append(layer)
+        lattices.append(lattice)
     return NilpotentQuotient(c, tuple(lattices), tuple(layers))
 
 
-def lcs_layer(p: Presentation, i: int) -> FgAbelianGroup:
+def lcs_layer(p: Presentation, i: int, bound: int = DEFAULT_LCS_BOUND) -> FgAbelianGroup:
     """Isomorphism type of the i-th lower central layer of the group
     presented by p, for i in {1, 2, 3}.
 
@@ -337,4 +307,4 @@ def lcs_layer(p: Presentation, i: int) -> FgAbelianGroup:
     """
     if i not in (1, 2, 3):
         raise InvalidInputError(f"layer {i} unsupported (1..{MAX_CLASS})")
-    return nilpotent_quotient(p, i).layers[i - 1]
+    return nilpotent_quotient(p, i, bound).layers[i - 1]

@@ -118,7 +118,8 @@ def _smith(a: list[list[int]], track: bool):
         if exhausted:
             break
         while True:
-            # smallest nonzero |entry| in the trailing block, row-major scan
+            # smallest nonzero |entry| in the trailing block, row-major scan;
+            # nothing beats the first unit, so the scan stops there
             pi = pj = -1
             best = None
             for i in range(t, m):
@@ -126,6 +127,10 @@ def _smith(a: list[list[int]], track: bool):
                     x = a[i][j]
                     if x and (best is None or abs(x) < best):
                         best, pi, pj = abs(x), i, j
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
             if best is None:
                 exhausted = True
                 break
@@ -150,8 +155,10 @@ def _smith(a: list[list[int]], track: bool):
             ):
                 continue
             # enforce divisibility of the trailing block by the pivot: fold
-            # an offending row into row t and keep reducing
+            # an offending row into row t and keep reducing (a unit divides all)
             d = a[t][t]
+            if d == 1:
+                break
             offender = None
             for i in range(t + 1, m):
                 if any(a[i][j] % d for j in range(t + 1, n)):
@@ -205,13 +212,15 @@ def _row_echelon(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
         if not active:
             col += 1
             continue
+        touched = active
         while len(active) > 1:
             active.sort(key=lambda r: abs(r[col]))
             p = active[0]
+            support = [j for j in range(col, ncols) if p[j]]
             for r in active[1:]:
                 q = r[col] // p[col]
                 if q:
-                    for j in range(col, ncols):
+                    for j in support:
                         r[j] -= q * p[j]
             active = [r for r in active if r[col]]
         p = active[0]
@@ -219,7 +228,9 @@ def _row_echelon(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
             for j in range(ncols):
                 p[j] = -p[j]
         out.append(p)
-        work = [r for r in work if r is not p and any(r)]
+        # only the rows reduced at this column can have become zero
+        gone = {id(r) for r in touched if r is p or not any(r)}
+        work = [r for r in work if id(r) not in gone]
         col += 1
     return out
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 BASE = [sys.executable, "-m", "braidkit"]
 
@@ -135,6 +136,21 @@ def test_bound_exceeded_exits_three():
         env_extra={"BRAIDKIT_BOUND": "10"},
     )
     assert out.returncode == 3
+
+
+def test_lcs_bound_exceeded_exits_three_before_work(tmp_path):
+    # 30 generators, 29 commutator relators: far over the default LCS bound
+    relators = [[i, i + 1, -i, -i - 1] for i in range(1, 30)]
+    path = tmp_path / "raag.json"
+    path.write_text(
+        json.dumps({"generators": [f"x{i}" for i in range(1, 31)], "relators": relators}),
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    out = run("lcs", "--presentation", str(path), "--layer", "3")
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 3
+    assert "bound" in out.stderr
 
 
 def test_claims_run_pass_and_fail(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from braidkit.errors import InvalidInputError
+from braidkit.errors import BoundExceededError, InvalidInputError
 from braidkit.fpgroup import (
     Presentation,
     _central_sigma_presentation,
@@ -11,8 +11,9 @@ from braidkit.fpgroup import (
     nonorientable,
 )
 from braidkit.nilq import (
+    _lyndon_index,
+    _lyndon_words,
     free_layer_rank,
-    hall_basis,
     lcs_layer,
     nilpotent_quotient,
 )
@@ -85,15 +86,52 @@ def test_free_groups_have_free_layers_of_witt_rank():
             assert layer(free, w) == (free_layer_rank(n, w), [])
 
 
-def test_hall_basis_witt_counts():
+def _is_lyndon(word):
+    return all(word < word[k:] + word[:k] for k in range(1, len(word)))
+
+
+def test_lyndon_word_counts_are_witt_ranks():
+    import itertools
+
     for n in range(1, 7):
-        basis = hall_basis(n)
-        assert len(basis.weight2) == n * (n - 1) // 2
-        assert len(basis.weight3) == (n**3 - n) // 3
-        for j, i in basis.weight2:
-            assert j > i >= 1
-        for j, i, k in basis.weight3:
-            assert j > i and k >= i
+        words = list(_lyndon_words(n, 3))
+        brute = sorted(
+            w for k in (1, 2, 3) for w in itertools.product(range(n), repeat=k) if _is_lyndon(w)
+        )
+        assert words == brute
+        for w in (1, 2, 3):
+            assert sum(1 for x in words if len(x) == w) == free_layer_rank(n, w)
+
+
+def _standard_bracketing(word):
+    """Tensor expansion of the standard bracketing of a Lyndon word: split
+    off the longest proper Lyndon suffix v = word[k:] and bracket."""
+    if len(word) == 1:
+        return {word: 1}
+    k = next(k for k in range(1, len(word)) if _is_lyndon(word[k:]))
+    left, right = _standard_bracketing(word[:k]), _standard_bracketing(word[k:])
+    out = {}
+    for k1, v1 in left.items():
+        for k2, v2 in right.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+            out[k2 + k1] = out.get(k2 + k1, 0) - v1 * v2
+    return {key: v for key, v in out.items() if v}
+
+
+def test_lyndon_basis_is_unitriangular_against_lyndon_words():
+    # why the coefficients at Lyndon words are Z-coordinates on Lie elements
+    for n in range(1, 5):
+        for word in _lyndon_words(n, 3):
+            expansion = _standard_bracketing(word)
+            assert expansion[word] == 1
+            assert all(key >= word for key in expansion), word
+
+
+def test_lyndon_index_blocks_weights_in_order():
+    index = _lyndon_index(9, 3)
+    assert len(index) == 36 + 240
+    assert sorted(index.values()) == list(range(276))
+    assert [len(w) for w in sorted(index, key=index.get)] == [2] * 36 + [3] * 240
 
 
 # --- engine consistency -----------------------------------------------------------
@@ -108,6 +146,81 @@ GRID = [
 ] + [
     class2_quotient_presentation(g, n) for g in (1, 2, 3) for n in (3, 4, 5)
 ]
+
+
+# Layers 1-3 of every GRID presentation as (free rank, torsion), recorded
+# from the Hall-basis engine that preceded the Lyndon-coordinate one.
+GRID_LAYERS = {
+    ("closed-orientable", 0, 1): ((0, ()), (0, ()), (0, ())),
+    ("closed-orientable", 0, 2): ((0, (2,)), (0, ()), (0, ())),
+    ("closed-orientable", 0, 3): ((0, (4,)), (0, ()), (0, ())),
+    ("closed-orientable", 0, 4): ((0, (6,)), (0, ()), (0, ())),
+    ("closed-orientable", 0, 5): ((0, (8,)), (0, ()), (0, ())),
+    ("closed-orientable", 1, 1): ((2, ()), (0, ()), (0, ())),
+    ("closed-orientable", 1, 2): ((2, (2,)), (0, (2, 2, 2)), (0, (2,) * 5)),
+    ("closed-orientable", 1, 3): ((2, (2,)), (0, (3,)), (0, ())),
+    ("closed-orientable", 1, 4): ((2, (2,)), (0, (4,)), (0, ())),
+    ("closed-orientable", 1, 5): ((2, (2,)), (0, (5,)), (0, ())),
+    ("closed-orientable", 2, 1): ((4, ()), (5, ()), (16, ())),
+    ("closed-orientable", 2, 2): ((4, (2,)), (0, (2,) * 3 + (6,)), (0, (2,) * 10)),
+    ("closed-orientable", 2, 3): ((4, (2,)), (0, (4,)), (0, ())),
+    ("closed-orientable", 2, 4): ((4, (2,)), (0, (5,)), (0, ())),
+    ("closed-orientable", 2, 5): ((4, (2,)), (0, (6,)), (0, ())),
+    ("closed-orientable", 3, 1): ((6, ()), (14, ()), (64, ())),
+    ("closed-orientable", 3, 2): ((6, (2,)), (0, (2,) * 6 + (4,)), (0, (2,) * 21)),
+    ("closed-orientable", 3, 3): ((6, (2,)), (0, (5,)), (0, ())),
+    ("closed-orientable", 3, 4): ((6, (2,)), (0, (6,)), (0, ())),
+    ("closed-orientable", 3, 5): ((6, (2,)), (0, (7,)), (0, ())),
+    ("boundary-orientable", 1, 1): ((2, ()), (1, ()), (2, ())),
+    ("boundary-orientable", 1, 2): ((2, (2,)), (1, (2, 2)), (0, (2,) * 5)),
+    ("boundary-orientable", 1, 3): ((2, (2,)), (1, ()), (0, ())),
+    ("boundary-orientable", 1, 4): ((2, (2,)), (1, ()), (0, ())),
+    ("boundary-orientable", 1, 5): ((2, (2,)), (1, ()), (0, ())),
+    ("boundary-orientable", 2, 1): ((4, ()), (6, ()), (20, ())),
+    ("boundary-orientable", 2, 2): ((4, (2,)), (1, (2,) * 4), (0, (2,) * 10)),
+    ("boundary-orientable", 2, 3): ((4, (2,)), (1, ()), (0, ())),
+    ("boundary-orientable", 2, 4): ((4, (2,)), (1, ()), (0, ())),
+    ("boundary-orientable", 2, 5): ((4, (2,)), (1, ()), (0, ())),
+    ("boundary-orientable", 3, 1): ((6, ()), (15, ()), (70, ())),
+    ("boundary-orientable", 3, 2): ((6, (2,)), (1, (2,) * 6), (0, (2,) * 21)),
+    ("boundary-orientable", 3, 3): ((6, (2,)), (1, ()), (0, ())),
+    ("boundary-orientable", 3, 4): ((6, (2,)), (1, ()), (0, ())),
+    ("boundary-orientable", 3, 5): ((6, (2,)), (1, ()), (0, ())),
+    ("nonorientable", 1, 1): ((0, (2,)), (0, ()), (0, ())),
+    ("nonorientable", 1, 2): ((0, (2, 2)), (0, (2,)), (0, (2,))),
+    ("nonorientable", 1, 3): ((0, (2, 2)), (0, ()), (0, ())),
+    ("nonorientable", 1, 4): ((0, (2, 2)), (0, ()), (0, ())),
+    ("nonorientable", 1, 5): ((0, (2, 2)), (0, ()), (0, ())),
+    ("nonorientable", 2, 1): ((1, (2,)), (0, (2,)), (0, (2,))),
+    ("nonorientable", 2, 2): ((1, (2, 2)), (0, (2, 2)), (0, (2, 2, 2))),
+    ("nonorientable", 2, 3): ((1, (2, 2)), (0, ()), (0, ())),
+    ("nonorientable", 2, 4): ((1, (2, 2)), (0, ()), (0, ())),
+    ("nonorientable", 2, 5): ((1, (2, 2)), (0, ()), (0, ())),
+    ("nonorientable", 3, 1): ((2, (2,)), (1, (2, 2)), (2, (2,) * 5)),
+    ("nonorientable", 3, 2): ((2, (2, 2)), (0, (2, 2, 2)), (0, (2,) * 6)),
+    ("nonorientable", 3, 3): ((2, (2, 2)), (0, ()), (0, ())),
+    ("nonorientable", 3, 4): ((2, (2, 2)), (0, ()), (0, ())),
+    ("nonorientable", 3, 5): ((2, (2, 2)), (0, ()), (0, ())),
+    ("class2-quotient", 1, 3): ((2, (2,)), (0, (3,)), (0, ())),
+    ("class2-quotient", 1, 4): ((2, (2,)), (0, (4,)), (0, ())),
+    ("class2-quotient", 1, 5): ((2, (2,)), (0, (5,)), (0, ())),
+    ("class2-quotient", 2, 3): ((4, (2,)), (0, (4,)), (0, ())),
+    ("class2-quotient", 2, 4): ((4, (2,)), (0, (5,)), (0, ())),
+    ("class2-quotient", 2, 5): ((4, (2,)), (0, (6,)), (0, ())),
+    ("class2-quotient", 3, 3): ((6, (2,)), (0, (5,)), (0, ())),
+    ("class2-quotient", 3, 4): ((6, (2,)), (0, (6,)), (0, ())),
+    ("class2-quotient", 3, 5): ((6, (2,)), (0, (7,)), (0, ())),
+}
+
+
+def test_grid_layers_are_pinned():
+    assert len(GRID_LAYERS) == len(GRID)
+    for p in GRID:
+        f = p.family
+        got = tuple(
+            (g.free_rank, g.invariant_factors) for g in nilpotent_quotient(p, 3).layers
+        )
+        assert got == GRID_LAYERS[f.surface, f.genus, f.strands], f
 
 
 def test_layer1_equals_abelianization_on_grid():
@@ -250,6 +363,20 @@ def test_layer_index_out_of_range():
         lcs_layer(closed_orientable(1, 2), 4)
     with pytest.raises(InvalidInputError):
         nilpotent_quotient(closed_orientable(1, 2), 0)
+
+
+def test_bound_is_checked_before_any_row(monkeypatch):
+    import braidkit.nilq as nilq
+
+    def no_rows(*args):
+        raise AssertionError("rows built before the bound check")
+
+    monkeypatch.setattr(nilq, "_word_series", no_rows)
+    monkeypatch.setattr(nilq, "_weight_rows", no_rows)
+    with pytest.raises(BoundExceededError):
+        nilpotent_quotient(closed_orientable(3, 4), 3, bound=10**6)
+    with pytest.raises(BoundExceededError):
+        lcs_layer(closed_orientable(1, 2), 2, bound=10)
 
 
 def test_quotient_record_shape():

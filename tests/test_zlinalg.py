@@ -146,6 +146,48 @@ def test_snf_divisibility_chain_and_minor_gcd_oracle():
             assert prod == g
 
 
+def _matmul(a, b, inner, cols):
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
+
+
+def test_snf_properties_on_unit_rich_matrices():
+    # property check of the unit-pivot shortcut: zeros and units dominate
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entry = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-12, 12))
+    matrices = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(
+                st.lists(entry, min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0],
+                max_size=shape[0],
+            ),
+            st.just(shape[1]),
+        )
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(matrices)
+    def check(case):
+        m, c = case
+        r = len(m)
+        snf, u, v = smith_normal_form_with_transforms(IntMatrix.from_rows(m, cols=c))
+        ur, vr = u.row_list(), v.row_list()
+        assert _matmul(_matmul(ur, m, r, c), vr, c, c) == snf.diagonal_matrix.row_list()
+        assert bareiss_det(ur) in (1, -1)
+        assert bareiss_det(vr) in (1, -1)
+        diag = snf.diagonal_matrix.diagonal()
+        nonzero = [d for d in diag if d]
+        assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+        assert all(d > 0 for d in nonzero)
+        for a, b in zip(nonzero, nonzero[1:]):
+            assert b % a == 0
+        assert snf.rank == len(nonzero)
+        assert smith_normal_form(IntMatrix.from_rows(m, cols=c)) == snf
+
+    check()
+
+
 # --- abelianization -----------------------------------------------------------
 
 
