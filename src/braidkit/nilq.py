@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 MAX_CLASS = 3
-# relation rows x Lyndon columns; every corpus and test presentation needs
-# under 3 million, which take about a second and a few tens of MB
+# relation rows x Lyndon columns plus relator letters x n^c; every corpus
+# and test presentation needs under 3 million, which take about a second
+# and a few tens of MB
 DEFAULT_LCS_BOUND = 10**7
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,8 @@ def nilpotent_quotient(
     """Compute all lower central layers of weight <= nilpotency_class.
 
     Raises BoundExceededError, before building any row, if the relation
-    rows times the Lyndon columns would exceed ``bound``.
+    rows times the Lyndon columns, plus the relator letters times n^c,
+    would exceed ``bound``.
     """
     c = nilpotency_class
     if c not in (1, 2, 3):
@@ -273,10 +275,12 @@ def nilpotent_quotient(
     # [r, x], at c = 3 also n^2 rows [[r, x], y] and n(n-1)/2 rows
     # [r, [x_k, x_l]], and at most one relator product
     per_relator = 1 if c == 1 else 1 + n + (n * n + n * (n - 1) // 2 if c == 3 else 0)
-    cells = len(p.relators) * per_relator * (sum(widths[1:]) if c > 1 else n)
-    if cells > bound:
+    cost = len(p.relators) * per_relator * (sum(widths[1:]) if c > 1 else n)
+    # a relator's truncated series costs about letters x n^c steps
+    cost += sum(len(r) for r in p.relators) * n**c
+    if cost > bound:
         raise BoundExceededError(
-            f"class-{c} quotient needs about {cells} matrix cells, over the bound {bound}"
+            f"class-{c} quotient needs about {cost} cells and steps, over the bound {bound}"
         )
 
     exponents = [exponent_vector(r, n) for r in p.relators]

@@ -291,12 +291,16 @@ def is_primitive(
 
 
 def closure(
-    gens: Sequence[Permutation], bound: int = DEFAULT_CLOSURE_BOUND
+    gens: Sequence[Permutation],
+    bound: int = DEFAULT_CLOSURE_BOUND,
+    within: set | None = None,
 ) -> list[Permutation]:
     """All elements of the group generated by gens, sorted by image array.
 
     Raises BoundExceededError if the group has more than ``bound``
-    elements; never truncates silently.
+    elements; never truncates silently.  With ``within`` (a set of image
+    tuples) given, the identity and every product must lie in it: the
+    first one outside raises InvalidInputError.
     """
     if bound < 1:
         raise InvalidInputError("closure bound must be >= 1")
@@ -307,6 +311,8 @@ def closure(
         if g.degree != m:
             raise InvalidInputError("generator degree mismatch")
     ident = tuple(range(m))
+    if within is not None and ident not in within:
+        raise InvalidInputError("the identity is outside the ambient set")
     if m < 2:  # the identity is the only permutation
         return [Permutation(ident)]
     seen = {ident}
@@ -320,6 +326,8 @@ def closure(
             for pick in pickers:
                 y = pick(x)
                 if y not in seen:
+                    if within is not None and y not in within:
+                        raise InvalidInputError("a product leaves the ambient set")
                     if len(seen) >= bound:
                         raise BoundExceededError(
                             f"group closure exceeds bound {bound}"
@@ -355,25 +363,23 @@ def lower_central_series(elements: Sequence[Permutation]) -> list[list[Permutati
 
 
 def _check_closed(elements: Sequence[Permutation]) -> list[Permutation]:
+    """The distinct elements, sorted, once checked to form a group: each
+    element outside the subgroup so far joins the generators and the
+    subgroup is re-closed within the list.  Each re-closure at least
+    doubles it (Lagrange), so O(|G| log |G|) products in all.
+    """
     if not elements:
         raise InvalidInputError("empty element list")
-    elems = set(e.images for e in elements)
-    sample = list(elems)
-    m = elements[0].degree
-    if tuple(range(m)) not in elems:
-        raise InvalidInputError("element list lacks the identity")
-    for e in sample:
-        inv = [0] * m
-        for i, j in enumerate(e):
-            inv[j] = i
-        if tuple(inv) not in elems:
-            raise InvalidInputError("element list is not closed under inversion")
-    # spot products exhaustively; the inputs here are small
-    for a in sample:
-        for b in sample:
-            if tuple(b[i] for i in a) not in elems:
-                raise InvalidInputError("element list is not closed under products")
-    return [Permutation(t) for t in sorted(elems)]
+    elems = {e.images for e in elements}
+    group = [identity_perm(elements[0].degree)]
+    sub = {group[0].images}
+    gens: list[Permutation] = []
+    for e in elements:
+        if e.images not in sub:
+            gens.append(e)
+            group = closure(gens, len(elems), within=elems)
+            sub = {p.images for p in group}
+    return group
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,18 @@ torsion arguments, plus the Klein-bottle relation scan.
 
 Groups are carried as explicit permutation models (usually the regular
 representation), so membership, quotients, and subgroup scans all reduce
-to set arithmetic on image tuples.
+to set arithmetic on image tuples; subgroups are ``permgrp.closure``
+run within the group's element set.  Both scans are bounded up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import BoundExceededError, InvalidInputError
-from .permgrp import Permutation, closure, identity_perm
+from .permgrp import Permutation, _check_closed, closure, identity_perm
 
 __all__ = [
     "FiniteGroup",
@@ -28,6 +30,8 @@ __all__ = [
 ]
 
 SUBGROUP_SCAN_MAX_ORDER = 10**4
+# (x, y) pairs of the Klein scan, (2 radius + 1)^4; radius 27 is the largest
+KLEIN_SCAN_MAX_PAIRS = 10**7
 
 
 @dataclass(frozen=True)
@@ -41,21 +45,8 @@ class FiniteGroup:
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.elements:
-            raise InvalidInputError("a finite group needs at least the identity")
-        elems = {p.images for p in self.elements}
-        if len(elems) != len(self.elements):
+        if len(_check_closed(self.elements)) != len(self.elements):
             raise InvalidInputError("duplicate elements")
-        m = self.degree
-        if tuple(range(m)) not in elems:
-            raise InvalidInputError("missing identity element")
-        for p in self.elements:
-            if p.inverse().images not in elems:
-                raise InvalidInputError("not closed under inversion")
-        for a in self.elements:
-            row_ok = all((a * b).images in elems for b in self.elements)
-            if not row_ok:
-                raise InvalidInputError("not closed under products")
 
     @property
     def degree(self) -> int:
@@ -150,10 +141,6 @@ def symmetric_group(n: int) -> FiniteGroup:
     return from_generators(gens)
 
 
-def _element_orders(group: FiniteGroup) -> dict:
-    return {p.images: p.order() for p in group.elements}
-
-
 def is_dihedral(group: FiniteGroup) -> bool:
     """Whether the group is dihedral of order 2k, k >= 2: a cyclic
     subgroup of index 2 inverted by an outside involution.  The Klein
@@ -181,31 +168,13 @@ def is_dihedral(group: FiniteGroup) -> bool:
     return False
 
 
-def _subgroup_closure(group_set: set, seeds: Iterable[Permutation], degree: int) -> frozenset:
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    seed_images = [s.images for s in seeds]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in seed_images:
-                y = tuple(g[i] for i in x)
-                if y not in seen:
-                    if y not in group_set:
-                        raise InvalidInputError("seed elements leave the group")
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(seen)
-
-
 def quotient(group: FiniteGroup, normal_gens: Sequence[Permutation]) -> FiniteGroup:
     """Quotient by the subgroup generated by ``normal_gens``, which must be
     normal; the result acts faithfully on the cosets."""
     gset = group.element_set()
-    sub = _subgroup_closure(gset, normal_gens, group.degree)
-    sub_perms = [Permutation(t) for t in sub]
+    # the identity generator makes quotient(group, []) the group itself
+    sub_perms = closure([identity_perm(group.degree), *normal_gens], len(gset), within=gset)
+    sub = {h.images for h in sub_perms}
     for g in group.generator_perms() or group.elements:
         g_inv = g.inverse()
         for h in sub_perms:
@@ -217,7 +186,7 @@ def quotient(group: FiniteGroup, normal_gens: Sequence[Permutation]) -> FiniteGr
     for el in group.elements:
         if el.images in coset_of:
             continue
-        members = sorted((Permutation(h) * el).images for h in sub)
+        members = sorted((h * el).images for h in sub_perms)
         rep_index = len(reps)
         for img in members:
             coset_of[img] = rep_index
@@ -247,21 +216,23 @@ def subgroup_scan(
             f"subgroup scan limited to groups of order {SUBGROUP_SCAN_MAX_ORDER}"
         )
     gset = group.element_set()
-    degree = group.degree
-    trivial = frozenset({tuple(range(degree))})
-    all_subgroups = {trivial}
+    trivial = frozenset({tuple(range(group.degree))})
+    # each subgroup found -> the generators it was first closed from
+    all_subgroups: dict[frozenset, list[Permutation]] = {trivial: []}
     frontier = [trivial]
     while frontier:
         new = []
         for sub in frontier:
+            done = set(sub)
             for el in group.elements:
-                if el.images in sub:
+                if el.images in done:
                     continue
-                bigger = _subgroup_closure(
-                    gset, [Permutation(t) for t in sub] + [el], degree
-                )
+                # <sub, el> = <sub, el * h> for h in sub: close once per coset
+                done.update(map(itemgetter(*el.images), sub))
+                gens = all_subgroups[sub] + [el]
+                bigger = frozenset(p.images for p in closure(gens, len(gset), within=gset))
                 if bigger not in all_subgroups:
-                    all_subgroups.add(bigger)
+                    all_subgroups[bigger] = gens
                     new.append(bigger)
         frontier = new
     out = []
@@ -317,6 +288,10 @@ def klein_relation_scan(radius: int) -> KleinScanResult:
     for solutions of x y x y = y^-1 x y x."""
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
+    if (2 * radius + 1) ** 4 > KLEIN_SCAN_MAX_PAIRS:
+        raise BoundExceededError(
+            f"Klein scan of radius {radius} exceeds {KLEIN_SCAN_MAX_PAIRS} pairs"
+        )
     rng = range(-radius, radius + 1)
     sols = []
     for a in rng:

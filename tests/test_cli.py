@@ -8,12 +8,12 @@ import time
 BASE = [sys.executable, "-m", "braidkit"]
 
 
-def run(*argv, env_extra=None):
+def run(*argv, env_extra=None, timeout=600):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        BASE + list(argv), capture_output=True, text=True, env=env, timeout=600
+        BASE + list(argv), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -151,6 +151,20 @@ def test_lcs_bound_exceeded_exits_three_before_work(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert out.returncode == 3
     assert "bound" in out.stderr
+
+
+def test_klein_scan_over_the_bound_exits_three_at_once():
+    start = time.perf_counter()
+    out = run("klein-scan", "--radius", "100", timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 3
+    assert "exceeds" in out.stderr
+
+
+def test_symmetric_group_of_degree_seven_is_built_quickly():
+    out = run("smallgrp", "symmetric", "--n", "7", "--json", timeout=10)
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["order"] == 5040
 
 
 def test_claims_run_pass_and_fail(tmp_path):

@@ -379,6 +379,29 @@ def test_bound_is_checked_before_any_row(monkeypatch):
         lcs_layer(closed_orientable(1, 2), 2, bound=10)
 
 
+def test_relator_length_counts_toward_the_bound(monkeypatch):
+    import random
+
+    import braidkit.nilq as nilq
+
+    def no_series(*args):
+        raise AssertionError("series built before the bound check")
+
+    # one reduced relator of 7,374 letters on 12 generators: its rows times
+    # Lyndon columns are 142,274, but letters x 12^3 is over 10^7
+    rng = random.Random(3)
+    letters = [1]
+    while len(letters) < 7374:
+        x = rng.choice([i for i in range(-12, 13) if i and i != -letters[-1]])
+        letters.append(x)
+    p = _named_presentation([f"x{i}" for i in range(1, 13)], [letters])
+    assert len(p.relators[0]) == 7374
+    monkeypatch.setattr(nilq, "_word_series", no_series)
+    monkeypatch.setattr(nilq, "_weight_rows", no_series)
+    with pytest.raises(BoundExceededError):
+        lcs_layer(p, 3)
+
+
 def test_quotient_record_shape():
     q = nilpotent_quotient(closed_orientable(1, 2), 3)
     assert q.nilpotency_class == 3

@@ -8,6 +8,7 @@ from braidkit.errors import BoundExceededError, InvalidInputError
 from braidkit.permgrp import (
     CycleType,
     Permutation,
+    _check_closed,
     centralizer_order,
     closure,
     compose,
@@ -68,6 +69,13 @@ def test_json_uses_one_based_images():
     p = parse_cycles("(1,2)", 3)
     assert p.to_json() == [2, 1, 3]
     assert Permutation.from_json([2, 1, 3]) == p
+
+
+def test_non_bijections_are_rejected():
+    with pytest.raises(InvalidInputError):
+        Permutation((0, 0))
+    with pytest.raises(InvalidInputError):
+        Permutation.from_json([1, 1])
 
 
 # --- cycle types -----------------------------------------------------------
@@ -242,6 +250,17 @@ def test_closure_bound_is_enforced():
         closure([parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)], bound=10)
 
 
+def test_closure_within_rejects_generators_that_leave_the_set():
+    a3 = {p.images for p in closure([parse_cycles("(1,2,3)", 3)])}
+    assert len(closure([parse_cycles("(1,3,2)", 3)], within=a3)) == 3
+    with pytest.raises(InvalidInputError):
+        closure([parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)], within=a3)
+    with pytest.raises(InvalidInputError):  # the identity is missing
+        closure([parse_cycles("(1,2,3)", 3)], within=a3 - {(0, 1, 2)})
+    with pytest.raises(InvalidInputError):  # another degree
+        closure([parse_cycles("(1,2,3)", 4)], within=a3)
+
+
 def test_closure_result_is_closed_spot_check():
     rng = random.Random(13)
     group = closure([parse_cycles("(1,2)", 4), parse_cycles("(2,3,4)", 4)])
@@ -249,6 +268,62 @@ def test_closure_result_is_closed_spot_check():
     for _ in range(100):
         a, b = rng.choice(group), rng.choice(group)
         assert (a * b).images in members
+
+
+def _is_group_by_brute_force(images):
+    """Test-only oracle: a nonempty set with the identity and every one of
+    its |S|^2 products."""
+    if not images:
+        return False
+    m = len(next(iter(images)))
+    return tuple(range(m)) in images and all(
+        tuple(b[i] for i in a) in images for a in images for b in images
+    )
+
+
+def _agrees_with_oracle(images, rng):
+    order = sorted(images)
+    rng.shuffle(order)
+    try:
+        _check_closed([Permutation(t) for t in order])
+        accepted = True
+    except InvalidInputError:
+        accepted = False
+    return accepted == _is_group_by_brute_force(set(images))
+
+
+def _s4_subgroups_by_brute_force():
+    """Every subgroup of S_4 is generated by two elements."""
+    s4 = list(itertools.permutations(range(4)))
+    found = set()
+    for a, b in itertools.combinations_with_replacement(s4, 2):
+        sub = {tuple(range(4)), a, b}
+        while True:
+            bigger = sub | {tuple(y[i] for i in x) for x in sub for y in sub}
+            if bigger == sub:
+                break
+            sub = bigger
+        found.add(frozenset(sub))
+    return s4, found
+
+
+def test_check_closed_matches_brute_force_on_s4():
+    rng = random.Random(29)
+    s4, subgroups = _s4_subgroups_by_brute_force()
+    assert len(subgroups) == 30
+    for sub in subgroups:
+        assert _agrees_with_oracle(sub, rng)
+        for el in s4:  # one element toggled
+            assert _agrees_with_oracle(sub ^ {el}, rng)
+    for _ in range(2000):
+        assert _agrees_with_oracle(set(rng.sample(s4, rng.randint(1, 24))), rng)
+
+
+def test_check_closed_returns_the_sorted_distinct_elements():
+    elems = [parse_cycles("(1,2)", 3), identity_perm(3), parse_cycles("(1,2)", 3)]
+    assert _check_closed(elems) == [identity_perm(3), parse_cycles("(1,2)", 3)]
+    with pytest.raises(InvalidInputError):
+        _check_closed([])
 
 
 # --- finite group invariants ----------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
-from braidkit.errors import InvalidInputError
-from braidkit.permgrp import finite_group_invariants
+from braidkit.errors import BoundExceededError, InvalidInputError
+from braidkit.permgrp import finite_group_invariants, identity_perm, parse_cycles
 from braidkit.smallgrp import (
     FiniteGroup,
     _klein_inv,
@@ -15,7 +15,6 @@ from braidkit.smallgrp import (
     symmetric_group,
     z3_semidirect_z4,
 )
-from braidkit.permgrp import parse_cycles
 
 
 def unique_involution(group):
@@ -129,6 +128,11 @@ def test_quotient_orders_multiply():
     assert quo.order * sub.order == group.order
 
 
+def test_quotient_by_nothing_keeps_the_order():
+    for group in (symmetric_group(3), dicyclic(3), z3_semidirect_z4()):
+        assert quotient(group, []).order == group.order
+
+
 def test_quotient_rejects_non_normal_subgroup():
     s3 = symmetric_group(3)
     transposition = [e for e in s3.elements if e.order() == 2][0]
@@ -156,6 +160,11 @@ def test_dicyclic_has_no_dihedral_subgroups():
 def test_subgroup_scan_counts_all_subgroups_of_s3():
     subs = subgroup_scan(symmetric_group(3))
     assert [s.order for s in subs] == [1, 2, 2, 2, 3, 6]
+
+
+def test_subgroup_scan_finds_the_thirty_subgroups_of_s4():
+    orders = [s.order for s in subgroup_scan(symmetric_group(4))]
+    assert orders == [1] + [2] * 9 + [3] * 4 + [4] * 7 + [6] * 4 + [8] * 3 + [12, 24]
 
 
 # --- Klein-bottle relation scan --------------------------------------------------------------
@@ -191,9 +200,27 @@ def test_klein_scan_radius_validation():
         klein_relation_scan(0)
 
 
+def test_klein_scan_is_bounded_before_it_starts():
+    with pytest.raises(BoundExceededError):
+        klein_relation_scan(28)  # 57^4 pairs, over KLEIN_SCAN_MAX_PAIRS
+
+
 # --- FiniteGroup validation --------------------------------------------------------------------
 
 
 def test_finite_group_rejects_non_closed_lists():
     with pytest.raises(InvalidInputError):
         FiniteGroup((parse_cycles("(1,2)", 3),), (0,))
+    with pytest.raises(InvalidInputError):  # not closed under products
+        FiniteGroup(
+            (identity_perm(3), parse_cycles("(1,2)", 3), parse_cycles("(2,3)", 3)), (1, 2)
+        )
+    with pytest.raises(InvalidInputError):
+        FiniteGroup((), ())
+
+
+def test_finite_group_rejects_duplicate_elements():
+    z2 = (identity_perm(3), parse_cycles("(1,2)", 3))
+    assert FiniteGroup(z2, (1,)).order == 2
+    with pytest.raises(InvalidInputError):
+        FiniteGroup(z2 + (parse_cycles("(1,2)", 3),), (1,))

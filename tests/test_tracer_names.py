@@ -1,0 +1,43 @@
+"""The benchmark tracer (bench/tracer.py) wraps braidkit functions by
+name.  Every name it lists must resolve, and installing and removing the
+tracer must leave the program's objects as they were.
+"""
+
+import importlib
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("tracer")
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    tracer = _tracer(monkeypatch)
+    for modname, path in tracer.SPANNED + tracer.COUNTED:
+        module = importlib.import_module(f"braidkit.{modname}")
+        if "." in path:  # looked up in the class dict, not inherited
+            cls_name, attr = path.split(".")
+            assert attr in vars(getattr(module, cls_name)), f"{modname}.{path}"
+        else:
+            assert callable(getattr(module, path, None)), f"{modname}.{path}"
+
+
+def test_install_and_uninstall_restore_the_originals(monkeypatch):
+    tracer = _tracer(monkeypatch)
+    from braidkit import permgrp, smallgrp
+
+    closure = permgrp.closure
+    post_init = vars(smallgrp.FiniteGroup)["__post_init__"]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert permgrp.closure is not closure
+        assert smallgrp.closure is not closure
+    finally:
+        t.uninstall()
+    assert permgrp.closure is closure
+    assert smallgrp.closure is closure
+    assert vars(smallgrp.FiniteGroup)["__post_init__"] is post_init
