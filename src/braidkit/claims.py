@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import yaml
-
 from . import fpgroup, homsearch, nilq, permgrp, smallgrp, zlinalg
 from .errors import InvalidInputError
 
@@ -330,6 +328,8 @@ def _parse_record(doc: dict, index: int) -> ClaimRecord:
 
 def load_corpus(path: str) -> list[ClaimRecord]:
     """Load a YAML corpus; malformed files raise with line information."""
+    import yaml  # imported here so that starting the CLI does not pay for it
+
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:

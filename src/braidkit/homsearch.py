@@ -15,9 +15,24 @@ then only assigns element indices.  ``_holds`` follows one point at a time
 through the word over those tables and stops at the first point the word
 moves, so a rejected candidate usually costs len(word) lookups.
 
-``enumerate_homs(workers=N)`` shards the first assigned image over at most
-min(N, m!, usable CPUs) processes; shards are merged by sorting, so the
-result equals the serial one.
+The census counts by conjugacy orbits.  Every relator and every predicate
+is invariant under simultaneous conjugation, so the first generator in
+search order takes one image r per cycle type, weighted by its class size
+m!/|C(r)|, and the second one image per orbit of the centralizer C(r)
+acting by conjugation, weighted by the orbit size (canonical
+augmentation; McKay, J. Algorithms 26, 1998).  Deeper generators take
+every element of S_m, and an accepted leaf adds the product of its
+weights.  Representatives are drawn from the S_m-conjugates of the
+accepted leaves, each homomorphism met exactly once.
+
+The search is bounded by nodes counted as it runs: one per candidate
+image, one per element of S_m for each root's centralizer-orbit pass,
+and, when representatives are kept, one per homomorphism they are
+chosen from.  Past ``search_bound`` it raises BoundExceededError.
+
+``enumerate_homs(workers=N)`` deals the p(m) root classes over at most
+min(N, p(m), usable CPUs) processes; shards are merged by sorting and
+their nodes summed, so the result, or the error, equals the serial one.
 """
 
 from __future__ import annotations
@@ -25,7 +40,6 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import insort
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -57,7 +71,7 @@ __all__ = [
     "builtin_assignment",
 ]
 
-DEFAULT_SEARCH_BOUND = 10**10
+DEFAULT_SEARCH_BOUND = 10**7
 
 
 @dataclass(frozen=True)
@@ -286,66 +300,205 @@ def _search_plan(presentation: Presentation):
     return order, by_depth
 
 
+def _conjugate(h, hinv, x):
+    """The image tuple of h⁻¹·x·h: point h(i) goes to h(x(i))."""
+    return tuple([h[x[k]] for k in hinv])
+
+
+def _centralizer_gens(x: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Generators of the centralizer of x in S_m: a rotation of each cycle,
+    and a swap of each pair of neighbouring cycles of equal length (fixed
+    points are 1-cycles), which generate the product of the wreath
+    products C_k wr S_(l_k)."""
+    m = len(x)
+    cycles = [[i] for i in range(m) if x[i] == i]
+    cycles += [[p - 1 for p in cyc] for cyc in Permutation(x).cycles()]
+    cycles.sort(key=len)
+    gens = []
+    for cyc in cycles:
+        if len(cyc) > 1:
+            g = list(range(m))
+            for i in cyc:
+                g[i] = x[i]
+            gens.append(tuple(g))
+    for c, d in zip(cycles, cycles[1:]):
+        if len(c) == len(d):
+            g = list(range(m))
+            for i, j in zip(c, d):
+                g[i], g[j] = j, i
+            gens.append(tuple(g))
+    return gens
+
+
+def _conjugacy_orbits(gens, images, index):
+    """Orbits of the group generated by gens acting on S_m by conjugation,
+    in the order of their least elements.  Each orbit is (least element,
+    {member: h}) with h a conjugator taking the least element to the
+    member; all are element indices but h, an image tuple.
+
+    A breadth-first pass over S_m: O(m! · len(gens)) conjugations.
+    """
+    pairs = [_tables(g) for g in gens]
+    identity = tuple(range(len(images[0])))
+    placed = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if placed[start]:
+            continue
+        members = {start: identity}
+        placed[start] = True
+        frontier = [start]
+        for y in frontier:
+            x, hy = images[y], members[y]
+            for g, ginv in pairs:
+                z = index[_conjugate(g, ginv, x)]
+                if not placed[z]:
+                    placed[z] = True
+                    members[z] = tuple([g[i] for i in hy])
+                    frontier.append(z)
+        out.append((start, members))
+    return out
+
+
 def _search(
     presentation: Presentation,
     m: int,
     predicate,
     max_representatives: int,
-    first_image_indices=None,
+    roots=None,
+    bound: int = DEFAULT_SEARCH_BOUND,
+    spent=None,
 ):
+    """The orbit census: (count, sorted representative keys).
+
+    The first generator in search order takes one image per conjugacy
+    class of S_m, the second one image per orbit of that image's
+    centralizer, and each deeper one every element of S_m.  A leaf that
+    passes the predicate counts the class size times the orbit size.
+    ``roots`` restricts the first image to those positions in the list of
+    classes; the nodes used are appended to the list ``spent``.
+    """
     n = presentation.generator_count
+    if n == 0:
+        # the trivial group has exactly one homomorphism anywhere
+        return (1 if predicate((), m) else 0), []
+    nodes = 0
+
+    def spend(cost: int) -> None:
+        nonlocal nodes
+        nodes += cost
+        if nodes > bound:
+            raise BoundExceededError(f"census search exceeds {bound} nodes")
+
+    # one root per class, and for n > 1 one orbit pass over S_m per root,
+    # spent before any table is built
+    if roots is None:
+        roots = range(_partition_count(m))
+    spend(len(roots) * (1 + factorial(m) if n > 1 else 1))
     order, by_depth = _search_plan(presentation)
-    perms = [Permutation(t) for t in itertools.permutations(range(m))]
-    tables = [_tables(p.images) for p in perms]
-    chosen = [0] * n  # index into perms, per generator
+    images = list(itertools.permutations(range(m)))
+    index = {x: i for i, x in enumerate(images)}
+    perms = [Permutation(x) for x in images]
+    tables = [_tables(x) for x in images]
+    classes = _conjugacy_orbits(_centralizer_gens(images[0]), images, index)
+    classes = [classes[i] for i in roots]
+    chosen = [0] * n  # element index, per generator
     current: list = [None] * n  # tables[chosen[g]], per generator
-    count = 0
+    group: list = []  # accepted leaves of the current second image
     reps: list = []  # sorted image-tuple keys, capped
+    k = max_representatives
 
-    def leaf():
-        nonlocal count
-        if not predicate(tuple(perms[i] for i in chosen), m):
-            return
-        count += 1
-        if max_representatives > 0:
-            key = tuple(tables[i][0] for i in chosen)
-            if len(reps) < max_representatives:
-                insort(reps, key)
-            elif key < reps[-1]:
-                insort(reps, key)
-                reps.pop()
-
-    def descend(depth: int):
-        if depth == n:
-            leaf()
-            return
+    def place(depth: int, i: int) -> bool:
         gen = order[depth]
-        words = by_depth[depth + 1]
-        choices = range(len(perms))
-        if depth == 0 and first_image_indices is not None:
-            choices = first_image_indices
-        for i in choices:
+        chosen[gen] = i
+        current[gen] = tables[i]
+        return all(_holds(word, current) for word in by_depth[depth + 1])
+
+    def descend(depth: int) -> None:
+        if depth == n:
+            if predicate(tuple(perms[i] for i in chosen), m):
+                group.append(tuple(chosen))
+            return
+        gen, words = order[depth], by_depth[depth + 1]
+        spend(len(tables))
+        for i, table in enumerate(tables):
             chosen[gen] = i
-            current[gen] = tables[i]
+            current[gen] = table
             for word in words:
                 if not _holds(word, current):
                     break
             else:
                 descend(depth + 1)
 
-    if n == 0:
-        # the trivial group has exactly one homomorphism anywhere
-        if predicate((), m):
-            count = 1
-        return count, []
-    descend(0)
+    def offer(key) -> None:
+        if len(reps) < k:
+            insort(reps, key)
+        elif key < reps[-1]:
+            insort(reps, key)
+            reps.pop()
+
+    def expand(conjugators) -> None:
+        """Offer every conjugate of the group's leaves; conjugators take
+        the group's first two images onto each pair in their orbit."""
+        spend(len(group) * len(conjugators))
+        for h in conjugators:
+            hinv = _tables(h)[1]
+            memo = {}
+            for leaf in group:
+                # once k keys are kept, a conjugate whose first image is
+                # above the largest key's first image cannot enter
+                if len(reps) == k:
+                    first = memo.get(leaf[0])
+                    if first is None:
+                        first = memo[leaf[0]] = _conjugate(h, hinv, images[leaf[0]])
+                    if first > reps[-1][0]:
+                        continue
+                key = []
+                for i in leaf:
+                    c = memo.get(i)
+                    if c is None:
+                        c = memo[i] = _conjugate(h, hinv, images[i])
+                    key.append(c)
+                offer(tuple(key))
+
+    count = 0
+    for r, rmembers in classes:
+        if not place(0, r):
+            continue
+        if n == 1:  # no second generator: one empty orbit, weight 1
+            seconds = [(None, {None: images[0]})]
+        else:
+            seconds = _conjugacy_orbits(_centralizer_gens(images[r]), images, index)
+            spend(len(seconds))
+        for s, smembers in seconds:
+            if s is not None and not place(1, s):
+                continue
+            descend(min(2, n))
+            if not group:
+                continue
+            count += len(rmembers) * len(smembers) * len(group)
+            if k > 0:
+                expand(
+                    [
+                        tuple([h2[i] for i in h1])
+                        for h1 in smembers.values()
+                        for h2 in rmembers.values()
+                    ]
+                )
+            group.clear()
+    if spent is not None:
+        spent.append(nodes)
     return count, reps
 
 
 def _search_shard(args):
-    pres_json, m, predicate_name, max_reps, shard = args
+    pres_json, m, predicate_name, max_reps, shard, bound = args
     presentation = Presentation.from_json(pres_json)
-    return _search(presentation, m, PREDICATES[predicate_name], max_reps, shard)
+    spent: list = []
+    count, reps = _search(
+        presentation, m, PREDICATES[predicate_name], max_reps, shard, bound, spent
+    )
+    return count, reps, spent[0]
 
 
 def _usable_cpus() -> int:
@@ -353,6 +506,15 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _partition_count(m: int) -> int:
+    """p(m), the number of cycle types, so of conjugacy classes, of S_m."""
+    ways = [1] + [0] * m
+    for part in range(1, m + 1):
+        for total in range(part, m + 1):
+            ways[total] += ways[total - part]
+    return ways[m]
 
 
 def enumerate_homs(
@@ -365,7 +527,21 @@ def enumerate_homs(
 ) -> CensusResult:
     """Exact census of homomorphisms into S_m whose image satisfies the
     predicate; counts are raw (no conjugacy deduplication), and
-    representatives are the lexicographically smallest image tuples.
+    representatives are the lexicographically smallest image tuples in
+    generator order.
+
+    Relators and predicates are invariant under simultaneous conjugation,
+    so the search visits one first image per conjugacy class of S_m
+    (weight: the class size m!/|C(r)|) and one second image per orbit of
+    that image's centralizer C(r) (weight: the orbit size), and counts
+    each accepted leaf by the product of its weights.  Representatives
+    are chosen from the conjugates of the accepted leaves.
+
+    The search is bounded by nodes: one per candidate image examined, one
+    per element of S_m for each root's centralizer-orbit pass, and, when
+    representatives are kept, one per homomorphism they are chosen from.
+    Over ``search_bound`` nodes it raises BoundExceededError, as it does
+    at once when m! alone exceeds the bound.
     """
     if m < 1:
         raise InvalidInputError("target degree must be >= 1")
@@ -373,29 +549,34 @@ def enumerate_homs(
         raise InvalidInputError(
             f"unknown predicate {predicate!r}; choose from {sorted(PREDICATES)}"
         )
-    n = presentation.generator_count
-    if n and factorial(m) ** n > search_bound:
+    if factorial(m) > search_bound:
         raise BoundExceededError(
-            f"unpruned search space {factorial(m)}^{n} exceeds bound {search_bound}"
+            f"S_{m} has {factorial(m)} elements, over the search bound {search_bound}"
         )
+    n = presentation.generator_count
     pred = PREDICATES[predicate]
-    nperms = factorial(m)
-    # a process per shard, never more than there are first images or CPUs
-    workers = min(workers, nperms, _usable_cpus())
+    classes = _partition_count(m)
+    # a process per shard, never more than there are root classes or CPUs
+    workers = min(workers, classes, _usable_cpus())
     if workers <= 1 or n == 0:
-        count, reps = _search(presentation, m, pred, max_representatives)
+        count, reps = _search(presentation, m, pred, max_representatives, bound=search_bound)
     else:
-        shards = [list(range(i, nperms, workers)) for i in range(workers)]
+        from concurrent.futures import ProcessPoolExecutor
+
         args = [
-            (presentation.to_json(), m, predicate, max_representatives, shard)
-            for shard in shards
+            (presentation.to_json(), m, predicate, max_representatives,
+             list(range(i, classes, workers)), search_bound)
+            for i in range(workers)
         ]
-        count = 0
+        count = nodes = 0
         merged = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for shard_count, shard_reps in pool.map(_search_shard, args):
+            for shard_count, shard_reps, shard_nodes in pool.map(_search_shard, args):
                 count += shard_count
+                nodes += shard_nodes
                 merged.extend(shard_reps)
+        if nodes > search_bound:  # as the serial search would have raised
+            raise BoundExceededError(f"census search exceeds {search_bound} nodes")
         merged.sort()
         reps = merged[:max_representatives]
     representatives = tuple(

@@ -138,6 +138,26 @@ def test_bound_exceeded_exits_three():
     assert out.returncode == 3
 
 
+def test_homsearch_over_the_node_budget_exits_three():
+    out = run(
+        "homsearch", "--surface", "closed-orientable", "--genus", "1", "--strands", "4",
+        "--target-sym", "4", "--json", env_extra={"BRAIDKIT_BOUND": "1000"}, timeout=60,
+    )
+    assert out.returncode == 3
+    assert "exceeds 1000 nodes" in out.stderr
+    assert out.stdout == ""
+
+
+def test_cli_import_loads_neither_yaml_nor_the_process_pool():
+    code = (
+        "import braidkit.cli, sys; "
+        "print([m for m in ('yaml', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "[]"
+
+
 def test_lcs_bound_exceeded_exits_three_before_work(tmp_path):
     # 30 generators, 29 commutator relators: far over the default LCS bound
     relators = [[i, i + 1, -i, -i - 1] for i in range(1, 30)]

@@ -1,12 +1,21 @@
+import concurrent.futures
 import itertools
 import random
+import time
 from math import factorial
 
 import pytest
 
 from braidkit import homsearch
 from braidkit.errors import BoundExceededError, InvalidInputError
-from braidkit.fpgroup import Presentation, artin_presentation, class2_quotient_presentation, closed_orientable, nonorientable
+from braidkit.fpgroup import (
+    Presentation,
+    artin_presentation,
+    boundary_orientable,
+    class2_quotient_presentation,
+    closed_orientable,
+    nonorientable,
+)
 from braidkit.homsearch import (
     GeneratorAssignment,
     classify_hom,
@@ -298,6 +307,143 @@ def test_census_count_is_conjugation_invariant():
         assert count == base
 
 
+# --- the orbit census against a plain search ------------------------------------
+
+
+def plain_homs(p, m):
+    """Every homomorphism into S_m as a tuple of image tuples in generator
+    order, by a plain search that tries all m! images of every generator.
+    Generators are assigned most-used first; a relator is checked by full
+    composition once all its generators are assigned."""
+    n = p.generator_count
+    images = list(itertools.permutations(range(m)))
+    inverses = {x: tuple(sorted(range(m), key=x.__getitem__)) for x in images}
+    relator_gens = [{abs(let) - 1 for let in rel.letters} for rel in p.relators]
+    order = sorted(range(n), key=lambda g: -sum(g in gens for gens in relator_gens))
+    checks = [[] for _ in range(n)]
+    for rel, gens in zip(p.relators, relator_gens):
+        checks[max(order.index(g) for g in gens)].append(rel.letters)
+    chosen = [None] * n
+    found = []
+
+    def holds(letters):
+        point = list(range(m))
+        for let in letters:
+            x = chosen[abs(let) - 1]
+            table = x if let > 0 else inverses[x]
+            point = [table[y] for y in point]
+        return point == list(range(m))
+
+    def descend(depth):
+        if depth == n:
+            found.append(tuple(chosen))
+            return
+        for x in images:
+            chosen[order[depth]] = x
+            if all(holds(letters) for letters in checks[depth]):
+                descend(depth + 1)
+
+    descend(0)
+    return found
+
+
+# every census run in tests/, and the CENSUS rows of bench/workloads.py
+ORACLE_CENSUSES = [
+    ("artin", 0, 3, 3),
+    ("artin", 0, 4, 3),
+    ("closed-orientable", 0, 3, 3),
+    ("closed-orientable", 1, 1, 3),
+    ("closed-orientable", 1, 1, 4),
+    ("closed-orientable", 1, 1, 5),
+    ("closed-orientable", 1, 2, 2),
+    ("closed-orientable", 1, 4, 3),
+    ("closed-orientable", 1, 5, 3),
+    ("closed-orientable", 2, 5, 3),
+    ("nonorientable", 1, 3, 3),
+    ("nonorientable", 1, 5, 3),
+    # bench/workloads.py CENSUS (surface, genus, strands, degree)
+    ("closed-orientable", 1, 4, 4),
+    ("closed-orientable", 1, 5, 4),
+    ("boundary-orientable", 1, 3, 4),
+    ("nonorientable", 2, 3, 4),
+    ("artin", 0, 4, 5),
+    ("closed-orientable", 2, 2, 3),
+]
+
+
+def family(surface, g, n):
+    if surface == "artin":
+        return artin_presentation(n)
+    builders = {
+        "closed-orientable": closed_orientable,
+        "boundary-orientable": boundary_orientable,
+        "nonorientable": nonorientable,
+    }
+    return builders[surface](g, n)
+
+
+@pytest.mark.parametrize("surface,g,n,m", ORACLE_CENSUSES)
+def test_orbit_census_matches_plain_search(surface, g, n, m):
+    p = family(surface, g, n)
+    homs = plain_homs(p, m)
+    for name, predicate in sorted(homsearch.PREDICATES.items()):
+        accepted = sorted(
+            key for key in homs if predicate(tuple(Permutation(x) for x in key), m)
+        )
+        for k in (0, 10, 10**6):
+            result = enumerate_homs(p, m, name, max_representatives=k)
+            assert result.count == len(accepted), (name, k)
+            keys = [tuple(x.images for x in rep.images) for rep in result.representatives]
+            assert keys == accepted[:k], (name, k)
+
+
+def test_degenerate_censuses_keep_their_results():
+    empty = Presentation.from_json({"generators": [], "relators": []})
+    cube_root = Presentation.from_json({"generators": ["x"], "relators": [[1, 1, 1]]})
+    free = Presentation.from_json({"generators": ["x"], "relators": []})
+    three_cycles = ["(2,3,4)", "(2,4,3)", "(1,2,3)", "(1,2,4)", "(1,3,2)", "(1,3,4)",
+                    "(1,4,2)", "(1,4,3)"]
+    expected = {
+        (empty, 3, "all"): (1, []),
+        (empty, 3, "transitive"): (0, []),
+        (empty, 1, "surjective"): (1, []),
+        (cube_root, 4, "all"): (9, [["()"]] + [[c] for c in three_cycles]),
+        (cube_root, 4, "transitive"): (0, []),
+        (free, 3, "all"): (6, [["()"], ["(2,3)"], ["(1,2)"], ["(1,2,3)"], ["(1,3,2)"], ["(1,3)"]]),
+        (free, 3, "primitive"): (2, [["(1,2,3)"], ["(1,3,2)"]]),
+        (closed_orientable(1, 3), 1, "transitive"): (1, [["()"] * 4]),
+    }
+    for (p, m, name), (count, reps) in expected.items():
+        result = enumerate_homs(p, m, name)
+        assert result.count == count
+        assert [[x.cycle_string() for x in rep.images] for rep in result.representatives] == reps
+
+
+def test_closed_genus1_five_strands_into_s5_runs_under_the_default_bound():
+    assert enumerate_homs(closed_orientable(1, 5), 5, max_representatives=0).count == 2280
+
+
+def test_node_budget_raises_in_serial_and_sharded_runs(monkeypatch):
+    p = closed_orientable(1, 4)
+    spent = []
+    count, _ = homsearch._search(p, 4, homsearch.PREDICATES["all"], 0, spent=spent)
+    assert count == 384
+    nodes = spent[0]
+    assert enumerate_homs(p, 4, max_representatives=0, search_bound=nodes).count == 384
+    monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 2)
+    for workers in (1, 2):
+        with pytest.raises(BoundExceededError, match="nodes"):
+            enumerate_homs(p, 4, max_representatives=0, search_bound=nodes - 1, workers=workers)
+    # S_9: the 30 centralizer-orbit passes alone are over the default budget,
+    # which is spent before any table is built
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="nodes"):
+        enumerate_homs(p, 9)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(BoundExceededError, match="S_11"):
+        enumerate_homs(p, 11)
+
+
 def test_search_bound_guard():
     with pytest.raises(BoundExceededError):
         enumerate_homs(closed_orientable(2, 5), 6, search_bound=10**6)
@@ -334,10 +480,10 @@ def test_worker_pool_is_capped(monkeypatch):
             self.shards = list(items)
             return map(fn, self.shards)
 
-    monkeypatch.setattr(homsearch, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 4)
     p = artin_presentation(4)
-    for m, workers, cap in [(3, 10**9, 4), (3, 3, 3), (2, 10**9, 2)]:
+    for m, workers, cap in [(3, 10**9, 3), (3, 3, 3), (2, 10**9, 2)]:
         serial = enumerate_homs(p, m, max_representatives=5)
         pools.clear()
         sharded = enumerate_homs(p, m, max_representatives=5, workers=workers)
