@@ -30,9 +30,11 @@ image, one per element of S_m for each root's centralizer-orbit pass,
 and, when representatives are kept, one per homomorphism they are
 chosen from.  Past ``search_bound`` it raises BoundExceededError.
 
-``enumerate_homs(workers=N)`` deals the p(m) root classes over at most
-min(N, p(m), usable CPUs) processes; shards are merged by sorting and
-their nodes summed, so the result, or the error, equals the serial one.
+``enumerate_homs`` deals the p(m) root classes into min(workers, p(m),
+usable CPUs) shards, runs them in this process or, when there is more
+than one, in a pool, and merges them in one place: counts and nodes
+summed, representatives sorted and cut, so the result, or the error, is
+the same for any number of workers.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import itertools
 import os
 from bisect import insort
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lcm
 
 from .errors import BoundExceededError, InvalidInputError
 from .fpgroup import Presentation, class2_quotient_presentation, closed_orientable
@@ -185,11 +187,7 @@ class HomClassification:
         }
 
 
-def classify_hom(
-    presentation: Presentation,
-    assignment: GeneratorAssignment,
-    closure_bound: int = 10**6,
-) -> HomClassification:
+def classify_hom(presentation: Presentation, assignment: GeneratorAssignment) -> HomClassification:
     """Image-group classification of a valid homomorphism."""
     failing = verify_hom(presentation, assignment)
     if failing is not None:
@@ -198,22 +196,23 @@ def classify_hom(
         raise err
     m = assignment.degree
     gens = list(assignment.images) or [identity_perm(m)]
-    image = closure(gens, closure_bound)
-    order = len(image)
+    order = _image_order(gens, m)
     abelian = _commute(gens)
-    cyclic = _cyclic(image, abelian)
-    parts = orbits(gens, m)
-    transitive = len(parts) == 1
-    primitive, _ = is_primitive(gens, m)
     return HomClassification(
         valid=True,
         image_order=order,
         abelian=abelian,
-        cyclic=cyclic,
-        transitive=transitive,
-        primitive=primitive,
+        cyclic=abelian and _cyclic(gens, order),
+        transitive=len(orbits(gens, m)) == 1,
+        primitive=is_primitive(gens, m)[0],
         surjective_onto_sym=order == factorial(m),
     )
+
+
+def _image_order(images, m: int) -> int:
+    """Order of the subgroup of S_m the images generate, by a closure
+    within its default bound ``permgrp.DEFAULT_CLOSURE_BOUND``."""
+    return len(closure(list(images) or [identity_perm(m)]))
 
 
 def _commute(perms) -> bool:
@@ -226,11 +225,12 @@ def _commute(perms) -> bool:
     )
 
 
-def _cyclic(group: list[Permutation], abelian: bool) -> bool:
-    """Whether a closed element list is a cyclic group.  A cyclic group is
-    abelian, so only an abelian one is searched for an element of full
-    order."""
-    return abelian and any(p.order() == len(group) for p in group)
+def _cyclic(perms, order: int) -> bool:
+    """Whether commuting permutations that generate a group of this order
+    generate a cyclic one: the exponent of a finite abelian group, the lcm
+    of its generators' orders, equals its order exactly when it is
+    cyclic."""
+    return lcm(*(p.order() for p in perms)) == order
 
 
 def _predicate_transitive(images, m):
@@ -242,16 +242,11 @@ def _predicate_primitive(images, m):
 
 
 def _predicate_surjective(images, m):
-    gens = list(images) or [identity_perm(m)]
-    try:
-        return len(closure(gens, factorial(m))) == factorial(m)
-    except BoundExceededError:  # cannot happen inside S_m, defensive
-        return False
+    return _image_order(images, m) == factorial(m)
 
 
 def _predicate_cyclic(images, m):
-    gens = list(images) or [identity_perm(m)]
-    return _cyclic(closure(gens, factorial(m)), _commute(gens))
+    return _commute(images) and _cyclic(images, _image_order(images, m))
 
 
 def _predicate_abelian(images, m):
@@ -365,23 +360,21 @@ def _search(
     m: int,
     predicate,
     max_representatives: int,
-    roots=None,
+    shard: slice = slice(None),
     bound: int = DEFAULT_SEARCH_BOUND,
-    spent=None,
 ):
-    """The orbit census: (count, sorted representative keys).
+    """The orbit census: (count, sorted representative keys, nodes).
 
     The first generator in search order takes one image per conjugacy
     class of S_m, the second one image per orbit of that image's
     centralizer, and each deeper one every element of S_m.  A leaf that
     passes the predicate counts the class size times the orbit size.
-    ``roots`` restricts the first image to those positions in the list of
-    classes; the nodes used are appended to the list ``spent``.
+    ``shard`` slices the list of classes the first image is taken from.
     """
     n = presentation.generator_count
     if n == 0:
         # the trivial group has exactly one homomorphism anywhere
-        return (1 if predicate((), m) else 0), []
+        return (1 if predicate((), m) else 0), [], 0
     nodes = 0
 
     def spend(cost: int) -> None:
@@ -392,8 +385,7 @@ def _search(
 
     # one root per class, and for n > 1 one orbit pass over S_m per root,
     # spent before any table is built
-    if roots is None:
-        roots = range(_partition_count(m))
+    roots = range(_partition_count(m))[shard]
     spend(len(roots) * (1 + factorial(m) if n > 1 else 1))
     order, by_depth = _search_plan(presentation)
     images = list(itertools.permutations(range(m)))
@@ -401,7 +393,7 @@ def _search(
     perms = [Permutation(x) for x in images]
     tables = [_tables(x) for x in images]
     classes = _conjugacy_orbits(_centralizer_gens(images[0]), images, index)
-    classes = [classes[i] for i in roots]
+    classes = classes[shard]
     chosen = [0] * n  # element index, per generator
     current: list = [None] * n  # tables[chosen[g]], per generator
     group: list = []  # accepted leaves of the current second image
@@ -486,19 +478,14 @@ def _search(
                     ]
                 )
             group.clear()
-    if spent is not None:
-        spent.append(nodes)
-    return count, reps
+    return count, reps, nodes
 
 
 def _search_shard(args):
-    pres_json, m, predicate_name, max_reps, shard, bound = args
-    presentation = Presentation.from_json(pres_json)
-    spent: list = []
-    count, reps = _search(
-        presentation, m, PREDICATES[predicate_name], max_reps, shard, bound, spent
-    )
-    return count, reps, spent[0]
+    """One shard of a census; the predicate is passed by its name in
+    PREDICATES, since the values there need not pickle."""
+    presentation, m, predicate, max_reps, shard, bound = args
+    return _search(presentation, m, PREDICATES[predicate], max_reps, shard, bound)
 
 
 def _usable_cpus() -> int:
@@ -541,7 +528,8 @@ def enumerate_homs(
     per element of S_m for each root's centralizer-orbit pass, and, when
     representatives are kept, one per homomorphism they are chosen from.
     Over ``search_bound`` nodes it raises BoundExceededError, as it does
-    at once when m! alone exceeds the bound.
+    at once when the m!·m cells of the element tables of S_m exceed the
+    bound.
     """
     if m < 1:
         raise InvalidInputError("target degree must be >= 1")
@@ -549,43 +537,34 @@ def enumerate_homs(
         raise InvalidInputError(
             f"unknown predicate {predicate!r}; choose from {sorted(PREDICATES)}"
         )
-    if factorial(m) > search_bound:
+    cells = factorial(m) * m
+    if cells > search_bound:
         raise BoundExceededError(
-            f"S_{m} has {factorial(m)} elements, over the search bound {search_bound}"
+            f"S_{m} needs element tables of {cells} cells, over the search bound {search_bound}"
         )
-    n = presentation.generator_count
-    pred = PREDICATES[predicate]
-    classes = _partition_count(m)
-    # a process per shard, never more than there are root classes or CPUs
-    workers = min(workers, classes, _usable_cpus())
-    if workers <= 1 or n == 0:
-        count, reps = _search(presentation, m, pred, max_representatives, bound=search_bound)
+    # root classes dealt round-robin, one shard per process, never more
+    # shards than classes (one when there is no generator) or CPUs
+    classes = _partition_count(m) if presentation.generator_count else 1
+    shards = max(1, min(workers, classes, _usable_cpus()))
+    args = [
+        (presentation, m, predicate, max_representatives, slice(i, None, shards), search_bound)
+        for i in range(shards)
+    ]
+    if shards == 1:
+        results = list(map(_search_shard, args))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [
-            (presentation.to_json(), m, predicate, max_representatives,
-             list(range(i, classes, workers)), search_bound)
-            for i in range(workers)
-        ]
-        count = nodes = 0
-        merged = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for shard_count, shard_reps, shard_nodes in pool.map(_search_shard, args):
-                count += shard_count
-                nodes += shard_nodes
-                merged.extend(shard_reps)
-        if nodes > search_bound:  # as the serial search would have raised
-            raise BoundExceededError(f"census search exceeds {search_bound} nodes")
-        merged.sort()
-        reps = merged[:max_representatives]
-    representatives = tuple(
-        GeneratorAssignment(
-            presentation, m, tuple(Permutation(t) for t in key)
-        )
-        for key in reps
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            results = list(pool.map(_search_shard, args))
+    counts, keys, nodes = zip(*results)
+    if sum(nodes) > search_bound:  # as one search over every class would have raised
+        raise BoundExceededError(f"census search exceeds {search_bound} nodes")
+    reps = sorted(itertools.chain.from_iterable(keys))[:max_representatives]
+    return CensusResult(
+        sum(counts),
+        tuple(GeneratorAssignment(presentation, m, tuple(map(Permutation, key))) for key in reps),
     )
-    return CensusResult(count, representatives)
 
 
 def direct_sum(assignments) -> GeneratorAssignment:
@@ -613,77 +592,50 @@ def direct_sum(assignments) -> GeneratorAssignment:
 # canned representations with transitive, imprimitive, non-abelian images
 
 
-def _genus1_assignment(
-    presentation: Presentation, a: Permutation, b: Permutation, s: Permutation
-) -> GeneratorAssignment:
-    """Send a1 to a, b1 to b and every sigma generator to s."""
-    images = []
+def _named_assignment(presentation: Presentation, images: dict) -> GeneratorAssignment:
+    """Send each generator to the permutation whose image list is keyed by
+    its name, and every sigma generator to the one keyed "sigma"."""
+    out = []
     for name in presentation.generator_names:
-        if name == "a1":
-            images.append(a)
-        elif name == "b1":
-            images.append(b)
-        elif name.startswith("sigma"):
-            images.append(s)
-        else:
-            raise InvalidInputError(
-                f"presentation has unexpected generator {name!r} for a genus-1 assignment"
-            )
-    return GeneratorAssignment(presentation, a.degree, tuple(images))
+        key = "sigma" if name.startswith("sigma") else name
+        if key not in images:
+            raise InvalidInputError(f"presentation has unexpected generator {name!r}")
+        out.append(Permutation(tuple(images[key])))
+    return GeneratorAssignment(presentation, len(out[0].images), tuple(out))
 
 
-def imprimitive_s8_assignment(
-    strands: int = 4, presentation: Presentation | None = None
-) -> GeneratorAssignment:
+def _block_assignment(presentation: Presentation, genus: int) -> GeneratorAssignment:
+    """The genus-g block representation on 2^g blocks of four points:
+    sigma rotates every block, b_i swaps the blocks whose indices differ
+    in bit i-1, and a_i applies (1,3)(2,4) inside the blocks whose bit
+    i-1 is 0.  Point c of block j is 4j + c."""
+    points = range(4 << genus)
+    images = {"sigma": [x - x % 4 + (x + 1) % 4 for x in points]}
+    for i in range(genus):
+        bit = 1 << i
+        images[f"a{i + 1}"] = [x if x // 4 & bit else x ^ 2 for x in points]
+        images[f"b{i + 1}"] = [x ^ 4 * bit for x in points]
+    return _named_assignment(presentation, images)
+
+
+def imprimitive_s8_assignment(strands: int = 4) -> GeneratorAssignment:
     """The degree-8 representation of the genus-1 surface braid group: two
     blocks of four rotated by sigma, swapped by b1; transitive with a
     non-abelian image."""
-    if presentation is None:
-        if strands < 3 or strands % 2:
-            raise InvalidInputError("the degree-8 assignment needs an even strand count >= 4")
-        presentation = closed_orientable(1, strands)
-    return _genus1_assignment(
-        presentation,
-        parse_cycles("(1,3)(2,4)", 8),
-        parse_cycles("(1,5)(2,6)(3,7)(4,8)", 8),
-        parse_cycles("(1,2,3,4)(5,6,7,8)", 8),
-    )
-
-
-_S16_IMAGES = {
-    "a1": "(1,3)(2,4)(9,11)(10,12)",
-    "a2": "(1,3)(2,4)(5,7)(6,8)",
-    "b1": "(1,5)(2,6)(3,7)(4,8)(9,13)(10,14)(11,15)(12,16)",
-    "b2": "(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)",
-    "sigma": "(1,2,3,4)(5,6,7,8)(9,10,11,12)(13,14,15,16)",
-}
-
-_S32_IMAGES = {
-    "a1": "(1,3)(2,4)(9,11)(10,12)(17,19)(18,20)(25,27)(26,28)",
-    "a2": "(1,3)(2,4)(5,7)(6,8)(17,19)(18,20)(21,23)(22,24)",
-    "a3": "(1,3)(2,4)(5,7)(6,8)(9,11)(10,12)(13,15)(14,16)",
-    "b1": "(1,5)(2,6)(3,7)(4,8)(9,13)(10,14)(11,15)(12,16)"
-    "(17,21)(18,22)(19,23)(20,24)(25,29)(26,30)(27,31)(28,32)",
-    "b2": "(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)"
-    "(17,25)(18,26)(19,27)(20,28)(21,29)(22,30)(23,31)(24,32)",
-    "b3": "(1,17)(2,18)(3,19)(4,20)(5,21)(6,22)(7,23)(8,24)"
-    "(9,25)(10,26)(11,27)(12,28)(13,29)(14,30)(15,31)(16,32)",
-    "sigma": "(1,2,3,4)(5,6,7,8)(9,10,11,12)(13,14,15,16)"
-    "(17,18,19,20)(21,22,23,24)(25,26,27,28)(29,30,31,32)",
-}
+    if strands < 3 or strands % 2:
+        raise InvalidInputError("the degree-8 assignment needs an even strand count >= 4")
+    return _block_assignment(closed_orientable(1, strands), 1)
 
 
 def imprimitive_s16_assignment() -> GeneratorAssignment:
     """Degree-16 genus-2 analogue of the block representation (four blocks
     of four, block-swapping b generators)."""
-    presentation = class2_quotient_presentation(2, 3)
-    return GeneratorAssignment.from_json(presentation, {"degree": 16, "images": _S16_IMAGES})
+    return _block_assignment(class2_quotient_presentation(2, 3), 2)
 
 
 def imprimitive_s32_assignment() -> GeneratorAssignment:
     """Degree-32 genus-3 analogue of the block representation."""
-    presentation = class2_quotient_presentation(3, 4)
-    return GeneratorAssignment.from_json(presentation, {"degree": 32, "images": _S32_IMAGES})
+    return _block_assignment(class2_quotient_presentation(3, 4), 3)
 
 
 def wreath_cycle_assignment(
@@ -721,12 +673,7 @@ def wreath_cycle_assignment(
             # sigma^2 under left-to-right composition
             b_img[src] = point(i - 1, c)
             s_img[src] = point(i, c + 1)
-    return _genus1_assignment(
-        presentation,
-        Permutation(tuple(a_img)),
-        Permutation(tuple(b_img)),
-        Permutation(tuple(s_img)),
-    )
+    return _named_assignment(presentation, {"a1": a_img, "b1": b_img, "sigma": s_img})
 
 
 def composite_s408_assignment() -> GeneratorAssignment:

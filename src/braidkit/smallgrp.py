@@ -71,9 +71,10 @@ class FiniteGroup:
         }
 
 
-def from_generators(gens: Sequence[Permutation], bound: int = 10**6) -> FiniteGroup:
-    """Close a generating set into a FiniteGroup."""
-    elems = closure(list(gens), bound)
+def from_generators(gens: Sequence[Permutation]) -> FiniteGroup:
+    """Close a generating set into a FiniteGroup, within the closure's
+    default bound ``permgrp.DEFAULT_CLOSURE_BOUND``."""
+    elems = closure(list(gens))
     index = {p.images: i for i, p in enumerate(elems)}
     return FiniteGroup(tuple(elems), tuple(index[g.images] for g in gens))
 

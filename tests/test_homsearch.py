@@ -303,8 +303,38 @@ def test_census_count_is_conjugation_invariant():
 
         from braidkit.homsearch import _search
 
-        count, _ = _search(artin_presentation(4), 3, relabeled, 0)
+        count, _, _ = _search(artin_presentation(4), 3, relabeled, 0)
         assert count == base
+
+
+def cyclic_by_element_walk(gens, m):
+    """Test-only: the generated group is cyclic when one element has its order."""
+    group = closure(list(gens) or [identity_perm(m)], factorial(m))
+    return any(p.order() == len(group) for p in group)
+
+
+def test_cyclic_rule_matches_an_element_walk():
+    cyclic = homsearch.PREDICATES["cyclic"]
+    s4 = [Permutation(x) for x in itertools.permutations(range(4))]
+    subgroups = set()
+    for x in s4:
+        for y in s4:  # every subgroup of S_4 has two generators
+            subgroups.add(tuple(p.images for p in closure([x, y], 24)))
+            for gens in ((x,), (x, y)):
+                assert cyclic(gens, 4) == cyclic_by_element_walk(gens, 4), gens
+    assert len(subgroups) == 30
+    rng = random.Random(7)
+    for m in (5, 6):
+        sm = [Permutation(x) for x in itertools.permutations(range(m))]
+        for trial in range(300):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                # half the sets commute, so the rule is tested where it matters
+                pool = sm if trial % 2 else [
+                    p for p in sm if all(p * g == g * p for g in gens)
+                ]
+                gens.append(rng.choice(pool))
+            assert cyclic(tuple(gens), m) == cyclic_by_element_walk(gens, m), gens
 
 
 # --- the orbit census against a plain search ------------------------------------
@@ -425,10 +455,8 @@ def test_closed_genus1_five_strands_into_s5_runs_under_the_default_bound():
 
 def test_node_budget_raises_in_serial_and_sharded_runs(monkeypatch):
     p = closed_orientable(1, 4)
-    spent = []
-    count, _ = homsearch._search(p, 4, homsearch.PREDICATES["all"], 0, spent=spent)
+    count, _, nodes = homsearch._search(p, 4, homsearch.PREDICATES["all"], 0)
     assert count == 384
-    nodes = spent[0]
     assert enumerate_homs(p, 4, max_representatives=0, search_bound=nodes).count == 384
     monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 2)
     for workers in (1, 2):
@@ -442,6 +470,18 @@ def test_node_budget_raises_in_serial_and_sharded_runs(monkeypatch):
     assert time.perf_counter() - start < 1.0
     with pytest.raises(BoundExceededError, match="S_11"):
         enumerate_homs(p, 11)
+
+
+def test_one_generator_census_is_refused_before_the_tables_of_s10():
+    # S_10's element tables hold 10!·10 = 36,288,000 cells, over the default
+    # budget, although a one-generator census would spend only p(10) nodes
+    free_involution = Presentation.from_json({"generators": ["x"], "relators": [[1, 1]]})
+    empty = Presentation.from_json({"generators": [], "relators": []})
+    for p in (free_involution, empty):
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError, match="S_10"):
+            enumerate_homs(p, 10)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_search_bound_guard():
@@ -566,6 +606,53 @@ def test_degree16_and_degree32_assignments_are_valid():
         assert verify_hom(a.presentation, a) is None
         c = classify_hom(a.presentation, a)
         assert c.transitive and not c.primitive and not c.abelian
+
+
+SIGMA8 = "(1,2,3,4)(5,6,7,8)"
+SIGMA16 = SIGMA8 + "(9,10,11,12)(13,14,15,16)"
+# the images the degree-8, 16 and 32 representations were first written with
+CANNED_IMAGES = {
+    "s8-4": {"a1": "(1,3)(2,4)", "b1": "(1,5)(2,6)(3,7)(4,8)",
+             "sigma1": SIGMA8, "sigma2": SIGMA8, "sigma3": SIGMA8},
+    "s8-6": {"a1": "(1,3)(2,4)", "b1": "(1,5)(2,6)(3,7)(4,8)",
+             "sigma1": SIGMA8, "sigma2": SIGMA8, "sigma3": SIGMA8, "sigma4": SIGMA8,
+             "sigma5": SIGMA8},
+    "s16": {
+        "a1": "(1,3)(2,4)(9,11)(10,12)",
+        "a2": "(1,3)(2,4)(5,7)(6,8)",
+        "b1": "(1,5)(2,6)(3,7)(4,8)(9,13)(10,14)(11,15)(12,16)",
+        "b2": "(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)",
+        "sigma": SIGMA16,
+    },
+    "s32": {
+        "a1": "(1,3)(2,4)(9,11)(10,12)(17,19)(18,20)(25,27)(26,28)",
+        "a2": "(1,3)(2,4)(5,7)(6,8)(17,19)(18,20)(21,23)(22,24)",
+        "a3": "(1,3)(2,4)(5,7)(6,8)(9,11)(10,12)(13,15)(14,16)",
+        "b1": "(1,5)(2,6)(3,7)(4,8)(9,13)(10,14)(11,15)(12,16)"
+        "(17,21)(18,22)(19,23)(20,24)(25,29)(26,30)(27,31)(28,32)",
+        "b2": "(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)"
+        "(17,25)(18,26)(19,27)(20,28)(21,29)(22,30)(23,31)(24,32)",
+        "b3": "(1,17)(2,18)(3,19)(4,20)(5,21)(6,22)(7,23)(8,24)"
+        "(9,25)(10,26)(11,27)(12,28)(13,29)(14,30)(15,31)(16,32)",
+        "sigma": SIGMA16 + "(17,18,19,20)(21,22,23,24)(25,26,27,28)(29,30,31,32)",
+    },
+}
+
+
+def test_block_representations_keep_their_cycle_strings():
+    built = {
+        ("s8-4", 8): imprimitive_s8_assignment(4),
+        ("s8-6", 8): imprimitive_s8_assignment(6),
+        ("s16", 16): imprimitive_s16_assignment(),
+        ("s32", 32): imprimitive_s32_assignment(),
+    }
+    for (name, degree), a in built.items():
+        assert a.to_json() == {"degree": degree, "images": CANNED_IMAGES[name]}, name
+
+
+def test_wreath_assignment_rejects_a_genus2_presentation():
+    with pytest.raises(InvalidInputError, match="a2"):
+        wreath_cycle_assignment(3, class2_quotient_presentation(2, 3))
 
 
 def test_composite_representation_degree_408():

@@ -308,7 +308,8 @@ def _finite_abelian_groups_up_to(max_order):
 
 def _surjection_oracle(a_factors, b_factors):
     """Enumerate homomorphisms by generator images, pruning on the size of
-    the generated subgroup, and report whether any is surjective."""
+    the generated subgroup, and report whether any is surjective.  A
+    (level, subgroup) state that failed once is not searched again."""
     if not b_factors:
         return True
     b_order = 1
@@ -339,6 +340,8 @@ def _surjection_oracle(a_factors, b_factors):
             out.update(add(c, mult) for c in subgroup)
         return out
 
+    failed = set()
+
     def dfs(i, subgroup):
         if len(subgroup) == b_order:
             return True
@@ -349,7 +352,13 @@ def _surjection_oracle(a_factors, b_factors):
             bound *= k
         if bound < b_order:
             return False
-        return any(dfs(i + 1, extend(subgroup, e)) for e in cands[i])
+        state = (i, frozenset(subgroup))
+        if state in failed:
+            return False
+        if any(dfs(i + 1, extend(subgroup, e)) for e in cands[i]):
+            return True
+        failed.add(state)
+        return False
 
     return dfs(0, {zero})
 
