@@ -16,11 +16,12 @@ reports pass/fail/error per claim plus summary counts.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import fpgroup, homsearch, nilq, permgrp, smallgrp, zlinalg
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked, json_field
 
 __all__ = [
     "ClaimAnchor",
@@ -125,15 +126,16 @@ _FAMILIES: dict[str, Callable] = {
 
 def resolve_presentation(spec: dict) -> fpgroup.Presentation:
     """Build a presentation from a family spec or inline JSON."""
+    checked(spec, dict, "presentation spec")
     if "presentation" in spec:
         return fpgroup.Presentation.from_json(spec["presentation"])
-    surface = spec.get("surface")
+    surface = json_field(spec, "surface", str, "presentation spec", None)
     if surface not in _FAMILIES:
         raise InvalidInputError(
             f"unknown surface family {surface!r}; choose from {sorted(_FAMILIES)}"
         )
-    genus = int(spec.get("genus", 0))
-    strands = int(spec.get("strands", 1))
+    genus = json_field(spec, "genus", int, "presentation spec", 0)
+    strands = json_field(spec, "strands", int, "presentation spec", 1)
     return _FAMILIES[surface](genus, strands)
 
 
@@ -141,8 +143,9 @@ def resolve_group(spec: Any) -> zlinalg.FgAbelianGroup:
     """An abelian group given literally, or as an abelianisation or LCS
     layer of a presentation."""
     if isinstance(spec, dict) and "lcs" in spec:
-        inner = spec["lcs"]
-        return nilq.lcs_layer(resolve_presentation(inner), int(inner["layer"]))
+        inner = checked(spec["lcs"], dict, "lcs spec")
+        layer = json_field(inner, "layer", int, "lcs spec")
+        return nilq.lcs_layer(resolve_presentation(inner), layer)
     if isinstance(spec, dict) and "abelianization" in spec:
         return zlinalg.abelianization(resolve_presentation(spec["abelianization"]))
     if isinstance(spec, dict) and "free_rank" in spec:
@@ -289,32 +292,31 @@ OPS: dict[str, Callable[[dict], Any]] = {
 def _parse_record(doc: dict, index: int) -> ClaimRecord:
     if not isinstance(doc, dict):
         raise InvalidInputError(f"claim document {index} is not a mapping")
+    name = f"claim {doc.get('id')}"
     try:
-        command = doc["command"]
-        if not isinstance(command, dict):
-            raise InvalidInputError(f"claim {doc.get('id')}: command must be a mapping")
+        command = checked(doc["command"], dict, f"{name}: command")
         op = command["op"]
-        if op not in OPS:
-            raise InvalidInputError(f"claim {doc.get('id')}: unknown op {op!r}")
+        if not isinstance(op, str) or op not in OPS:
+            raise InvalidInputError(f"{name}: unknown op {op!r}")
+        args = checked(command.get("args") or {}, dict, f"{name}: args")
         anchor = None
         if doc.get("anchor"):
-            anchor = ClaimAnchor(
-                str(doc["anchor"].get("location", "")), str(doc["anchor"].get("quote", ""))
-            )
+            fields = checked(doc["anchor"], dict, f"{name}: anchor")
+            anchor = ClaimAnchor(str(fields.get("location", "")), str(fields.get("quote", "")))
         provenance = str(doc["provenance"])
         if provenance not in ("PAPER", "DERIVED"):
-            raise InvalidInputError(
-                f"claim {doc.get('id')}: provenance must be PAPER or DERIVED"
-            )
+            raise InvalidInputError(f"{name}: provenance must be PAPER or DERIVED")
         if provenance == "PAPER" and (anchor is None or not anchor.quote):
-            raise InvalidInputError(
-                f"claim {doc.get('id')}: PAPER claims need a verbatim anchor quote"
-            )
+            raise InvalidInputError(f"{name}: PAPER claims need a verbatim anchor quote")
+        try:  # the report carries it as JSON; a YAML date or set never matches
+            json.dumps(doc["expect"])
+        except TypeError as exc:
+            raise InvalidInputError(f"{name}: expect is not JSON data: {exc}") from None
         return ClaimRecord(
             id=str(doc["id"]),
             description=str(doc.get("description", "")),
             op=op,
-            args=dict(command.get("args") or {}),
+            args=dict(args),
             expect=doc["expect"],
             provenance=provenance,
             anchor=anchor,
@@ -330,10 +332,16 @@ def load_corpus(path: str) -> list[ClaimRecord]:
     """Load a YAML corpus; malformed files raise with line information."""
     import yaml  # imported here so that starting the CLI does not pay for it
 
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        docs = [d for d in yaml.safe_load_all(text) if d is not None]
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"corpus {path} is not UTF-8: {exc}") from None
+    # libyaml's safe loader where PyYAML was built with it: same documents
+    # and error lines, ten times faster than the pure-Python one
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        docs = [d for d in yaml.load_all(text, Loader=loader) if d is not None]
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         location = f" at line {mark.line + 1}" if mark else ""

@@ -47,10 +47,21 @@ def _add_presentation_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_json(option: str, value: str, *, inline: bool = False):
+    """Decode the JSON an option gives, as a file path or (``inline``) as
+    the text itself; undecodable input is invalid input."""
+    try:
+        if not inline:
+            with open(value, "r", encoding="utf-8") as handle:
+                value = handle.read()
+        return json.loads(value)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{option}: not UTF-8 JSON: {exc}") from None
+
+
 def _presentation_from_args(args) -> fpgroup.Presentation:
     if args.presentation:
-        with open(args.presentation, "r", encoding="utf-8") as handle:
-            return fpgroup.Presentation.from_json(json.load(handle))
+        return fpgroup.Presentation.from_json(_read_json("--presentation", args.presentation))
     if not args.surface:
         raise InvalidInputError("give --surface or --presentation")
     return claims_mod.resolve_presentation(
@@ -104,8 +115,8 @@ def _cmd_lcs(args) -> int:
 
 def _cmd_epi(args) -> int:
     result = zlinalg.admits_epimorphism(
-        claims_mod.resolve_group(json.loads(args.source)),
-        claims_mod.resolve_group(json.loads(args.target)),
+        claims_mod.resolve_group(_read_json("--from", args.source, inline=True)),
+        claims_mod.resolve_group(_read_json("--to", args.target, inline=True)),
     )
     _emit(args, {"admits": result}, "yes" if result else "no")
     return EXIT_OK
@@ -133,8 +144,9 @@ def _cmd_homsearch(args) -> int:
 
 def _cmd_verify_hom(args) -> int:
     p = _presentation_from_args(args)
-    with open(args.assignment, "r", encoding="utf-8") as handle:
-        assignment = homsearch.GeneratorAssignment.from_json(p, json.load(handle))
+    assignment = homsearch.GeneratorAssignment.from_json(
+        p, _read_json("--assignment", args.assignment)
+    )
     failing = homsearch.verify_hom(p, assignment)
     if failing is None:
         _emit(args, {"ok": True}, "ok")
@@ -319,7 +331,7 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

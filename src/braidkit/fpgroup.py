@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, UnsupportedFamilyError
+from .errors import InvalidInputError, UnsupportedFamilyError, checked, json_field
 from .word import Word, reduce_word
 
 __all__ = [
@@ -41,7 +41,12 @@ class FamilyTag:
 
     @classmethod
     def from_json(cls, data: dict) -> "FamilyTag":
-        return cls(str(data["surface"]), int(data["genus"]), int(data["strands"]))
+        checked(data, dict, "family")
+        return cls(
+            json_field(data, "surface", str, "family"),
+            json_field(data, "genus", int, "family"),
+            json_field(data, "strands", int, "family"),
+        )
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,10 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
-        names = tuple(str(x) for x in data["generators"])
-        rels = tuple(reduce_word(r, len(names)) for r in data["relators"])
+        checked(data, dict, "presentation")
+        names = tuple(str(x) for x in json_field(data, "generators", list, "presentation"))
+        relators = json_field(data, "relators", list, "presentation")
+        rels = tuple(Word.from_json(r, len(names)) for r in relators)
         fam = data.get("family")
         return cls(names, rels, FamilyTag.from_json(fam) if fam else None)
 

@@ -45,7 +45,7 @@ from bisect import insort
 from dataclasses import dataclass
 from math import factorial, lcm
 
-from .errors import BoundExceededError, InvalidInputError
+from .errors import BoundExceededError, InvalidInputError, checked, json_field
 from .fpgroup import Presentation, class2_quotient_presentation, closed_orientable
 from .permgrp import (
     Permutation,
@@ -105,12 +105,14 @@ class GeneratorAssignment:
 
     @classmethod
     def from_json(cls, presentation: Presentation, data: dict) -> "GeneratorAssignment":
-        degree = int(data["degree"])
+        checked(data, dict, "assignment")
+        degree = json_field(data, "degree", int, "assignment")
+        named = json_field(data, "images", dict, "assignment")
         images = []
         for name in presentation.generator_names:
-            if name not in data["images"]:
+            if name not in named:
                 raise InvalidInputError(f"missing image for generator {name!r}")
-            images.append(parse_cycles(data["images"][name], degree))
+            images.append(parse_cycles(checked(named[name], str, f"image of {name!r}"), degree))
         return cls(presentation, degree, tuple(images))
 
 

@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 SUBGROUP_SCAN_MAX_ORDER = 10**4
-# (x, y) pairs of the Klein scan, (2 radius + 1)^4; radius 27 is the largest
+# full evaluations of the Klein scan's stage 2, at least (2 radius + 1)^3;
+# radius 107 is the largest
 KLEIN_SCAN_MAX_PAIRS = 10**7
 
 
@@ -284,25 +285,62 @@ def _klein_inv(u: tuple[int, int]) -> tuple[int, int]:
     return ((-1) ** (b % 2 + 1) * a, -b)
 
 
+def _klein_sides(
+    x: tuple[int, int], y: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two sides x y x y and y^-1 x y x of the relation."""
+    lhs = _klein_mul(_klein_mul(_klein_mul(x, y), x), y)
+    rhs = _klein_mul(_klein_mul(_klein_mul(_klein_inv(y), x), y), x)
+    return lhs, rhs
+
+
+def _klein_stage_one(rng: range) -> list[tuple[int, int]]:
+    """The (b, d) in rng x rng whose sides agree in the second coordinate,
+    evaluated at a = c = 0."""
+    kept = []
+    for b in rng:
+        for d in rng:
+            lhs, rhs = _klein_sides((0, b), (0, d))
+            if lhs[1] == rhs[1]:
+                kept.append((b, d))
+    return kept
+
+
 def klein_relation_scan(radius: int) -> KleinScanResult:
     """Scan all x = (a, b), y = (c, d) with coordinates in [-radius, radius]
-    for solutions of x y x y = y^-1 x y x."""
+    for solutions of x y x y = y^-1 x y x.
+
+    (a, b) -> b is a homomorphism onto Z, so a pair whose sides differ in
+    the second coordinate is no solution.  Stage 1 evaluates the relation at
+    a = c = 0 for every (b, d) and keeps those whose sides agree there;
+    stage 2 evaluates it in full for every a, c over the kept (b, d).  Each
+    reported solution is checked by the group law.
+    """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
-    if (2 * radius + 1) ** 4 > KLEIN_SCAN_MAX_PAIRS:
+    width = 2 * radius + 1
+    # y = 1 solves the relation, so every (b, 0) survives stage 1: stage 2
+    # costs at least width^3, and that is refused before any work
+    if width**3 > KLEIN_SCAN_MAX_PAIRS:
         raise BoundExceededError(
-            f"Klein scan of radius {radius} exceeds {KLEIN_SCAN_MAX_PAIRS} pairs"
+            f"Klein scan of radius {radius} exceeds {KLEIN_SCAN_MAX_PAIRS} evaluations: "
+            f"stage 2 needs at least {width**3}"
         )
     rng = range(-radius, radius + 1)
+    kept = _klein_stage_one(rng)
+    if len(kept) * width**2 > KLEIN_SCAN_MAX_PAIRS:
+        raise BoundExceededError(
+            f"Klein scan of radius {radius} exceeds {KLEIN_SCAN_MAX_PAIRS} evaluations: "
+            f"stage 2 needs {len(kept) * width**2}"
+        )
     sols = []
-    for a in rng:
-        for b in rng:
+    for b, d in kept:
+        for a in rng:
             x = (a, b)
             for c in rng:
-                for d in rng:
-                    y = (c, d)
-                    lhs = _klein_mul(_klein_mul(_klein_mul(x, y), x), y)
-                    rhs = _klein_mul(_klein_mul(_klein_mul(_klein_inv(y), x), y), x)
-                    if lhs == rhs:
-                        sols.append((x, y))
+                y = (c, d)
+                lhs, rhs = _klein_sides(x, y)
+                if lhs == rhs:
+                    sols.append((x, y))
+    sols.sort()  # the (a, b, c, d) order of a scan over the whole window
     return KleinScanResult(radius, tuple(sols))

@@ -8,18 +8,14 @@ equality of words is equality in the free group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked
 
 __all__ = [
     "Word",
     "reduce_word",
-    "identity",
     "generator",
-    "inverse",
-    "concat",
-    "power",
     "commutator",
     "exponent_vector",
 ]
@@ -64,7 +60,9 @@ class Word:
         return list(self.letters)
 
     @classmethod
-    def from_json(cls, data: Sequence[int], alphabet_size: int) -> "Word":
+    def from_json(cls, data: list[int], alphabet_size: int) -> "Word":
+        for let in checked(data, list, "word"):
+            checked(let, int, "word letter")
         return reduce_word(data, alphabet_size)
 
 
@@ -89,41 +87,9 @@ def reduce_word(letters: Iterable[int], alphabet_size: int) -> Word:
     return Word(tuple(stack), alphabet_size)
 
 
-def identity(alphabet_size: int) -> Word:
-    return Word((), alphabet_size)
-
-
 def generator(i: int, alphabet_size: int) -> Word:
     """The one-letter word g_i (or its inverse for negative i)."""
     return reduce_word([i], alphabet_size)
-
-
-def inverse(w: Word) -> Word:
-    return ~w
-
-
-def concat(*words: Word) -> Word:
-    """Product of words over a common alphabet."""
-    if not words:
-        raise InvalidInputError("concat needs at least one word")
-    out = words[0]
-    for w in words[1:]:
-        out = out * w
-    return out
-
-
-def power(w: Word, k: int) -> Word:
-    if k < 0:
-        return power(~w, -k)
-    out = identity(w.alphabet_size)
-    base = w
-    while k:
-        if k & 1:
-            out = out * base
-        k >>= 1
-        if k:
-            base = base * base
-    return out
 
 
 def commutator(u: Word, v: Word) -> Word:

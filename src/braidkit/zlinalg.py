@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked, json_field
 from .fpgroup import Presentation
 from .word import exponent_vector
 
@@ -327,7 +327,12 @@ class FgAbelianGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FgAbelianGroup":
-        return cls(int(data["free_rank"]), tuple(int(d) for d in data.get("torsion", ())))
+        checked(data, dict, "abelian group")
+        torsion = json_field(data, "torsion", list, "abelian group", [])
+        return cls(
+            json_field(data, "free_rank", int, "abelian group"),
+            tuple(checked(d, int, "torsion entry") for d in torsion),
+        )
 
     def __str__(self) -> str:
         parts = []

@@ -193,3 +193,63 @@ def test_symmetric_lcs_op():
 def test_dicyclic_quotient_op():
     out = OPS["dicyclic-central-quotient"]({"n": 4})
     assert out == {"order": 8, "dihedral": True}
+
+
+def test_mutated_claim_documents_load_or_raise_invalid_input(tmp_path):
+    # byte insertions, deletions and replacements in a valid document
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    valid = textwrap.dedent(PASSING_CLAIM).encode()
+    symbols = st.sampled_from(list(b":{}[],-#&*!|>'\"%@ \n\t5xa") + [0xFF, 0xC3])
+    edit = st.tuples(
+        st.sampled_from(["insert", "delete", "replace"]), st.integers(0, len(valid)), symbols
+    )
+    path = tmp_path / "corpus.yaml"
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(edit, min_size=1, max_size=4))
+    def check(edits):
+        text = bytearray(valid)
+        for kind, at, byte in edits:
+            at = min(at, len(text))
+            if kind == "insert":
+                text[at:at] = bytes([byte])
+            elif at < len(text):
+                text[at:at + 1] = b"" if kind == "delete" else bytes([byte])
+        path.write_bytes(bytes(text))
+        try:
+            records = load_corpus(str(path))
+        except InvalidInputError:
+            return
+        assert all(r.op in OPS for r in records)
+
+    check()
+
+
+MALFORMED_YAML = [
+    "id: x\ncommand: {op: abelianize\n",
+    "id: x\n  command: y\n",
+    "- [a, b\n",
+    "id: x\n---\n: : :\n",
+    "key: 'unterminated\n",
+]
+
+
+def test_libyaml_loader_matches_the_python_loader():
+    from pathlib import Path
+
+    yaml = pytest.importorskip("yaml")
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML built without libyaml")
+    corpus = Path(__file__).resolve().parent.parent / "corpus" / "paper.yaml"
+    text = corpus.read_text(encoding="utf-8")
+    assert list(yaml.load_all(text, Loader=yaml.CSafeLoader)) == list(
+        yaml.load_all(text, Loader=yaml.SafeLoader)
+    )
+    for bad in MALFORMED_YAML:
+        lines = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            with pytest.raises(yaml.YAMLError) as err:
+                list(yaml.load_all(bad, Loader=loader))
+            lines.append(err.value.problem_mark.line)
+        assert lines[0] == lines[1], bad

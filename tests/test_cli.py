@@ -5,6 +5,10 @@ import sys
 import textwrap
 import time
 
+import pytest
+
+from braidkit import cli
+
 BASE = [sys.executable, "-m", "braidkit"]
 
 
@@ -175,7 +179,7 @@ def test_lcs_bound_exceeded_exits_three_before_work(tmp_path):
 
 def test_klein_scan_over_the_bound_exits_three_at_once():
     start = time.perf_counter()
-    out = run("klein-scan", "--radius", "100", timeout=10)
+    out = run("klein-scan", "--radius", "108", timeout=10)
     assert time.perf_counter() - start < 1.0
     assert out.returncode == 3
     assert "exceeds" in out.stderr
@@ -221,3 +225,155 @@ def test_claims_run_malformed_corpus_exits_two(tmp_path):
     bad.write_text("id: x\ncommand: {op: abelianize\n", encoding="utf-8")
     out = run("claims", "run", str(bad))
     assert out.returncode == 2
+
+
+# --- malformed input exits two, in-process, with an error line ----------------------------
+
+MALFORMED_CLAIM = """\
+id: x
+command: {op: abelianize, args: %s}
+expect: 1
+anchor: %s
+provenance: PAPER
+"""
+
+
+def _main_exit(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"id: x\n\xff\xfe\n",  # not UTF-8
+        (MALFORMED_CLAIM % ("5", '{quote: "q"}')).encode(),
+        (MALFORMED_CLAIM % ("{surface: artin}", "3")).encode(),
+        (MALFORMED_CLAIM.replace("op: abelianize", "op: [1]") % ("{}", "3")).encode(),
+        (MALFORMED_CLAIM.replace("expect: 1", "expect: 2001-01-01") % ("{}", "{quote: q}"))
+        .encode(),
+    ],
+    ids=["not-utf8", "args-5", "anchor-3", "op-list", "expect-date"],
+)
+def test_malformed_corpus_exits_two_with_a_message(tmp_path, capsys, content):
+    path = tmp_path / "corpus.yaml"
+    path.write_bytes(content)
+    code, err = _main_exit(capsys, "claims", "run", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        '{"free_rank":0',
+        '{"free_rank":"x"}',
+        '{"free_rank":0,"torsion":5}',
+        '{"free_rank":true}',
+        '{"lcs":5}',
+        '{"lcs":{"surface":"artin","strands":3}}',
+        '{"abelianization":{"surface":[1]}}',
+        '{"abelianization":{"surface":"artin","strands":"x"}}',
+        '{"abelianization":{"presentation":5}}',
+    ],
+)
+def test_malformed_epi_group_exits_two_with_a_message(capsys, source):
+    code, err = _main_exit(capsys, "epi", "--from", source, "--to", '{"free_rank":0}')
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"not json",
+        b'{"degree": 2, "images": {"\xff": 1}}',
+        b'{"degree": 2, "images": 5}',
+        b'{"degree": "2", "images": {}}',
+        b'{"degree": 2, "images": {"sigma1": 1}}',
+        b"[1, 2]",
+    ],
+)
+def test_malformed_assignment_exits_two_with_a_message(tmp_path, capsys, content):
+    path = tmp_path / "assignment.json"
+    path.write_bytes(content)
+    code, err = _main_exit(
+        capsys, "verify-hom", "--surface", "artin", "--strands", "2", "--assignment", str(path)
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{",
+        b"\xff",
+        b"5",
+        b'{"generators": "x", "relators": []}',
+        b'{"generators": ["x"], "relators": [["a"]]}',
+        b'{"generators": ["x"], "relators": [[1, 1]], "family": {"surface": "x"}}',
+    ],
+)
+def test_malformed_presentation_exits_two_with_a_message(tmp_path, capsys, content):
+    path = tmp_path / "presentation.json"
+    path.write_bytes(content)
+    code, err = _main_exit(capsys, "abelianize", "--presentation", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_directory_in_place_of_a_file_exits_two(tmp_path, capsys):
+    for argv in (["claims", "run"], ["abelianize", "--presentation"]):
+        code, err = _main_exit(capsys, *argv, str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+
+def test_small_json_values_never_raise(tmp_path, capsys):
+    # small JSON values, shaped like a group spec or an assignment, as an
+    # epi group and as assignment content
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    small = st.integers(-3, 40)
+    scalar = small | st.none() | st.booleans() | st.sampled_from(["", "x", "(1,2)"])
+    value = scalar | st.lists(scalar, max_size=3)
+
+    def shaped(**fields):
+        # complete and well typed, or with any field missing or of any type
+        return st.fixed_dictionaries(fields) | st.fixed_dictionaries(
+            {}, optional={k: v | value for k, v in fields.items()}
+        )
+
+    presentation = shaped(
+        generators=st.lists(st.sampled_from(["a", "b"]), max_size=2),
+        relators=st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=2),
+    )
+    # no valid family name: a family built at genus or strands up to 40 costs seconds
+    spec = shaped(
+        presentation=presentation, surface=st.just("moebius"), strands=small, layer=small
+    )
+    literal = shaped(free_rank=small, torsion=st.lists(small, max_size=2))
+    group = value | literal | shaped(lcs=spec, abelianization=spec)
+    images = shaped(
+        sigma1=st.sampled_from(["()", "(1,2)", "(2,3)"]),
+        sigma2=st.sampled_from(["(1,2)", "(2,3)", "(1,2,3)"]),
+    )
+    assignment = value | shaped(degree=small, images=images)
+    path = tmp_path / "assignment.json"
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(group, assignment)
+    def check(source, content):
+        code, _ = _main_exit(
+            capsys, "epi", "--from", json.dumps(source), "--to", '{"free_rank":0}'
+        )
+        assert code in (0, 1, 2)
+        path.write_text(json.dumps(content), encoding="utf-8")
+        code, _ = _main_exit(
+            capsys, "verify-hom", "--surface", "artin", "--strands", "3",
+            "--assignment", str(path),
+        )
+        assert code in (0, 1, 2)
+
+    check()

@@ -1,11 +1,15 @@
+import time
+
 import pytest
 
 from braidkit.errors import BoundExceededError, InvalidInputError
 from braidkit.permgrp import finite_group_invariants, identity_perm, parse_cycles
 from braidkit.smallgrp import (
+    KLEIN_SCAN_MAX_PAIRS,
     FiniteGroup,
     _klein_inv,
     _klein_mul,
+    _klein_stage_one,
     dicyclic,
     from_generators,
     is_dihedral,
@@ -200,9 +204,42 @@ def test_klein_scan_radius_validation():
         klein_relation_scan(0)
 
 
+def _four_loop_klein_scan(radius):
+    """Brute force over every (x, y) of the window, in (a, b, c, d) order."""
+    rng = range(-radius, radius + 1)
+    sols = []
+    for a in rng:
+        for b in rng:
+            x = (a, b)
+            for c in rng:
+                for d in rng:
+                    y = (c, d)
+                    lhs = _klein_mul(_klein_mul(_klein_mul(x, y), x), y)
+                    rhs = _klein_mul(_klein_mul(_klein_mul(_klein_inv(y), x), y), x)
+                    if lhs == rhs:
+                        sols.append((x, y))
+    return tuple(sols)
+
+
+def test_klein_scan_equals_the_four_loop_scan():
+    for radius in range(1, 11):
+        assert klein_relation_scan(radius).solutions == _four_loop_klein_scan(radius)
+
+
 def test_klein_scan_is_bounded_before_it_starts():
+    start = time.perf_counter()
     with pytest.raises(BoundExceededError):
-        klein_relation_scan(28)  # 57^4 pairs, over KLEIN_SCAN_MAX_PAIRS
+        klein_relation_scan(108)  # stage 2 needs at least 217^3 evaluations
+    assert time.perf_counter() - start < 1.0
+
+
+def test_klein_scan_radius_107_is_within_both_guards():
+    # the whole scan takes about 20 s; its two guards are checked alone
+    width = 2 * 107 + 1
+    assert width**3 <= KLEIN_SCAN_MAX_PAIRS
+    kept = _klein_stage_one(range(-107, 108))
+    assert kept == [(b, 0) for b in range(-107, 108)]
+    assert len(kept) * width**2 <= KLEIN_SCAN_MAX_PAIRS
 
 
 # --- FiniteGroup validation --------------------------------------------------------------------
