@@ -30,6 +30,7 @@ from .permgrp import (
     compose,
     cycle_type,
     finite_group_invariants,
+    group_order,
     is_primitive,
     orbits,
     parse_cycles,

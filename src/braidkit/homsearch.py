@@ -15,6 +15,12 @@ then only assigns element indices.  ``_holds`` follows one point at a time
 through the word over those tables and stops at the first point the word
 moves, so a rejected candidate usually costs len(word) lookups.
 
+Image orders, for classify_hom and the surjective and cyclic filters,
+come from ``permgrp.group_order``, a Schreier–Sims stabilizer chain that
+never lists the image group: the image is S_m when its order is m!, and
+commuting images generate a cyclic group when the lcm of their orders
+equals the order.
+
 The census counts by conjugacy orbits.  Every relator and every predicate
 is invariant under simultaneous conjugation, so the first generator in
 search order takes one image r per cycle type, weighted by its class size
@@ -48,9 +54,10 @@ from math import factorial, lcm
 from .errors import BoundExceededError, InvalidInputError, checked, json_field
 from .fpgroup import Presentation, class2_quotient_presentation, closed_orientable
 from .permgrp import (
+    DEFAULT_CLOSURE_BOUND,
     Permutation,
-    closure,
-    identity_perm,
+    _inverse,
+    group_order,
     is_primitive,
     orbits,
     parse_cycles,
@@ -108,6 +115,13 @@ class GeneratorAssignment:
         checked(data, dict, "assignment")
         degree = json_field(data, "degree", int, "assignment")
         named = json_field(data, "images", dict, "assignment")
+        cells = degree * presentation.generator_count
+        if cells > DEFAULT_CLOSURE_BOUND:
+            raise BoundExceededError(
+                f"assignment needs {cells} image cells (degree {degree} × "
+                f"{presentation.generator_count} generators), over the bound "
+                f"{DEFAULT_CLOSURE_BOUND}"
+            )
         images = []
         for name in presentation.generator_names:
             if name not in named:
@@ -123,10 +137,7 @@ def _compile(letters) -> tuple[tuple[int, bool], ...]:
 
 def _tables(images: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The (image, inverse) pair of one permutation's image tuple."""
-    inverse = [0] * len(images)
-    for i, j in enumerate(images):
-        inverse[j] = i
-    return images, tuple(inverse)
+    return images, _inverse(images)
 
 
 def _holds(word, tables) -> bool:
@@ -197,8 +208,8 @@ def classify_hom(presentation: Presentation, assignment: GeneratorAssignment) ->
         err.failing_relator = failing
         raise err
     m = assignment.degree
-    gens = list(assignment.images) or [identity_perm(m)]
-    order = _image_order(gens, m)
+    gens = assignment.images
+    order = _image_order(gens)
     abelian = _commute(gens)
     return HomClassification(
         valid=True,
@@ -211,10 +222,10 @@ def classify_hom(presentation: Presentation, assignment: GeneratorAssignment) ->
     )
 
 
-def _image_order(images, m: int) -> int:
-    """Order of the subgroup of S_m the images generate, by a closure
+def _image_order(images) -> int:
+    """Order of the group the images generate, from a stabilizer chain
     within its default bound ``permgrp.DEFAULT_CLOSURE_BOUND``."""
-    return len(closure(list(images) or [identity_perm(m)]))
+    return group_order([p.images for p in images])
 
 
 def _commute(perms) -> bool:
@@ -244,11 +255,11 @@ def _predicate_primitive(images, m):
 
 
 def _predicate_surjective(images, m):
-    return _image_order(images, m) == factorial(m)
+    return _image_order(images) == factorial(m)
 
 
 def _predicate_cyclic(images, m):
-    return _commute(images) and _cyclic(images, _image_order(images, m))
+    return _commute(images) and _cyclic(images, _image_order(images))
 
 
 def _predicate_abelian(images, m):

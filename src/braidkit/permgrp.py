@@ -1,6 +1,13 @@
 """Permutations and permutation-group analytics: composition, cycle
-types, orbits, minimal blocks and primitivity, subgroup closure,
-centraliser orders, and lower central series of finite groups.
+types, orbits, minimal blocks and primitivity, subgroup closure, group
+orders from a Schreier–Sims stabilizer chain, centraliser orders, and
+lower central series of finite groups.
+
+``closure`` lists every element and serves where the list is the
+output; ``group_order`` builds a stabilizer chain over image tuples and
+never lists the group, so its cost follows the chain's size, not the
+order.  Both are bounded by ``DEFAULT_CLOSURE_BOUND``: elements for the
+closure, stored transversal cells for the chain.
 
 Composition is left-to-right throughout: (p * q)(x) = q(p(x)).  Points
 are 0-based internally; cycle notation and all reported point sets are
@@ -11,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -29,6 +36,7 @@ __all__ = [
     "orbits",
     "is_primitive",
     "closure",
+    "group_order",
     "DEFAULT_CLOSURE_BOUND",
     "GroupInvariants",
     "lower_central_series",
@@ -57,10 +65,7 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(_inverse(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -142,6 +147,8 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     m = degree if degree is not None else maxpoint
     if maxpoint > m:
         raise InvalidInputError(f"cycle point {maxpoint} exceeds degree {m}")
+    if m > DEFAULT_CLOSURE_BOUND:
+        raise BoundExceededError(f"degree {m} exceeds bound {DEFAULT_CLOSURE_BOUND}")
     images = list(range(m))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -335,7 +342,109 @@ def closure(
                     seen.add(y)
                     new.append(y)
         frontier = new
-    return [Permutation(t) for t in sorted(seen)]
+    return [_trusted(t) for t in sorted(seen)]
+
+
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A Permutation of an image tuple already known to be a bijection,
+    built without the sorting check of ``Permutation.__post_init__``."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
+def _inverse(t: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(t)
+    for i, j in enumerate(t):
+        inv[j] = i
+    return tuple(inv)
+
+
+def group_order(gens: Sequence[tuple[int, ...]], bound: int = DEFAULT_CLOSURE_BOUND) -> int:
+    """Order of the group generated by image tuples of one degree m, from
+    a stabilizer chain built by the deterministic Schreier–Sims algorithm
+    (Sims 1970; Seress, *Permutation Group Algorithms*, 2003); the
+    elements are never listed.
+
+    Level i of the chain keeps a base point b_i, its orbit Δ_i under the
+    strong generators that fix b_0..b_{i-1}, and for each orbit point β
+    a transversal element u_β taking b_i to β, with its inverse.  Every
+    Schreier generator u_β·s·u_{s(β)}⁻¹ is sifted through the levels
+    below; a residue that is not the identity becomes a strong
+    generator of the levels it passed, and when it fixes every base
+    point, the first point it moves becomes the next base point.  Each
+    (orbit point, strong generator) pair is taken once, the deepest
+    level's first.  The order is Π|Δ_i|.
+
+    The transversals hold Σ|Δ_i|·m cells; past ``bound`` it raises
+    BoundExceededError.
+    """
+    if bound < 1:
+        raise InvalidInputError("chain bound must be >= 1")
+    gens = list(gens)
+    m = len(gens[0]) if gens else 0
+    if any(len(g) != m for g in gens):
+        raise InvalidInputError("generator degree mismatch")
+    if m < 2:  # the identity is the only permutation
+        return 1
+    ident = tuple(range(m))
+    base: list[int] = []
+    transversals: list[dict] = []  # per level: orbit point β -> (u_β, u_β⁻¹)
+    strong: list[list] = []  # per level: (s, s⁻¹) for each strong generator
+    pending: list = []  # (level, β, s, s⁻¹), each pair pushed once
+    cells = 0
+    for g in gens:
+        h, top = g, 0  # h is to be sifted from level top
+        while True:
+            if h is not None:
+                level = top
+                while level < len(base):
+                    b = base[level]
+                    beta = h[b]
+                    if beta != b:
+                        entry = transversals[level].get(beta)
+                        if entry is None:
+                            break
+                        h = itemgetter(*h)(entry[1])
+                    level += 1
+                if h != ident:  # a new strong generator of levels top..level
+                    if level == len(base):  # h moves b, so a checked point follows
+                        cells += m
+                        b = next(i for i, x in enumerate(h) if i != x)
+                        base.append(b)
+                        transversals.append({b: (ident, ident)})
+                        strong.append([])
+                    hinv = _inverse(h)
+                    for i in range(top, level + 1):
+                        strong[i].append((h, hinv))
+                        # above the last level h fixes b_i, so the Schreier
+                        # generator of (b_i, h) is h, which the rule below skips
+                        fixed = base[i] if i < level else None
+                        pending.extend(
+                            [(i, beta, h, hinv) for beta in transversals[i] if beta != fixed]
+                        )
+            if not pending:
+                break
+            level, beta, s, sinv = pending.pop()
+            orbit = transversals[level]
+            u, uinv = orbit[beta]
+            t = itemgetter(*u)(s)  # u_β·s takes b_level to s(β)
+            gamma = s[beta]
+            entry = orbit.get(gamma)
+            h = None
+            if entry is None:
+                cells += m
+                if cells > bound:
+                    raise BoundExceededError(f"stabilizer chain exceeds bound {bound} cells")
+                orbit[gamma] = (t, itemgetter(*sinv)(uinv))
+                pending.extend([(level, gamma, s2, s2inv) for s2, s2inv in strong[level]])
+            elif t != entry[0]:
+                h, top = itemgetter(*t)(entry[1]), level + 1
+                if h == s:
+                    # s fixes b_level, so it moves the base point of a deeper
+                    # level and is a strong generator of level + 1 already
+                    h = None
+    return prod(map(len, transversals))
 
 
 def _commutator_perm(g: Permutation, h: Permutation) -> Permutation:

@@ -185,6 +185,21 @@ def test_klein_scan_over_the_bound_exits_three_at_once():
     assert "exceeds" in out.stderr
 
 
+def test_assignment_degree_over_the_bound_exits_three_at_once(tmp_path):
+    # 10⁸ points would take gigabytes as image lists; refused before any is built
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps({"degree": 10**8, "images": {"sigma1": "()"}}), encoding="utf-8")
+    for argv in (
+        ["verify-hom", "--surface", "artin", "--strands", "2", "--assignment", str(path)],
+        ["perm", "closure", "(1,2)", "--degree", str(10**8)],
+    ):
+        start = time.perf_counter()
+        out = run(*argv, timeout=10)
+        assert time.perf_counter() - start < 1.0
+        assert out.returncode == 3
+        assert out.stderr.startswith("error: ") and "bound" in out.stderr
+
+
 def test_symmetric_group_of_degree_seven_is_built_quickly():
     out = run("smallgrp", "symmetric", "--n", "7", "--json", timeout=10)
     assert out.returncode == 0

@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import json
 import random
 import time
 from math import factorial
@@ -9,6 +10,7 @@ import pytest
 from braidkit import homsearch
 from braidkit.errors import BoundExceededError, InvalidInputError
 from braidkit.fpgroup import (
+    FamilyTag,
     Presentation,
     artin_presentation,
     boundary_orientable,
@@ -662,6 +664,16 @@ def test_composite_representation_degree_408():
     assert a.image_of("sigma").order() == 2310
 
 
+def test_composite_s408_classification_has_the_exact_order():
+    # 3,081,597,750 is sympy's order of the three images
+    a = composite_s408_assignment()
+    start = time.perf_counter()
+    c = classify_hom(a.presentation, a)
+    assert time.perf_counter() - start < 1.0
+    assert c.image_order == 3_081_597_750
+    assert not c.abelian and not c.cyclic and not c.surjective_onto_sym
+
+
 # --- serialization ---------------------------------------------------------------------------
 
 
@@ -671,3 +683,44 @@ def test_assignment_json_round_trip():
     assert data["images"]["a1"] == "(1,3)(2,4)"
     back = GeneratorAssignment.from_json(a.presentation, data)
     assert back == a
+
+
+def test_presentation_and_assignment_json_survive_a_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def assignments(draw):
+        names = draw(st.lists(st.text("abσ1_", min_size=1, max_size=3), unique=True, max_size=5))
+        n = len(names)
+        raw = []
+        if n:
+            letters = st.integers(-n, n).filter(bool)
+            raw = draw(st.lists(st.lists(letters, min_size=1, max_size=12), max_size=4))
+        relators = [w for w in (reduce_word(r, n) for r in raw) if not w.is_identity()]
+        digit = st.integers(0, 9)
+        family = draw(st.none() | st.builds(FamilyTag, st.text("xyπ-", max_size=8), digit, digit))
+        p = Presentation(tuple(names), tuple(relators), family)
+        degree = draw(st.integers(0, 8))
+        images = [Permutation(tuple(draw(st.permutations(range(degree))))) for _ in names]
+        return GeneratorAssignment(p, degree, tuple(images))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(assignments())
+    def check(a):
+        p = a.presentation
+        assert Presentation.from_json(json.loads(json.dumps(p.to_json()))) == p
+        assert GeneratorAssignment.from_json(p, json.loads(json.dumps(a.to_json()))) == a
+
+    check()
+
+
+def test_assignment_degree_is_bounded_before_any_image_is_built():
+    p = closed_orientable(1, 2)  # a1, b1, sigma1
+    data = {"degree": 333_334, "images": {name: "()" for name in p.generator_names}}
+    with pytest.raises(BoundExceededError, match="1000002 image cells"):
+        GeneratorAssignment.from_json(p, data)
+    with pytest.raises(BoundExceededError):
+        parse_cycles("()", 1_000_001)
+    with pytest.raises(BoundExceededError):
+        parse_cycles("(1,1000001)")

@@ -14,6 +14,7 @@ from braidkit.permgrp import (
     compose,
     cycle_type,
     finite_group_invariants,
+    group_order,
     identity_perm,
     is_primitive,
     lower_central_series,
@@ -362,3 +363,85 @@ def test_invariants_reject_non_closed_input():
         finite_group_invariants([parse_cycles("(1,2)", 3)])
     with pytest.raises(InvalidInputError):
         finite_group_invariants([identity_perm(3), parse_cycles("(1,2,3)", 3)])
+
+
+# --- the stabilizer chain --------------------------------------------------------------
+
+
+def _random_gens(rng, m, count):
+    """count random permutations of degree m; half the time each moves only
+    a random set of points, so small and intransitive groups come up too."""
+    gens = []
+    for _ in range(count):
+        points = list(range(m))
+        if rng.random() < 0.5:
+            points = rng.sample(points, rng.randint(2, m))
+        images = list(range(m))
+        for a, b in zip(points, rng.sample(points, len(points))):
+            images[a] = b
+        gens.append(tuple(images))
+    return gens
+
+
+def _closure_order(gens):
+    return len(closure([Permutation(g) for g in gens]))
+
+
+def test_chain_order_matches_closure_on_every_subgroup_of_s4():
+    s4, subgroups = _s4_subgroups_by_brute_force()
+    assert len(subgroups) == 30
+    for sub in subgroups:  # the whole subgroup as generators
+        assert group_order(sorted(sub)) == len(sub)
+    for a in s4:  # every pair, so every subgroup from two generators
+        for b in s4:
+            assert group_order([a, b]) == _closure_order([a, b]), (a, b)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_chain_order_matches_closure_on_random_generators(m):
+    rng = random.Random(40 + m)
+    orders = set()
+    for _ in range(300):
+        gens = _random_gens(rng, m, rng.randint(1, 3))
+        order = group_order(gens)
+        assert order == _closure_order(gens), gens
+        orders.add(order)
+    assert len(orders) > 10
+
+
+def test_chain_order_matches_closure_on_the_canned_assignments():
+    from braidkit import homsearch
+
+    canned = [
+        homsearch.imprimitive_s8_assignment(),
+        homsearch.imprimitive_s16_assignment(),
+        homsearch.imprimitive_s32_assignment(),
+    ] + [homsearch.wreath_cycle_assignment(l) for l in (3, 5, 7, 11)]
+    for a in canned:
+        assert group_order([p.images for p in a.images]) == len(closure(list(a.images)))
+
+
+def test_chain_order_matches_sympy_on_random_generators():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(41)
+    for _ in range(200):
+        m = rng.randint(2, 12)
+        gens = _random_gens(rng, m, rng.randint(1, 3))
+        group = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+        assert group_order(gens) == group.order(), gens
+
+
+def test_chain_order_of_trivial_inputs():
+    assert group_order([]) == 1
+    assert group_order([(0,)]) == 1
+    assert group_order([(0, 1, 2), (0, 1, 2)]) == 1
+    with pytest.raises(InvalidInputError):
+        group_order([(0, 1), (0, 1, 2)])
+
+
+def test_chain_bound_counts_transversal_cells():
+    # S_5 has orbits 5, 4, 3, 2 down any base: 14 stored elements of 5 cells
+    s5 = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+    assert group_order(s5, bound=70) == 120
+    with pytest.raises(BoundExceededError):
+        group_order(s5, bound=69)
