@@ -8,6 +8,7 @@ to stderr.  Exit codes: 0 success, 1 claim or verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -233,7 +234,10 @@ def _cmd_claims(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only parses
+    with it, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="braidkit",
         description="surface braid group presentations, lower central series, and permutation representations",

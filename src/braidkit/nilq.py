@@ -21,9 +21,16 @@ cokernel of the relation rows projected onto them:
 
 For u in Γ_i and v in Γ_j the image of [u, v] is 1 + [u_i, v_j] plus
 terms above degree i + j, so the weight-3 commutator rows are brackets
-of sparse leading parts; only [r, x] and the relator products multiply
-whole series.  Arithmetic is exact, and the work is bounded by an
-estimate of the matrix size made before any row is built.
+of sparse leading parts.  For [r, x], write r = 1 + S and x = 1 + X:
+then [r, x] = 1 + (xr)^-1 (SX - XS), and below degree 4 only
+1 - S_1 - X of (xr)^-1 matters, so
+
+    [r, x] = 1 + B_2 + B_3 - (S_1 + X) B_2,  B_d = S_{d-1} X - X S_{d-1}.
+
+Only the relator products multiply whole series.  A relator's series is
+built one letter at a time, and every row is a sparse ``{column: entry}``
+dict from the moment it is made.  Arithmetic is exact, and the work is
+bounded by an estimate of the matrix size made before any row is built.
 """
 
 from __future__ import annotations
@@ -80,29 +87,7 @@ def _series_mul(s: Series, t: Series, c: int) -> Series:
     return out
 
 
-def _series_inv(s: Series, c: int) -> Series:
-    # s = 1 + e with e of positive degree; inverse is 1 - e + e^2 - ...
-    eps = {k: v for k, v in s.items() if k}
-    out: Series = {(): 1}
-    term: Series = {(): 1}
-    sign = 1
-    for _ in range(c):
-        term = _series_mul(term, eps, c)
-        if not term:
-            break
-        sign = -sign
-        for k, v in term.items():
-            val = out.get(k, 0) + sign * v
-            if val:
-                out[k] = val
-            elif k in out:
-                del out[k]
-    return out
-
-
 def _series_pow(s: Series, k: int, c: int) -> Series:
-    if k < 0:
-        return _series_pow(_series_inv(s, c), -k, c)
     out: Series = {(): 1}
     base = s
     while k:
@@ -115,13 +100,21 @@ def _series_pow(s: Series, k: int, c: int) -> Series:
 
 
 def _word_series(letters, c: int) -> Series:
-    gens = {}
+    # right-multiply by one letter at a time: 1 + X for x, and
+    # 1 - X + X^2 - ... for x^-1, appending powers of X to shorter keys
     out: Series = {(): 1}
     for let in letters:
-        if let not in gens:
-            g = {(): 1, (abs(let) - 1,): 1}
-            gens[let] = g if let > 0 else _series_inv(g, c)
-        out = _series_mul(out, gens[let], c)
+        x, sign = abs(let) - 1, 1 if let > 0 else -1
+        top = 1 if let > 0 else c
+        for key, v in list(out.items()):
+            for _ in range(min(top, c - len(key))):
+                v *= sign
+                key += (x,)
+                val = out.get(key, 0) + v
+                if val:
+                    out[key] = val
+                else:
+                    del out[key]
     return out
 
 
@@ -150,27 +143,40 @@ def _lyndon_index(n: int, c: int) -> dict[tuple[int, ...], int]:
     return {w: j for j, w in enumerate(words)}
 
 
-def _project(s: Series, index: dict, width: int) -> list[int]:
-    row = [0] * width
-    for key, v in s.items():
+def _project(terms, index: dict) -> dict[int, int]:
+    """Sparse Lyndon coordinates, ``{column: entry}``, of a sum of
+    (word, coefficient) terms."""
+    row: dict[int, int] = {}
+    for key, v in terms:
         j = index.get(key)
         if j is not None:
-            row[j] = v
-    return row
+            row[j] = row.get(j, 0) + v
+    return {j: v for j, v in row.items() if v}
 
 
-def _bracket_row(s: Series, t: Series, index: dict, width: int) -> list[int]:
-    """Lyndon coordinates of the bracket st - ts of homogeneous s and t."""
-    row = [0] * width
+def _bracket_terms(s: Series, t: Series):
+    """Terms of the bracket st - ts."""
     for k1, v1 in s.items():
         for k2, v2 in t.items():
-            j = index.get(k1 + k2)
-            if j is not None:
-                row[j] += v1 * v2
-            j = index.get(k2 + k1)
-            if j is not None:
-                row[j] -= v1 * v2
-    return row
+            yield k1 + k2, v1 * v2
+            yield k2 + k1, -v1 * v2
+
+
+def _commutator_row(s1: Series, s2: Series, x: int, c: int, index: dict):
+    """Sparse Lyndon coordinates of [s, x] = s^-1 x^-1 s x, and its
+    degree-2 part B_2, from the degree-1 and degree-2 parts of s by
+    [s, x] = 1 + B_2 + B_3 - (S_1 + X) B_2 (see the module docstring)."""
+    gx = {(x,): 1}
+    b2: Series = {}
+    for key, v in _bracket_terms(s1, gx):
+        b2[key] = b2.get(key, 0) + v
+    terms = list(b2.items())
+    if c == 3:
+        terms.extend(_bracket_terms(s2, gx))
+        left = dict(s1)
+        left[(x,)] = left.get((x,), 0) + 1
+        terms.extend((k1 + k2, -v1 * v2) for k1, v1 in left.items() for k2, v2 in b2.items())
+    return _project(terms, index), b2
 
 
 def free_layer_rank(n: int, w: int) -> int:
@@ -190,52 +196,51 @@ def free_layer_rank(n: int, w: int) -> int:
 # relation lattices per weight
 
 
-def _kernel_combinations(series: list[Series], exponents, n: int, c: int) -> list[Series]:
+def _kernel_combinations(p: Presentation, series: list[Series], exponents, c: int) -> list[Series]:
     """Products of relator powers whose exponent vectors cancel.
 
     One product per basis element of the lattice of multiplicity vectors
-    with vanishing weight-1 part.
+    with vanishing weight-1 part; a negative power is a power of the
+    inverse relator's series.
     """
     out = []
-    for lam in _kernel_basis(exponents, n):
+    for lam in _kernel_basis(exponents, p.generator_count):
         prod: Series = {(): 1}
-        for idx, k in enumerate(lam):
+        for r, s, k in zip(p.relators, series, lam):
+            if k < 0:
+                s, k = _word_series((~r).letters, c), -k
             if k:
-                prod = _series_mul(prod, _series_pow(series[idx], k, c), c)
+                prod = _series_mul(prod, _series_pow(s, k, c), c)
         out.append(prod)
     return out
 
 
-def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[list[int]]:
-    """Rows spanning the relation lattice of weights 2..c, in the
+def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[int, int]]:
+    """Sparse rows spanning the relation lattice of weights 2..c, in the
     concatenated Lyndon coordinates of ``index``."""
-    n, width = p.generator_count, len(index)
+    n = p.generator_count
     series = [_word_series(r.letters, c) for r in p.relators]
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for s, vec in zip(series, exponents):
         s1 = {(i,): v for i, v in enumerate(vec) if v}
-        s_inv = _series_inv(s, c)
+        s2 = {k: v for k, v in s.items() if len(k) == 2} if c == 3 else {}
         for x in range(n):
-            g = {(): 1, (x,): 1}  # [s, x] = s^-1 x^-1 s x
-            cs = _series_mul(_series_mul(s_inv, _series_inv(g, c), c), _series_mul(s, g, c), c)
-            rows.append(_project(cs, index, width))
-            if c == 3:  # [[s, x], y] leads with [deg2 [s, x], X_y]
-                c2 = {k: v for k, v in cs.items() if len(k) == 2}
-                rows.extend(_bracket_row(c2, {(y,): 1}, index, width) for y in range(n))
+            row, b2 = _commutator_row(s1, s2, x, c, index)
+            rows.append(row)
+            if c == 3:  # [[s, x], y] leads with [B_2, X_y]
+                rows.extend(_project(_bracket_terms(b2, {(y,): 1}), index) for y in range(n))
         if c == 3:  # [s, [x_k, x_l]] leads with [s1, X_k X_l - X_l X_k]
             for k in range(n):
                 for l in range(k):
-                    rows.append(_bracket_row(s1, {(k, l): 1, (l, k): -1}, index, width))
-    for prod in _kernel_combinations(series, exponents, n, c):
-        rows.append(_project(prod, index, width))
+                    rows.append(_project(_bracket_terms(s1, {(k, l): 1, (l, k): -1}), index))
+    for prod in _kernel_combinations(p, series, exponents, c):
+        rows.append(_project(prod.items(), index))
     return rows
 
 
-def _layer_from_lattice(
-    lattice_rows: list[list[int]], width: int
-) -> tuple[FgAbelianGroup, IntMatrix]:
+def _layer_from_lattice(lattice_rows: list, width: int) -> tuple[FgAbelianGroup, IntMatrix]:
     """Quotient of the free weight layer (``width`` Lyndon coordinates)
-    by a lattice of rows."""
+    by a lattice of dense or sparse rows."""
     lattice = IntMatrix.from_rows(_row_echelon(lattice_rows, width), cols=width)
     snf = smith_normal_form(lattice)
     return FgAbelianGroup(width - snf.rank, snf.factors), lattice
@@ -287,12 +292,12 @@ def nilpotent_quotient(
     blocks = [exponents]
     if c >= 2:
         rows = _weight_rows(p, c, exponents, _lyndon_index(n, c))
-        if c > 2:  # the top weight's lattice is the rows whose lower weights vanish
-            rows = _row_echelon(rows, sum(widths[1:]))
-        start = 0
-        for width in widths[1:]:
-            blocks.append([r[start : start + width] for r in rows if not any(r[:start])])
-            start += width
+        if c == 2:
+            blocks.append(rows)
+        else:  # the weight-3 lattice is the rows whose weight-2 part vanishes
+            rows, w2 = _row_echelon(rows, sum(widths[1:])), widths[1]
+            blocks.append([r[:w2] for r in rows])
+            blocks.append([r[w2:] for r in rows if not any(r[:w2])])
     lattices, layers = [], []
     for block, width in zip(blocks, widths):
         layer, lattice = _layer_from_lattice(block, width)

@@ -198,40 +198,55 @@ def smith_normal_form_with_transforms(
     return snf, IntMatrix.from_rows(u, cols=matrix.rows), IntMatrix.from_rows(v, cols=matrix.cols)
 
 
-def _row_echelon(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
+def _row_echelon(
+    rows: Iterable[Sequence[int] | dict[int, int]], ncols: int
+) -> list[list[int]]:
     """Integer staircase form of the row lattice (row operations only).
 
-    The returned rows span the same lattice as the input and have strictly
-    increasing pivot columns.
+    The returned rows are dense lists that span the same lattice as the
+    input and have strictly increasing pivot columns.  Input rows are
+    dense sequences or sparse ``{column: entry}`` dicts, and are kept
+    sparse in buckets by leading column, tagged with their input position.
+    A column's bucket, in input order, is sorted by absolute leading entry
+    and reduced by its first row until one row leads there: the pivot.
+    Reduced rows move to the bucket of their new leading column, and zero
+    rows are dropped, so the output depends on the input order alone.
     """
-    work = [list(r) for r in rows if any(r)]
+    buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for pos, r in enumerate(rows):
+        items = r.items() if isinstance(r, dict) else enumerate(r)
+        row = {j: x for j, x in items if x}
+        if row:
+            buckets.setdefault(min(row), []).append((pos, row))
     out: list[list[int]] = []
-    col = 0
-    while work and col < ncols:
-        active = [r for r in work if r[col]]
-        if not active:
-            col += 1
+    for col in range(ncols):
+        active = buckets.pop(col, None)
+        if active is None:
             continue
-        touched = active
+        active.sort()  # by input position, which is unique
         while len(active) > 1:
-            active.sort(key=lambda r: abs(r[col]))
-            p = active[0]
-            support = [j for j in range(col, ncols) if p[j]]
-            for r in active[1:]:
-                q = r[col] // p[col]
-                if q:
-                    for j in support:
-                        r[j] -= q * p[j]
-            active = [r for r in active if r[col]]
-        p = active[0]
-        if p[col] < 0:
-            for j in range(ncols):
-                p[j] = -p[j]
-        out.append(p)
-        # only the rows reduced at this column can have become zero
-        gone = {id(r) for r in touched if r is p or not any(r)}
-        work = [r for r in work if id(r) not in gone]
-        col += 1
+            active.sort(key=lambda t: abs(t[1][col]))
+            pivot = active[0][1]
+            kept = [active[0]]
+            for pos, r in active[1:]:
+                q = r[col] // pivot[col]
+                for j, x in pivot.items():
+                    y = r.get(j, 0) - q * x
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]
+                if col in r:
+                    kept.append((pos, r))
+                elif r:
+                    buckets.setdefault(min(r), []).append((pos, r))
+            active = kept
+        pivot = active[0][1]
+        sign = -1 if pivot[col] < 0 else 1
+        dense = [0] * ncols
+        for j, x in pivot.items():
+            dense[j] = sign * x
+        out.append(dense)
     return out
 
 

@@ -152,6 +152,26 @@ def test_homsearch_over_the_node_budget_exits_three():
     assert out.stdout == ""
 
 
+def test_in_process_calls_in_a_row_match_fresh_processes(capsys, monkeypatch):
+    # main parses with one parser per process; a usage error or an earlier
+    # subcommand must leave no trace in the calls after it
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["lcs", "--surface", "closed-orientable", "--genus", "1", "--strands", "3"],
+        ["lcs", "--surface", "closed-orientable", "--genus", "1", "--strands", "3", "--layer", "2", "--json"],
+        ["perm", "cycle-type", "(1,2)(3,4,5)", "--degree", "6"],
+        ["lcs", "--surface", "closed-orientable", "--genus", "1", "--strands", "3"],
+        ["perm", "compose", "(1,2)", "(2,3)"],
+        ["--help"],
+    ]
+    for argv in calls:
+        code = cli.main(list(argv))
+        got = capsys.readouterr()
+        fresh = run(*argv, env_extra={"COLUMNS": "80"})
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_cli_import_loads_neither_yaml_nor_the_process_pool():
     code = (
         "import braidkit.cli, sys; "

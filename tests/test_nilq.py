@@ -13,12 +13,14 @@ from braidkit.fpgroup import (
 from braidkit.nilq import (
     _lyndon_index,
     _lyndon_words,
+    _weight_rows,
+    _word_series,
     free_layer_rank,
     lcs_layer,
     nilpotent_quotient,
 )
-from braidkit.word import generator
-from braidkit.zlinalg import FgAbelianGroup, abelianization, admits_epimorphism
+from braidkit.word import exponent_vector, generator
+from braidkit.zlinalg import FgAbelianGroup, _kernel_basis, abelianization, admits_epimorphism
 
 
 def layer(p, i):
@@ -221,6 +223,149 @@ def test_grid_layers_are_pinned():
             (g.free_rank, g.invariant_factors) for g in nilpotent_quotient(p, 3).layers
         )
         assert got == GRID_LAYERS[f.surface, f.genus, f.strands], f
+
+
+# SHA-256 of the concatenated reprs of nilpotent_quotient(p, c).relation_lattices
+# over GRID in order and c = 1, 2, 3, recorded from the dense-row engine
+# that preceded the sparse-row one.
+GRID_LATTICES_SHA256 = "92d0d9dc82daabff9a6d228dd574a30efd3c69413e0c66cd3e5de0fce144997e"
+
+
+def test_grid_relation_lattices_are_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for p in GRID:
+        for c in (1, 2, 3):
+            digest.update(repr(nilpotent_quotient(p, c).relation_lattices).encode())
+    assert digest.hexdigest() == GRID_LATTICES_SHA256
+
+
+# Oracles for the relation rows: whole truncated series multiplied out, as
+# the rows were built before [r, x] came from the B_2/B_3 identity and word
+# series from one letter at a time.
+
+
+def _oracle_mul(s, t, c):
+    by_degree = [[] for _ in range(c + 1)]
+    for k2, v2 in t.items():
+        by_degree[len(k2)].append((k2, v2))
+    out = {}
+    for k1, v1 in s.items():
+        for d in range(c + 1 - len(k1)):
+            for k2, v2 in by_degree[d]:
+                out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_inv(s, c):
+    eps = {k: -v for k, v in s.items() if k}
+    out, term = {(): 1}, {(): 1}
+    for _ in range(c):
+        term = _oracle_mul(term, eps, c)
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_word_series(letters, c):
+    out = {(): 1}
+    for let in letters:
+        g = {(): 1, (abs(let) - 1,): 1}
+        out = _oracle_mul(out, g if let > 0 else _oracle_inv(g, c), c)
+    return out
+
+
+def _oracle_weight_rows(p, c, index):
+    n, width = p.generator_count, len(index)
+
+    def project(s):
+        row = [0] * width
+        for key, v in s.items():
+            if key in index:
+                row[index[key]] += v
+        return row
+
+    def bracket(s, t):
+        st, ts = project(_oracle_mul(s, t, c)), project(_oracle_mul(t, s, c))
+        return [a - b for a, b in zip(st, ts)]
+
+    series = [_oracle_word_series(r.letters, c) for r in p.relators]
+    exponents = [exponent_vector(r, n) for r in p.relators]
+    rows = []
+    for s, vec in zip(series, exponents):
+        s1 = {(i,): v for i, v in enumerate(vec) if v}
+        s_inv = _oracle_inv(s, c)
+        for x in range(n):
+            g = {(): 1, (x,): 1}  # [s, x] = s^-1 x^-1 s x
+            cs = _oracle_mul(_oracle_mul(s_inv, _oracle_inv(g, c), c), _oracle_mul(s, g, c), c)
+            rows.append(project(cs))
+            if c == 3:
+                c2 = {k: v for k, v in cs.items() if len(k) == 2}
+                rows.extend(bracket(c2, {(y,): 1}) for y in range(n))
+        if c == 3:
+            for k in range(n):
+                for l in range(k):
+                    rows.append(bracket(s1, {(k, l): 1, (l, k): -1}))
+    for lam in _kernel_basis(exponents, n):
+        prod = {(): 1}
+        for s, k in zip(series, lam):
+            for _ in range(abs(k)):
+                prod = _oracle_mul(prod, s if k > 0 else _oracle_inv(s, c), c)
+        rows.append(project(prod))
+    return rows
+
+
+def _random_relators(rng, n):
+    """Three random words on n generators that stay nonempty once reduced;
+    the first is a word times a rearranged inverse, so its exponent sums
+    all vanish."""
+    from braidkit.word import reduce_word
+
+    relators = []
+    while len(relators) < 3:
+        word = [rng.choice([i for i in range(-n, n + 1) if i]) for _ in range(rng.randint(1, 9))]
+        if not relators:
+            tail = [-x for x in word]
+            rng.shuffle(tail)
+            word += tail
+        if len(reduce_word(word, n)):
+            relators.append(word)
+    return relators
+
+
+def _rows_agree_with_oracle(p):
+    n = p.generator_count
+    if n == 0:  # nilpotent_quotient answers before building any row
+        return
+    for c in (2, 3):
+        index = _lyndon_index(n, c)
+        for r in p.relators:
+            assert _word_series(r.letters, c) == _oracle_word_series(r.letters, c)
+        exponents = [exponent_vector(r, n) for r in p.relators]
+        rows = _weight_rows(p, c, exponents, index)
+        assert all(0 not in row.values() for row in rows)  # sparse rows hold no zeros
+        dense = [[row.get(j, 0) for j in range(len(index))] for row in rows]
+        assert dense == _oracle_weight_rows(p, c, index), (p.family, c)
+
+
+def test_weight_rows_match_full_product_oracle_on_grid():
+    for p in GRID:
+        _rows_agree_with_oracle(p)
+
+
+def test_weight_rows_match_full_product_oracle_on_random_relators():
+    import random
+
+    rng = random.Random(77)
+    inverse_letters = zero_sums = 0
+    for trial in range(60):
+        n = 2 + trial % 3  # one generator has no nonempty word with zero exponent sum
+        p = _named_presentation([f"x{i}" for i in range(1, n + 1)], _random_relators(rng, n))
+        inverse_letters += any(x < 0 for r in p.relators for x in r.letters)
+        zero_sums += any(not any(exponent_vector(r, n)) for r in p.relators if len(r))
+        _rows_agree_with_oracle(p)
+    assert inverse_letters and zero_sums
 
 
 def test_layer1_equals_abelianization_on_grid():

@@ -10,6 +10,8 @@ from braidkit.word import generator
 from braidkit.zlinalg import (
     FgAbelianGroup,
     IntMatrix,
+    _kernel_basis,
+    _row_echelon,
     abelianization,
     admits_epimorphism,
     min_generators_lower_bound,
@@ -186,6 +188,100 @@ def test_snf_properties_on_unit_rich_matrices():
         assert smith_normal_form(IntMatrix.from_rows(m, cols=c)) == snf
 
     check()
+
+
+# --- row echelon ---------------------------------------------------------------
+
+
+def _dense_row_echelon(rows, ncols):
+    """The dense-row echelon that preceded the sparse one, kept as an oracle:
+    at each column the rows with a nonzero entry there, in input order,
+    are sorted by absolute entry and reduced by the first until one is left."""
+    work = [list(r) for r in rows if any(r)]
+    out = []
+    col = 0
+    while work and col < ncols:
+        active = [r for r in work if r[col]]
+        if not active:
+            col += 1
+            continue
+        touched = active
+        while len(active) > 1:
+            active.sort(key=lambda r: abs(r[col]))
+            p = active[0]
+            support = [j for j in range(col, ncols) if p[j]]
+            for r in active[1:]:
+                q = r[col] // p[col]
+                if q:
+                    for j in support:
+                        r[j] -= q * p[j]
+            active = [r for r in active if r[col]]
+        p = active[0]
+        if p[col] < 0:
+            for j in range(ncols):
+                p[j] = -p[j]
+        out.append(p)
+        gone = {id(r) for r in touched if r is p or not any(r)}
+        work = [r for r in work if id(r) not in gone]
+        col += 1
+    return out
+
+
+def _dense_kernel_basis(rows, ncols):
+    m = len(rows)
+    aug = [list(rows[i]) + [int(j == i) for j in range(m)] for i in range(m)]
+    return [r[ncols:] for r in _dense_row_echelon(aug, ncols + m) if not any(r[:ncols])]
+
+
+def _random_echelon_input(rng, trial):
+    """A seeded matrix mixing zero, duplicate, dependent and sparse rows."""
+    ncols = 1 + trial % 9
+    nrows = 0 if trial % 50 == 0 else rng.randint(1, 8)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * ncols)
+        elif kind < 0.25 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.4 and len(rows) >= 2:  # an integer combination of two rows
+            a, b = rng.sample(rows, 2)
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            density = rng.choice((0.2, 0.5, 1.0))
+            rows.append(
+                [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(ncols)]
+            )
+    return rows, ncols
+
+
+def test_row_echelon_matches_dense_oracle():
+    rng = random.Random(2024)
+    seen = dict.fromkeys(("empty", "zero", "duplicate", "negative", "reduced to zero"), 0)
+    for trial in range(3000):
+        rows, ncols = _random_echelon_input(rng, trial)
+        expected = _dense_row_echelon(rows, ncols)
+        assert _row_echelon(rows, ncols) == expected, (rows, ncols)
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        assert _row_echelon(sparse, ncols) == expected, (rows, ncols)
+        assert _row_echelon([tuple(r) for r in rows], ncols) == expected
+        assert _kernel_basis(rows, ncols) == _dense_kernel_basis(rows, ncols), (rows, ncols)
+        nonzero = [r for r in rows if any(r)]
+        seen["empty"] += not rows
+        seen["zero"] += len(nonzero) < len(rows)
+        seen["duplicate"] += len({tuple(r) for r in nonzero}) < len(nonzero)
+        seen["negative"] += any(next(x for x in r if x) < 0 for r in nonzero)
+        seen["reduced to zero"] += len(expected) < len(nonzero)
+    assert all(seen.values()), seen
+
+
+def test_row_echelon_leaves_its_input_alone():
+    dense = [[2, 4, 0], [-2, 0, 6], [0, 0, 0]]
+    sparse = [{0: 2, 1: 4}, {0: -2, 2: 6}, {}]
+    assert _row_echelon(dense, 3) == _row_echelon(sparse, 3) == [[2, 4, 0], [0, 4, 6]]
+    assert dense == [[2, 4, 0], [-2, 0, 6], [0, 0, 0]]
+    assert sparse == [{0: 2, 1: 4}, {0: -2, 2: 6}, {}]
 
 
 # --- abelianization -----------------------------------------------------------
