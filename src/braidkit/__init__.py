@@ -53,7 +53,6 @@ from .zlinalg import (
     admits_epimorphism,
     min_generators_lower_bound,
     smith_normal_form,
-    smith_normal_form_with_transforms,
 )
 
 __version__ = "0.1.0"

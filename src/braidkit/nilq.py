@@ -40,13 +40,7 @@ from dataclasses import dataclass
 from .errors import BoundExceededError, InvalidInputError
 from .fpgroup import Presentation
 from .word import exponent_vector
-from .zlinalg import (
-    FgAbelianGroup,
-    IntMatrix,
-    _kernel_basis,
-    _row_echelon,
-    smith_normal_form,
-)
+from .zlinalg import FgAbelianGroup, IntMatrix, _cokernel, _kernel_basis, _row_echelon
 
 __all__ = [
     "DEFAULT_LCS_BOUND",
@@ -242,8 +236,7 @@ def _layer_from_lattice(lattice_rows: list, width: int) -> tuple[FgAbelianGroup,
     """Quotient of the free weight layer (``width`` Lyndon coordinates)
     by a lattice of dense or sparse rows."""
     lattice = IntMatrix.from_rows(_row_echelon(lattice_rows, width), cols=width)
-    snf = smith_normal_form(lattice)
-    return FgAbelianGroup(width - snf.rank, snf.factors), lattice
+    return _cokernel(lattice), lattice
 
 
 @dataclass(frozen=True)

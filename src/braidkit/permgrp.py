@@ -121,27 +121,36 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(qi[i] for i in p.images))
 
 
-_CYCLE_RE = re.compile(r"\(([0-9,\s]*)\)")
+_CYCLE_RE = re.compile(r"\s*\(([0-9,\s]*)\)\s*")
 
 
 def parse_cycles(text: str, degree: int | None = None) -> Permutation:
-    """Parse 1-based cycle notation, e.g. "(1,2)(3,4,5)"; "()" is the identity."""
-    stripped = text.replace(" ", "")
-    if not stripped:
+    """Parse 1-based cycle notation, e.g. "(1,2)(3,4,5)"; "()" is the identity.
+
+    Points are comma-separated; spaces may surround points and cycles, but
+    an empty point, as in "(1,,2)", or points separated by spaces alone,
+    as in "(1 2)", are refused.
+    """
+    if not text.strip():
         raise InvalidInputError("empty permutation string")
     cycles = []
     consumed = 0
-    for match in _CYCLE_RE.finditer(stripped):
+    for match in _CYCLE_RE.finditer(text):
         if match.start() != consumed:
             raise InvalidInputError(f"cannot parse permutation {text!r}")
         consumed = match.end()
         body = match.group(1)
-        if body:
-            points = [int(tok) for tok in body.split(",")]
+        if body.strip():
+            tokens = [tok.strip() for tok in body.split(",")]
+            if not all(tok.isdigit() for tok in tokens):
+                raise InvalidInputError(
+                    f"bad cycle in {text!r}: points must be comma-separated numbers"
+                )
+            points = [int(tok) for tok in tokens]
             if any(p < 1 for p in points) or len(set(points)) != len(points):
                 raise InvalidInputError(f"bad cycle in {text!r}")
             cycles.append(points)
-    if consumed != len(stripped):
+    if consumed != len(text):
         raise InvalidInputError(f"cannot parse permutation {text!r}")
     maxpoint = max((p for cyc in cycles for p in cyc), default=0)
     m = degree if degree is not None else maxpoint
@@ -179,6 +188,8 @@ class CycleType:
     def from_lengths(cls, lengths: Iterable[int], degree: int | None = None) -> "CycleType":
         lengths = list(lengths)
         m = degree if degree is not None else sum(lengths)
+        if m > DEFAULT_CLOSURE_BOUND:
+            raise BoundExceededError(f"degree {m} exceeds bound {DEFAULT_CLOSURE_BOUND}")
         mult = [0] * m
         for k in lengths:
             if not 1 <= k <= m:

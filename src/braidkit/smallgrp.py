@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import BoundExceededError, InvalidInputError
-from .permgrp import Permutation, _check_closed, closure, identity_perm
+from .permgrp import DEFAULT_CLOSURE_BOUND, Permutation, _check_closed, closure, identity_perm
 
 __all__ = [
     "FiniteGroup",
@@ -80,10 +80,21 @@ def from_generators(gens: Sequence[Permutation]) -> FiniteGroup:
     return FiniteGroup(tuple(elems), tuple(index[g.images] for g in gens))
 
 
+def _check_regular_order(order: int) -> None:
+    """Refuse a regular representation of more than ``DEFAULT_CLOSURE_BOUND``
+    cells: ``order`` permutations of degree ``order``."""
+    if order * order > DEFAULT_CLOSURE_BOUND:
+        raise BoundExceededError(
+            f"the regular representation of a group of order {order} needs "
+            f"{order * order} cells, over the bound {DEFAULT_CLOSURE_BOUND}"
+        )
+
+
 def _regular_representation(
     elems: list, mul, gens: list
 ) -> FiniteGroup:
     """Right-regular permutation model of an abstract multiplication table."""
+    _check_regular_order(len(elems))
     order = sorted(range(len(elems)), key=lambda i: elems[i])
     index = {elems[i]: rank for rank, i in enumerate(order)}
     sorted_elems = [elems[i] for i in order]
@@ -101,6 +112,7 @@ def dicyclic(n: int) -> FiniteGroup:
     """
     if n < 2:
         raise InvalidInputError("dicyclic parameter must be >= 2")
+    _check_regular_order(4 * n)  # before the element list, which is 4n long
     elems = [(a, b) for b in range(2) for a in range(2 * n)]
 
     def mul(u, v):

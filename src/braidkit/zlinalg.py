@@ -1,8 +1,12 @@
 """Exact integer linear algebra: Smith normal form, abelianisations,
 finitely generated abelian groups, and surjection tests between them.
 
-Everything is arbitrary-precision; intermediate entries of a Smith
-reduction can grow far beyond machine integers even for small matrices.
+There is one Smith path: ``smith_normal_form`` reduces a copy of the
+matrix in place and keeps only its diagonal, and ``_cokernel`` turns a
+relation matrix into its ``FgAbelianGroup``, for abelianisations and
+lower central layers alike.  Everything is arbitrary-precision;
+intermediate entries of a Smith reduction can grow far beyond machine
+integers even for small matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ __all__ = [
     "IntMatrix",
     "SmithNormalForm",
     "smith_normal_form",
-    "smith_normal_form_with_transforms",
     "FgAbelianGroup",
     "abelianization",
     "admits_epimorphism",
@@ -56,62 +59,31 @@ class IntMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self.entries[i * self.cols + j]
-
-    def diagonal(self) -> list[int]:
-        return [self[i, i] for i in range(min(self.rows, self.cols))]
-
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """Result of a Smith reduction: diagonal matrix, rank, nontrivial factors."""
+    """Result of a Smith reduction: the min(rows, cols) diagonal entries
+    d_1 | d_2 | ... (non-negative, zeros last), the rank (the nonzero
+    count), and the nontrivial factors (the entries greater than 1)."""
 
-    diagonal_matrix: IntMatrix
+    diagonal: tuple[int, ...]
     rank: int
     factors: tuple[int, ...]
 
 
-def _smith(a: list[list[int]], track: bool):
-    """In-place Smith reduction; returns (U, V) row/column transforms if track."""
+def _smith(a: list[list[int]]) -> list[int]:
+    """Smith reduction of ``a`` in place; returns its diagonal."""
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
 
     def row_op(i, k, q):  # row_i -= q * row_k
         ai, ak = a[i], a[k]
         for j in range(n):
             ai[j] -= q * ak[j]
-        if track:
-            ui, uk = u[i], u[k]
-            for j in range(m):
-                ui[j] -= q * uk[j]
 
     def col_op(j, k, q):  # col_j -= q * col_k
         for r in a:
             r[j] -= q * r[k]
-        if track:
-            for r in v:
-                r[j] -= q * r[k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        if track:
-            u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        if track:
-            for r in v:
-                r[j], r[k] = r[k], r[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
 
     exhausted = False
     for t in range(min(m, n)):
@@ -135,11 +107,12 @@ def _smith(a: list[list[int]], track: bool):
                 exhausted = True
                 break
             if pi != t:
-                swap_rows(t, pi)
+                a[t], a[pi] = a[pi], a[t]
             if pj != t:
-                swap_cols(t, pj)
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             # one reduction pass against this fixed pivot; remainders are
             # strictly smaller than the pivot, so re-selecting afterwards
             # makes the pivot shrink geometrically (and keeps intermediate
@@ -167,7 +140,7 @@ def _smith(a: list[list[int]], track: bool):
             if offender is None:
                 break
             row_op(t, offender, -1)
-    return u, v
+    return [a[t][t] for t in range(min(m, n))]
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithNormalForm:
@@ -176,26 +149,13 @@ def smith_normal_form(matrix: IntMatrix) -> SmithNormalForm:
     The diagonal satisfies d_1 | d_2 | ... with non-negative entries;
     ``factors`` lists the diagonal entries greater than 1.
 
-    >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).factors
-    (6,)
+    >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    >>> snf.diagonal, snf.rank, snf.factors
+    ((1, 6), 2, (6,))
     """
-    a = matrix.row_list()
-    _smith(a, track=False)
-    d = IntMatrix.from_rows(a, cols=matrix.cols)
-    diag = [x for x in d.diagonal() if x]
-    return SmithNormalForm(d, len(diag), tuple(x for x in diag if x > 1))
-
-
-def smith_normal_form_with_transforms(
-    matrix: IntMatrix,
-) -> tuple[SmithNormalForm, IntMatrix, IntMatrix]:
-    """Smith normal form together with unimodular U, V with U*M*V diagonal."""
-    a = matrix.row_list()
-    u, v = _smith(a, track=True)
-    d = IntMatrix.from_rows(a, cols=matrix.cols)
-    diag = [x for x in d.diagonal() if x]
-    snf = SmithNormalForm(d, len(diag), tuple(x for x in diag if x > 1))
-    return snf, IntMatrix.from_rows(u, cols=matrix.rows), IntMatrix.from_rows(v, cols=matrix.cols)
+    diag = tuple(_smith(matrix.row_list()))
+    nonzero = [x for x in diag if x]
+    return SmithNormalForm(diag, len(nonzero), tuple(x for x in nonzero if x > 1))
 
 
 def _row_echelon(
@@ -359,11 +319,10 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "trivial"
 
 
-def _cokernel(rows: Sequence[Sequence[int]], ncols: int) -> FgAbelianGroup:
-    """Isomorphism type of Z^ncols / (lattice spanned by rows)."""
-    mat = IntMatrix.from_rows([list(r) for r in rows], cols=ncols) if rows else IntMatrix(0, ncols, ())
-    snf = smith_normal_form(mat)
-    return FgAbelianGroup(ncols - snf.rank, snf.factors)
+def _cokernel(matrix: IntMatrix) -> FgAbelianGroup:
+    """Isomorphism type of Z^cols / (lattice spanned by the rows)."""
+    snf = smith_normal_form(matrix)
+    return FgAbelianGroup(matrix.cols - snf.rank, snf.factors)
 
 
 def relator_matrix(presentation: Presentation) -> IntMatrix:
@@ -380,8 +339,7 @@ def abelianization(presentation: Presentation) -> FgAbelianGroup:
     >>> str(abelianization(artin_presentation(5)))
     'Z'
     """
-    n = len(presentation.generator_names)
-    return _cokernel(relator_matrix(presentation).row_list(), n)
+    return _cokernel(relator_matrix(presentation))
 
 
 def _padded_factor_list(g: FgAbelianGroup) -> list[int]:

@@ -220,6 +220,27 @@ def test_assignment_degree_over_the_bound_exits_three_at_once(tmp_path):
         assert out.stderr.startswith("error: ") and "bound" in out.stderr
 
 
+def test_malformed_cycles_exit_two_with_a_message():
+    for text in ("(1,,2)", "(1,2,)", "(,)", "(1 2)"):
+        out = run("perm", "cycle-type", text)
+        assert out.returncode == 2, text
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_large_structures_over_the_bound_exit_three_at_once():
+    for argv in (
+        ["perm", "centralizer-order", "--cycle-lengths", str(10**9)],
+        ["smallgrp", "dicyclic", "--n", "5000"],
+    ):
+        start = time.perf_counter()
+        out = run(*argv, timeout=10)
+        assert time.perf_counter() - start < 1.0
+        assert out.returncode == 3, argv
+        assert out.stderr.startswith("error: ") and "bound" in out.stderr
+
+
 def test_symmetric_group_of_degree_seven_is_built_quickly():
     out = run("smallgrp", "symmetric", "--n", "7", "--json", timeout=10)
     assert out.returncode == 0

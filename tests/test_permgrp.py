@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 from math import factorial
 
 import pytest
 
 from braidkit.errors import BoundExceededError, InvalidInputError
 from braidkit.permgrp import (
+    DEFAULT_CLOSURE_BOUND,
     CycleType,
     Permutation,
     _check_closed,
@@ -61,9 +63,18 @@ def test_parse_and_print_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "(1,2", "1,2", "(0,1)", "(1,1)", "(1,2)(2,3)"]:
+    for bad in [
+        "", "(1,2", "1,2", "(0,1)", "(1,1)", "(1,2)(2,3)",
+        "(1,,2)", "(1,2,)", "(,)", "(,1)", "(1 2)", "(1, 2 3)",
+    ]:
         with pytest.raises(InvalidInputError):
             parse_cycles(bad, 4)
+
+
+def test_parse_allows_spaces_around_points_and_cycles():
+    assert parse_cycles("( 1 , 2 )", 4) == parse_cycles("(1,2)", 4)
+    assert parse_cycles(" (1,2) (3,4) ", 4) == parse_cycles("(1,2)(3,4)", 4)
+    assert parse_cycles("( )", 4) == identity_perm(4)
 
 
 def test_json_uses_one_based_images():
@@ -108,6 +119,15 @@ def test_centralizer_order_examples():
     assert centralizer_order(CycleType.from_lengths([4, 4])) == 32
     assert centralizer_order(CycleType.from_lengths([6])) == 6
     assert centralizer_order(CycleType.from_lengths([1, 1, 1, 1])) == 24
+
+
+def test_cycle_type_degree_over_the_bound_is_refused_before_allocating():
+    for lengths, degree in (([10**9], None), ([1], 10**9)):
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError, match="exceeds bound"):
+            CycleType.from_lengths(lengths, degree)
+        assert time.perf_counter() - start < 1.0
+    assert CycleType.from_lengths([DEFAULT_CLOSURE_BOUND]).degree == DEFAULT_CLOSURE_BOUND
 
 
 def brute_centralizer_count(u, m):

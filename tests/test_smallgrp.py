@@ -10,6 +10,7 @@ from braidkit.smallgrp import (
     _klein_inv,
     _klein_mul,
     _klein_stage_one,
+    _regular_representation,
     dicyclic,
     from_generators,
     is_dihedral,
@@ -55,6 +56,18 @@ def test_dicyclic_first_generator_has_order_2n():
 def test_dicyclic_parameter_validation():
     with pytest.raises(InvalidInputError):
         dicyclic(1)
+
+
+def test_regular_representation_over_the_bound_is_refused_at_once():
+    # 1,004² cells exceed 10⁶; dicyclic(250) has exactly 10⁶
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="order 1004 needs 1008016 cells"):
+        dicyclic(251)
+    with pytest.raises(BoundExceededError):
+        dicyclic(10**12)  # refused before its 4n elements are listed
+    with pytest.raises(BoundExceededError, match="order 1001 needs"):
+        _regular_representation(list(range(1001)), None, [])
+    assert time.perf_counter() - start < 1.0
 
 
 # --- the order-12 group -----------------------------------------------------------

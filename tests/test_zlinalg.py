@@ -16,7 +16,6 @@ from braidkit.zlinalg import (
     admits_epimorphism,
     min_generators_lower_bound,
     smith_normal_form,
-    smith_normal_form_with_transforms,
 )
 
 
@@ -40,45 +39,24 @@ def det(matrix):
 
 def test_snf_identity():
     snf = smith_normal_form(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert snf.diagonal_matrix.diagonal() == [1, 1, 1]
+    assert snf.diagonal == (1, 1, 1)
     assert snf.rank == 3
     assert snf.factors == ()
 
 
 def test_snf_diag_2_3():
     snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    assert snf.diagonal_matrix.diagonal() == [1, 6]
+    assert snf.diagonal == (1, 6)
 
 
 def test_snf_2x2_example():
     snf = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    assert snf.diagonal_matrix.diagonal() == [2, 4]
+    assert snf.diagonal == (2, 4)
 
 
 def test_snf_zero_and_empty():
     assert smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]])).rank == 0
     assert smith_normal_form(IntMatrix(0, 3, ())).rank == 0
-
-
-def test_snf_transforms_are_unimodular_and_consistent():
-    rng = random.Random(7)
-    for trial in range(60):
-        r = rng.randint(1, 4) if trial % 10 else 5
-        c = rng.randint(1, 5) if trial % 10 else 6
-        m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        snf, u, v = smith_normal_form_with_transforms(IntMatrix.from_rows(m))
-        assert det(u.row_list()) in (1, -1)
-        assert det(v.row_list()) in (1, -1)
-        ur, vr, dr = u.row_list(), v.row_list(), snf.diagonal_matrix.row_list()
-        um = [
-            [sum(ur[i][k] * m[k][j] for k in range(r)) for j in range(c)]
-            for i in range(r)
-        ]
-        umv = [
-            [sum(um[i][k] * vr[k][j] for k in range(c)) for j in range(c)]
-            for i in range(r)
-        ]
-        assert umv == dr
 
 
 def bareiss_det(matrix):
@@ -103,27 +81,56 @@ def bareiss_det(matrix):
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def test_snf_transforms_stay_unimodular_on_larger_matrices():
+def determinantal_divisors(m, r, c):
+    """D_k = gcd of all k x k minors, for k = 1..min(r, c), by ``bareiss_det``;
+    a k's gcd stops once it reaches 1."""
+    out = []
+    for k in range(1, min(r, c) + 1):
+        g = 0
+        for rows in itertools.combinations(range(r), k):
+            for cols in itertools.combinations(range(c), k):
+                g = gcd(g, bareiss_det([[m[i][j] for j in cols] for i in rows]))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        out.append(g)
+    return out
+
+
+def check_snf_against_minors(m, r, c):
+    """The diagonal of ``m``'s SNF: positive entries, zeros only after the
+    rank, a divisibility chain, and d_1 ... d_k = D_k for every k."""
+    snf = smith_normal_form(IntMatrix.from_rows(m, cols=c))
+    diag = list(snf.diagonal)
+    nonzero = [d for d in diag if d]
+    assert len(diag) == min(r, c)
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    assert all(d > 0 for d in nonzero)
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
+    assert snf.rank == len(nonzero)
+    prod = 1
+    for d, divisor in zip(diag, determinantal_divisors(m, r, c)):
+        prod *= d
+        assert prod == divisor
+
+
+def test_snf_diagonal_matches_determinantal_divisors():
+    rng = random.Random(7)
+    for trial in range(60):
+        r = rng.randint(1, 4) if trial % 10 else 5
+        c = rng.randint(1, 5) if trial % 10 else 6
+        m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        check_snf_against_minors(m, r, c)
+
+
+def test_snf_determinantal_divisors_on_larger_matrices():
     rng = random.Random(77)
     for _ in range(10):
         r, c = 8, 9
         m = [[rng.randint(-99, 99) for _ in range(c)] for _ in range(r)]
-        snf, u, v = smith_normal_form_with_transforms(IntMatrix.from_rows(m))
-        assert bareiss_det(u.row_list()) in (1, -1)
-        assert bareiss_det(v.row_list()) in (1, -1)
-        ur, vr = u.row_list(), v.row_list()
-        um = [
-            [sum(ur[i][k] * m[k][j] for k in range(r)) for j in range(c)]
-            for i in range(r)
-        ]
-        umv = [
-            [sum(um[i][k] * vr[k][j] for k in range(c)) for j in range(c)]
-            for i in range(r)
-        ]
-        assert umv == snf.diagonal_matrix.row_list()
-        diag = [d for d in snf.diagonal_matrix.diagonal() if d]
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
+        check_snf_against_minors(m, r, c)
 
 
 def test_snf_divisibility_chain_and_minor_gcd_oracle():
@@ -133,7 +140,7 @@ def test_snf_divisibility_chain_and_minor_gcd_oracle():
         c = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         snf = smith_normal_form(IntMatrix.from_rows(m))
-        diag = [d for d in snf.diagonal_matrix.diagonal() if d]
+        diag = [d for d in snf.diagonal if d]
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
         # product of the first k diagonal entries = gcd of all k x k minors
@@ -146,10 +153,6 @@ def test_snf_divisibility_chain_and_minor_gcd_oracle():
                     sub = [[m[i][j] for j in cols] for i in rows]
                     g = gcd(g, det(sub))
             assert prod == g
-
-
-def _matmul(a, b, inner, cols):
-    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
 
 
 def test_snf_properties_on_unit_rich_matrices():
@@ -172,20 +175,7 @@ def test_snf_properties_on_unit_rich_matrices():
     @hypothesis.given(matrices)
     def check(case):
         m, c = case
-        r = len(m)
-        snf, u, v = smith_normal_form_with_transforms(IntMatrix.from_rows(m, cols=c))
-        ur, vr = u.row_list(), v.row_list()
-        assert _matmul(_matmul(ur, m, r, c), vr, c, c) == snf.diagonal_matrix.row_list()
-        assert bareiss_det(ur) in (1, -1)
-        assert bareiss_det(vr) in (1, -1)
-        diag = snf.diagonal_matrix.diagonal()
-        nonzero = [d for d in diag if d]
-        assert diag == nonzero + [0] * (len(diag) - len(nonzero))
-        assert all(d > 0 for d in nonzero)
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        assert snf.rank == len(nonzero)
-        assert smith_normal_form(IntMatrix.from_rows(m, cols=c)) == snf
+        check_snf_against_minors(m, len(m), c)
 
     check()
 
