@@ -346,6 +346,8 @@ def load_corpus(path: str) -> list[ClaimRecord]:
         mark = getattr(exc, "problem_mark", None)
         location = f" at line {mark.line + 1}" if mark else ""
         raise InvalidInputError(f"malformed corpus {path}{location}: {exc}") from None
+    except ValueError as exc:  # a scalar the constructor refuses, e.g. an over-long integer
+        raise InvalidInputError(f"malformed corpus {path}: {exc}") from None
     return [_parse_record(doc, i) for i, doc in enumerate(docs)]
 
 

@@ -58,6 +58,8 @@ def _read_json(option: str, value: str, *, inline: bool = False):
         return json.loads(value)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"{option}: not UTF-8 JSON: {exc}") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise InvalidInputError(f"{option}: {exc}") from None
 
 
 def _presentation_from_args(args) -> fpgroup.Presentation:

@@ -190,34 +190,30 @@ def free_layer_rank(n: int, w: int) -> int:
 # relation lattices per weight
 
 
-def _kernel_combinations(p: Presentation, series: list[Series], exponents, c: int) -> list[Series]:
-    """Products of relator powers whose exponent vectors cancel.
-
-    One product per basis element of the lattice of multiplicity vectors
-    with vanishing weight-1 part; a negative power is a power of the
-    inverse relator's series.
-    """
-    out = []
-    for lam in _kernel_basis(exponents, p.generator_count):
-        prod: Series = {(): 1}
-        for r, s, k in zip(p.relators, series, lam):
-            if k < 0:
-                s, k = _word_series((~r).letters, c), -k
-            if k:
-                prod = _series_mul(prod, _series_pow(s, k, c), c)
-        out.append(prod)
-    return out
-
-
 def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[int, int]]:
     """Sparse rows spanning the relation lattice of weights 2..c, in the
-    concatenated Lyndon coordinates of ``index``."""
+    concatenated Lyndon coordinates of ``index``.
+
+    The last rows are products of relator powers whose exponent vectors
+    cancel, one per basis vector of the multiplicity lattice with
+    vanishing weight-1 part; a negative power is a power of the inverse
+    relator's series.  A relator's series, or its inverse's, is built
+    once, when a row first needs it: at c = 3 every relator's for its
+    degree-2 part, at c = 2 only those of the relators in such a product.
+    """
     n = p.generator_count
-    series = [_word_series(r.letters, c) for r in p.relators]
+    built: dict[tuple[int, bool], Series] = {}
+
+    def series(i: int, inverse: bool = False) -> Series:
+        if (i, inverse) not in built:
+            r = p.relators[i]
+            built[i, inverse] = _word_series((~r if inverse else r).letters, c)
+        return built[i, inverse]
+
     rows: list[dict[int, int]] = []
-    for s, vec in zip(series, exponents):
-        s1 = {(i,): v for i, v in enumerate(vec) if v}
-        s2 = {k: v for k, v in s.items() if len(k) == 2} if c == 3 else {}
+    for i, vec in enumerate(exponents):
+        s1 = {(j,): v for j, v in enumerate(vec) if v}
+        s2 = {k: v for k, v in series(i).items() if len(k) == 2} if c == 3 else {}
         for x in range(n):
             row, b2 = _commutator_row(s1, s2, x, c, index)
             rows.append(row)
@@ -227,7 +223,11 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
             for k in range(n):
                 for l in range(k):
                     rows.append(_project(_bracket_terms(s1, {(k, l): 1, (l, k): -1}), index))
-    for prod in _kernel_combinations(p, series, exponents, c):
+    for lam in _kernel_basis(exponents, n):
+        prod: Series = {(): 1}
+        for i, k in enumerate(lam):
+            if k:
+                prod = _series_mul(prod, _series_pow(series(i, k < 0), abs(k), c), c)
         rows.append(_project(prod.items(), index))
     return rows
 

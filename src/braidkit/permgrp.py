@@ -146,6 +146,14 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
                 raise InvalidInputError(
                     f"bad cycle in {text!r}: points must be comma-separated numbers"
                 )
+            # a point with more digits than the bound is over it, and is
+            # refused before int() meets Python's digit limit
+            tokens = [tok.lstrip("0") or "0" for tok in tokens]
+            digits = max(map(len, tokens))
+            if digits > len(str(DEFAULT_CLOSURE_BOUND)):
+                raise BoundExceededError(
+                    f"a cycle point of {digits} digits exceeds bound {DEFAULT_CLOSURE_BOUND}"
+                )
             points = [int(tok) for tok in tokens]
             if any(p < 1 for p in points) or len(set(points)) != len(points):
                 raise InvalidInputError(f"bad cycle in {text!r}")

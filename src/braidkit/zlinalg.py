@@ -1,17 +1,20 @@
 """Exact integer linear algebra: Smith normal form, abelianisations,
 finitely generated abelian groups, and surjection tests between them.
 
-There is one Smith path: ``smith_normal_form`` reduces a copy of the
-matrix in place and keeps only its diagonal, and ``_cokernel`` turns a
-relation matrix into its ``FgAbelianGroup``, for abelianisations and
-lower central layers alike.  Everything is arbitrary-precision;
-intermediate entries of a Smith reduction can grow far beyond machine
-integers even for small matrices.
+There is one elimination kernel: ``_row_echelon`` brings sparse or dense
+rows to integer staircase form, for relation lattices and kernels alike.
+``smith_normal_form`` alternates it over the columns and the rows until
+the matrix is diagonal, and ``_cokernel`` turns a relation matrix into
+its ``FgAbelianGroup``, for abelianisations and lower central layers
+alike.  Everything is arbitrary-precision; intermediate entries of an
+elimination can grow far beyond machine integers even for small
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, checked, json_field
@@ -55,10 +58,6 @@ class IntMatrix:
         flat = tuple(x for r in rows for x in r)
         return cls(len(rows), cols, flat)
 
-    def row_list(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
 
 @dataclass(frozen=True)
 class SmithNormalForm:
@@ -71,91 +70,61 @@ class SmithNormalForm:
     factors: tuple[int, ...]
 
 
-def _smith(a: list[list[int]]) -> list[int]:
-    """Smith reduction of ``a`` in place; returns its diagonal."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        ai, ak = a[i], a[k]
-        for j in range(n):
-            ai[j] -= q * ak[j]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for r in a:
-            r[j] -= q * r[k]
-
-    exhausted = False
-    for t in range(min(m, n)):
-        if exhausted:
-            break
-        while True:
-            # smallest nonzero |entry| in the trailing block, row-major scan;
-            # nothing beats the first unit, so the scan stops there
-            pi = pj = -1
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = a[i][j]
-                    if x and (best is None or abs(x) < best):
-                        best, pi, pj = abs(x), i, j
-                        if best == 1:
-                            break
-                if best == 1:
-                    break
-            if best is None:
-                exhausted = True
-                break
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for r in a:
-                    r[t], r[pj] = r[pj], r[t]
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            # one reduction pass against this fixed pivot; remainders are
-            # strictly smaller than the pivot, so re-selecting afterwards
-            # makes the pivot shrink geometrically (and keeps intermediate
-            # entries polynomial in the input, unlike swapping mid-pass)
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    row_op(i, t, a[i][t] // a[t][t])
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    col_op(j, t, a[t][j] // a[t][t])
-            if any(a[i][t] for i in range(t + 1, m)) or any(
-                a[t][j] for j in range(t + 1, n)
-            ):
-                continue
-            # enforce divisibility of the trailing block by the pivot: fold
-            # an offending row into row t and keep reducing (a unit divides all)
-            d = a[t][t]
-            if d == 1:
-                break
-            offender = None
-            for i in range(t + 1, m):
-                if any(a[i][j] % d for j in range(t + 1, n)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)
-    return [a[t][t] for t in range(min(m, n))]
+def _invariant_chain(entries: Iterable[int]) -> list[int]:
+    """Canonical diagonal of a diagonal matrix: absolute values, each
+    dividing the next, zeros last.  Z/x + Z/y = Z/gcd + Z/lcm, so each pair
+    (x, y) becomes (gcd, lcm); the pass at i leaves there the gcd of the
+    entries from i on.  Units and zeros (Z summands) stay out of it."""
+    values = [abs(x) for x in entries]
+    chain = [x for x in values if x > 1]
+    for i in range(len(chain)):
+        x = chain[i]
+        for j in range(i + 1, len(chain)):
+            y = chain[j]
+            if y % x:
+                g = gcd(x, y)
+                chain[j] = x // g * y
+                x = g
+        chain[i] = x
+    return [1] * values.count(1) + chain + [0] * values.count(0)
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithNormalForm:
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix, by ``_row_echelon`` alone.
 
-    The diagonal satisfies d_1 | d_2 | ... with non-negative entries;
-    ``factors`` lists the diagonal entries greater than 1.
+    The diagonal satisfies d_1 | d_2 | ... with non-negative entries,
+    zeros last; ``factors`` lists the diagonal entries greater than 1.
+
+    The columns are echelonised (column operations), then the rows of the
+    result, and so on, until every echelon row holds one nonzero entry;
+    ``_invariant_chain`` orders that diagonal (Cohen, *A Course in
+    Computational Algebraic Number Theory*, GTM 138, 1993, section 2.4).
+
+    The alternation ends.  Each pass's first pivot that is not yet final
+    is the gcd of the first row (or column) left by the pass before,
+    which holds that pass's pivot q, so it divides q.  Either it is
+    smaller, at most bit_length(q) times, or it is q: the previous pass
+    cleared q's column and this one clears its row, so q is final, and
+    later passes keep it first and leave it alone.
 
     >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
     >>> snf.diagonal, snf.rank, snf.factors
     ((1, 6), 2, (6,))
+    >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal
+    (2, 4)
     """
-    diag = tuple(_smith(matrix.row_list()))
-    nonzero = [x for x in diag if x]
-    return SmithNormalForm(diag, len(nonzero), tuple(x for x in nonzero if x > 1))
+    # dense column slices; the echelon keeps only their nonzero entries
+    vectors = [matrix.entries[j :: matrix.cols] for j in range(matrix.cols)]
+    width = matrix.rows
+    while True:
+        echelon = _row_echelon(vectors, width)
+        if all(len(r) - r.count(0) == 1 for r in echelon):
+            break
+        vectors, width = list(zip(*echelon)), len(echelon)
+    # each row's one nonzero entry is its pivot, made positive
+    diag = _invariant_chain(max(r) for r in echelon)
+    diag += [0] * (min(matrix.rows, matrix.cols) - len(diag))
+    return SmithNormalForm(tuple(diag), len(echelon), tuple(x for x in diag if x > 1))
 
 
 def _row_echelon(
@@ -275,14 +244,8 @@ class FgAbelianGroup:
         >>> FgAbelianGroup.from_moduli([2, 3])
         FgAbelianGroup(free_rank=0, invariant_factors=(6,))
         """
-        mods = [abs(m) for m in moduli]
-        free = free_rank + sum(1 for m in mods if m == 0)
-        tors = [m for m in mods if m > 1]
-        if not tors:
-            return cls(free, ())
-        diag = [[tors[i] if i == j else 0 for j in range(len(tors))] for i in range(len(tors))]
-        snf = smith_normal_form(IntMatrix.from_rows(diag))
-        return cls(free, snf.factors)
+        chain = _invariant_chain(moduli)
+        return cls(free_rank + chain.count(0), tuple(x for x in chain if x > 1))
 
     @property
     def is_trivial(self) -> bool:

@@ -339,6 +339,43 @@ def test_malformed_epi_group_exits_two_with_a_message(capsys, source):
     assert err.startswith("error: ")
 
 
+# --- integers past Python's 4,300-digit string limit ----------------------------------------
+
+LONG_INTEGER = "1" * 5000
+
+
+def _one_error_line(out):
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+def test_cycle_point_past_the_digit_limit_exits_three():
+    out = run("perm", "cycle-type", f"({LONG_INTEGER})")
+    assert out.returncode == 3
+    _one_error_line(out)
+    assert "5000 digits exceeds bound" in out.stderr
+
+
+def test_json_integer_past_the_digit_limit_exits_two():
+    source = f'{{"free_rank":0,"torsion":[{LONG_INTEGER}]}}'
+    out = run("epi", "--from", source, "--to", '{"free_rank":0}')
+    assert out.returncode == 2
+    _one_error_line(out)
+    assert out.stderr.startswith("error: --from: ")
+
+
+def test_corpus_integer_past_the_digit_limit_exits_two(tmp_path):
+    path = tmp_path / "corpus.yaml"
+    path.write_text(
+        f"id: x\nop: klein-scan\nargs: {{radius: {LONG_INTEGER}}}\nexpect: 1\n",
+        encoding="utf-8",
+    )
+    out = run("claims", "run", str(path))
+    assert out.returncode == 2
+    _one_error_line(out)
+    assert out.stderr.startswith("error: malformed corpus ")
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -354,6 +354,34 @@ def test_weight_rows_match_full_product_oracle_on_grid():
         _rows_agree_with_oracle(p)
 
 
+def test_word_series_are_built_once_per_relator_and_sign_when_a_row_needs_them(monkeypatch):
+    import braidkit.nilq as nilq
+
+    built = []
+    word_series = nilq._word_series
+
+    def counting(letters, c):
+        built.append(tuple(letters))
+        return word_series(letters, c)
+
+    monkeypatch.setattr(nilq, "_word_series", counting)
+    for p in GRID:
+        n = p.generator_count
+        if n == 0:  # nilpotent_quotient answers before building any row
+            continue
+        exponents = [exponent_vector(r, n) for r in p.relators]
+        # at c = 2 only the relator products use series; at c = 3 every
+        # relator's series also gives its degree-2 part
+        used = {(i, k < 0) for lam in _kernel_basis(exponents, n) for i, k in enumerate(lam) if k}
+        for c in (2, 3):
+            if c == 3:
+                used |= {(i, False) for i in range(len(p.relators))}
+            built.clear()
+            _weight_rows(p, c, exponents, _lyndon_index(n, c))
+            expected = [(~p.relators[i] if inverse else p.relators[i]).letters for i, inverse in used]
+            assert sorted(built) == sorted(expected), (p.family, c)
+
+
 def test_weight_rows_match_full_product_oracle_on_random_relators():
     import random
 

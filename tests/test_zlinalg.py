@@ -6,6 +6,7 @@ import pytest
 
 from braidkit.errors import InvalidInputError
 from braidkit.fpgroup import Presentation, artin_presentation, closed_orientable, nonorientable
+from braidkit.nilq import nilpotent_quotient
 from braidkit.word import generator
 from braidkit.zlinalg import (
     FgAbelianGroup,
@@ -15,6 +16,7 @@ from braidkit.zlinalg import (
     abelianization,
     admits_epimorphism,
     min_generators_lower_bound,
+    relator_matrix,
     smith_normal_form,
 )
 
@@ -178,6 +180,132 @@ def test_snf_properties_on_unit_rich_matrices():
         check_snf_against_minors(m, len(m), c)
 
     check()
+
+
+def _dense_smith(a):
+    """The dense Smith reduction that preceded the echelon alternation, kept
+    as an oracle.  Reduces ``a`` in place and returns its diagonal."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+
+    def row_op(i, k, q):  # row_i -= q * row_k
+        ai, ak = a[i], a[k]
+        for j in range(n):
+            ai[j] -= q * ak[j]
+
+    def col_op(j, k, q):  # col_j -= q * col_k
+        for r in a:
+            r[j] -= q * r[k]
+
+    exhausted = False
+    for t in range(min(m, n)):
+        if exhausted:
+            break
+        while True:
+            # smallest nonzero |entry| in the trailing block, row-major scan
+            pi = pj = -1
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    x = a[i][j]
+                    if x and (best is None or abs(x) < best):
+                        best, pi, pj = abs(x), i, j
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
+            if best is None:
+                exhausted = True
+                break
+            if pi != t:
+                a[t], a[pi] = a[pi], a[t]
+            if pj != t:
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            # one reduction pass against this fixed pivot
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    row_op(i, t, a[i][t] // a[t][t])
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    col_op(j, t, a[t][j] // a[t][t])
+            if any(a[i][t] for i in range(t + 1, m)) or any(
+                a[t][j] for j in range(t + 1, n)
+            ):
+                continue
+            # fold a row the pivot does not divide into row t
+            d = a[t][t]
+            if d == 1:
+                break
+            offender = None
+            for i in range(t + 1, m):
+                if any(a[i][j] % d for j in range(t + 1, n)):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)
+    return [a[t][t] for t in range(min(m, n))]
+
+
+def _random_snf_input(rng, trial):
+    """A seeded matrix of up to 14 x 14, with empty shapes, single rows and
+    columns, zero rows and columns, and entries up to 10^6."""
+    r = 0 if trial % 20 == 0 else 1 if trial % 20 == 1 else rng.randint(0, 14)
+    c = 0 if trial % 20 == 2 else 1 if trial % 20 == 3 else rng.randint(0, 14)
+    big = rng.choice((1, 9, 99, 10**6))
+    density = rng.choice((0.2, 0.5, 1.0))
+    m = [[rng.randint(-big, big) if rng.random() < density else 0 for _ in range(c)] for _ in range(r)]
+    if r and c and rng.random() < 0.3:
+        m[rng.randrange(r)] = [0] * c
+    if r and c and rng.random() < 0.3:
+        j = rng.randrange(c)
+        for row in m:
+            row[j] = 0
+    return m, c
+
+
+def test_snf_matches_the_dense_reduction_on_seeded_matrices():
+    rng = random.Random(12)
+    seen = dict.fromkeys(("empty", "single row", "single column", "zero row", "zero column"), 0)
+    seen["entry over 10^5"] = 0
+    for trial in range(3000):
+        m, c = _random_snf_input(rng, trial)
+        snf = smith_normal_form(IntMatrix.from_rows(m, cols=c))
+        assert list(snf.diagonal) == _dense_smith([list(r) for r in m]), (m, c)
+        seen["empty"] += not m or not c
+        seen["single row"] += len(m) == 1
+        seen["single column"] += c == 1
+        seen["zero row"] += any(not any(r) for r in m)
+        seen["zero column"] += bool(m) and any(not any(r[j] for r in m) for j in range(c))
+        seen["entry over 10^5"] += any(abs(x) > 10**5 for r in m for x in r)
+    assert all(seen.values()), seen
+
+
+def test_snf_matches_the_dense_reduction_on_grid_inputs():
+    from test_nilq import GRID
+
+    for p in GRID:
+        matrices = [relator_matrix(p)]
+        for c in (1, 2, 3):
+            matrices.extend(nilpotent_quotient(p, c).relation_lattices)
+        for matrix in matrices:
+            c = matrix.cols
+            dense = [list(matrix.entries[i * c : (i + 1) * c]) for i in range(matrix.rows)]
+            assert list(smith_normal_form(matrix).diagonal) == _dense_smith(dense), p
+
+
+def test_from_moduli_matches_the_dense_reduction_of_its_diagonal():
+    rng = random.Random(13)
+    for _ in range(1000):
+        moduli = [rng.choice((0, 1, -1, rng.randint(-60, 60))) for _ in range(rng.randint(0, 8))]
+        free_rank = rng.randint(0, 2)
+        tors = [abs(x) for x in moduli if abs(x) > 1]
+        diag = _dense_smith([[x if i == j else 0 for j in range(len(tors))] for i, x in enumerate(tors)])
+        expected = FgAbelianGroup(free_rank + moduli.count(0), tuple(d for d in diag if d > 1))
+        assert FgAbelianGroup.from_moduli(moduli, free_rank) == expected, moduli
 
 
 # --- row echelon ---------------------------------------------------------------
