@@ -60,6 +60,8 @@ def _read_json(option: str, value: str, *, inline: bool = False):
         raise InvalidInputError(f"{option}: not UTF-8 JSON: {exc}") from None
     except ValueError as exc:  # an integer past Python's digit limit
         raise InvalidInputError(f"{option}: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise InvalidInputError(f"{option}: JSON nested too deeply") from None
 
 
 def _presentation_from_args(args) -> fpgroup.Presentation:

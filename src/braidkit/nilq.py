@@ -14,10 +14,24 @@ cokernel of the relation rows projected onto them:
 
 * weight 1: the relators' exponent vectors;
 * weights 2..c: commutators [r, x] of relators with generators (for
-  c = 3 also [[r, x], y] and [r, [x_k, x_l]]) and products of relator
-  powers whose exponent sums cancel.  Each row is projected as it is
-  made; the weight-w lattice is spanned by the rows whose lower weights
-  vanish after one echelon.
+  c = 3 also [[r, x], y]) and products of relator powers whose exponent
+  sums cancel.  Each row is projected as it is made; the weight-w
+  lattice is spanned by the rows whose lower weights vanish after one
+  echelon.
+
+Only rows that can be nonzero are built.  A relator whose exponent
+vector is zero (a braid or commutation relator) has S_1 = 0, so its
+[r, x] rows vanish at c = 2 (they are B_2 below) and its [[r, x], y]
+rows, which lead with [B_2, X_y], vanish at c = 3.  The rows
+[r, [x_k, x_l]], which lead with [S_1, [X_k, X_l]], are never built:
+by the Jacobi identity
+
+    [S_1, [X_k, X_l]] = [[S_1, X_k], X_l] - [[S_1, X_l], X_k],
+
+each is the difference of the [[r, x_k], x_l] and [[r, x_l], x_k] rows,
+so it adds nothing to the lattice (Magnus, Karrass & Solitar,
+*Combinatorial Group Theory*, 1966, ch. 5).  No row that projects to
+zero is kept.
 
 For u in Γ_i and v in Γ_j the image of [u, v] is 1 + [u_i, v_j] plus
 terms above degree i + j, so the weight-3 commutator rows are brackets
@@ -95,21 +109,26 @@ def _series_pow(s: Series, k: int, c: int) -> Series:
 
 def _word_series(letters, c: int) -> Series:
     # right-multiply by one letter at a time: 1 + X for x, and
-    # 1 - X + X^2 - ... for x^-1, appending powers of X to shorter keys
-    out: Series = {(): 1}
+    # 1 - X + X^2 - ... for x^-1, appending powers of X to shorter keys.
+    # Terms are kept by degree and the degrees below c read from the top
+    # down, so each is read before it is written and degree c, the
+    # largest, is never walked
+    by_degree: list[Series] = [{(): 1}] + [{} for _ in range(c)]
     for let in letters:
         x, sign = abs(let) - 1, 1 if let > 0 else -1
         top = 1 if let > 0 else c
-        for key, v in list(out.items()):
-            for _ in range(min(top, c - len(key))):
-                v *= sign
-                key += (x,)
-                val = out.get(key, 0) + v
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-    return out
+        for d in range(c - 1, -1, -1):
+            for key, v in by_degree[d].items():
+                for e in range(d + 1, d + 1 + min(top, c - d)):
+                    v *= sign
+                    key += (x,)
+                    terms = by_degree[e]
+                    val = terms.get(key, 0) + v
+                    if val:
+                        terms[key] = val
+                    else:
+                        del terms[key]
+    return {key: v for terms in by_degree for key, v in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +137,9 @@ def _word_series(letters, c: int) -> Series:
 
 def _lyndon_words(n: int, c: int):
     """Lyndon words of length 1..c over 0..n-1, in lexicographic order
-    (Duval's algorithm)."""
+    (Duval's algorithm); none when n < 1."""
+    if n < 1:
+        return
     w = [-1]
     while w:
         w[-1] += 1
@@ -191,8 +212,10 @@ def free_layer_rank(n: int, w: int) -> int:
 
 
 def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[int, int]]:
-    """Sparse rows spanning the relation lattice of weights 2..c, in the
-    concatenated Lyndon coordinates of ``index``.
+    """Sparse nonzero rows spanning the relation lattice of weights 2..c,
+    in the concatenated Lyndon coordinates of ``index``: per relator its
+    [r, x] rows and, at c = 3, its [[r, x], y] rows, each group left out
+    where it vanishes (see the module docstring).
 
     The last rows are products of relator powers whose exponent vectors
     cancel, one per basis vector of the multiplicity lattice with
@@ -213,29 +236,37 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
     rows: list[dict[int, int]] = []
     for i, vec in enumerate(exponents):
         s1 = {(j,): v for j, v in enumerate(vec) if v}
+        if c == 2 and not s1:  # every [r, x] row is B_2 = 0
+            continue
         s2 = {k: v for k, v in series(i).items() if len(k) == 2} if c == 3 else {}
         for x in range(n):
             row, b2 = _commutator_row(s1, s2, x, c, index)
             rows.append(row)
-            if c == 3:  # [[s, x], y] leads with [B_2, X_y]
+            if c == 3 and s1:  # [[s, x], y] leads with [B_2, X_y]
                 rows.extend(_project(_bracket_terms(b2, {(y,): 1}), index) for y in range(n))
-        if c == 3:  # [s, [x_k, x_l]] leads with [s1, X_k X_l - X_l X_k]
-            for k in range(n):
-                for l in range(k):
-                    rows.append(_project(_bracket_terms(s1, {(k, l): 1, (l, k): -1}), index))
     for lam in _kernel_basis(exponents, n):
         prod: Series = {(): 1}
         for i, k in enumerate(lam):
             if k:
                 prod = _series_mul(prod, _series_pow(series(i, k < 0), abs(k), c), c)
         rows.append(_project(prod.items(), index))
-    return rows
+    return [row for row in rows if row]
 
 
-def _layer_from_lattice(lattice_rows: list, width: int) -> tuple[FgAbelianGroup, IntMatrix]:
+def _layer_from_lattice(
+    rows: list, width: int, echelon: bool = False
+) -> tuple[FgAbelianGroup, IntMatrix]:
     """Quotient of the free weight layer (``width`` Lyndon coordinates)
-    by a lattice of dense or sparse rows."""
-    lattice = IntMatrix.from_rows(_row_echelon(lattice_rows, width), cols=width)
+    by a lattice of dense or sparse rows, and the lattice's echelon as
+    an ``IntMatrix``.  With ``echelon`` the rows are already sparse
+    ``_row_echelon`` output and are not reduced again."""
+    if not echelon:
+        rows = _row_echelon(rows, width)
+    entries = [0] * (len(rows) * width)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            entries[i * width + j] = x
+    lattice = IntMatrix(len(rows), width, tuple(entries))
     return _cokernel(lattice), lattice
 
 
@@ -271,7 +302,9 @@ def nilpotent_quotient(
     widths = [free_layer_rank(n, w) for w in range(1, c + 1)]
     # rows per relator: its exponent vector at c = 1; otherwise n rows
     # [r, x], at c = 3 also n^2 rows [[r, x], y] and n(n-1)/2 rows
-    # [r, [x_k, x_l]], and at most one relator product
+    # [r, [x_k, x_l]], and at most one relator product.  The last kind and
+    # the vanishing rows are counted but never built (see _weight_rows),
+    # so this bounds the rows that are
     per_relator = 1 if c == 1 else 1 + n + (n * n + n * (n - 1) // 2 if c == 3 else 0)
     cost = len(p.relators) * per_relator * (sum(widths[1:]) if c > 1 else n)
     # a relator's truncated series costs about letters x n^c steps
@@ -282,18 +315,20 @@ def nilpotent_quotient(
         )
 
     exponents = [exponent_vector(r, n) for r in p.relators]
-    blocks = [exponents]
+    blocks = [(exponents, False)]  # (rows, whether they are an echelon)
     if c >= 2:
         rows = _weight_rows(p, c, exponents, _lyndon_index(n, c))
         if c == 2:
-            blocks.append(rows)
-        else:  # the weight-3 lattice is the rows whose weight-2 part vanishes
+            blocks.append((rows, False))
+        else:  # one echelon: rows leading in weight 2 give the weight-2
+            # lattice's echelon cut to weight 2, the others the weight-3 one
             rows, w2 = _row_echelon(rows, sum(widths[1:])), widths[1]
-            blocks.append([r[:w2] for r in rows])
-            blocks.append([r[w2:] for r in rows if not any(r[:w2])])
+            lead2 = [{j: x for j, x in r.items() if j < w2} for r in rows if min(r) < w2]
+            lead3 = [{j - w2: x for j, x in r.items()} for r in rows if min(r) >= w2]
+            blocks += [(lead2, True), (lead3, True)]
     lattices, layers = [], []
-    for block, width in zip(blocks, widths):
-        layer, lattice = _layer_from_lattice(block, width)
+    for (block, echelon), width in zip(blocks, widths):
+        layer, lattice = _layer_from_lattice(block, width, echelon)
         layers.append(layer)
         lattices.append(lattice)
     return NilpotentQuotient(c, tuple(lattices), tuple(layers))

@@ -2,11 +2,13 @@
 finitely generated abelian groups, and surjection tests between them.
 
 There is one elimination kernel: ``_row_echelon`` brings sparse or dense
-rows to integer staircase form, for relation lattices and kernels alike.
-``smith_normal_form`` alternates it over the columns and the rows until
-the matrix is diagonal, and ``_cokernel`` turns a relation matrix into
-its ``FgAbelianGroup``, for abelianisations and lower central layers
-alike.  Everything is arbitrary-precision; intermediate entries of an
+rows to integer staircase form, for relation lattices and kernels alike,
+and returns its pivot rows sparse, as ``{column: entry}`` dicts.
+``smith_normal_form`` alternates it over the columns and the rows,
+transposing the sparse rows between passes, until the matrix is
+diagonal, and ``_cokernel`` turns a relation matrix into its
+``FgAbelianGroup``, for abelianisations and lower central layers alike.
+Everything is arbitrary-precision; intermediate entries of an
 elimination can grow far beyond machine integers even for small
 matrices.
 """
@@ -118,28 +120,34 @@ def smith_normal_form(matrix: IntMatrix) -> SmithNormalForm:
     width = matrix.rows
     while True:
         echelon = _row_echelon(vectors, width)
-        if all(len(r) - r.count(0) == 1 for r in echelon):
+        if all(len(r) == 1 for r in echelon):
             break
-        vectors, width = list(zip(*echelon)), len(echelon)
-    # each row's one nonzero entry is its pivot, made positive
-    diag = _invariant_chain(max(r) for r in echelon)
+        # transpose sparsely: the nonzero columns, in order, become the vectors
+        columns: dict[int, dict[int, int]] = {}
+        for i, r in enumerate(echelon):
+            for j, x in r.items():
+                columns.setdefault(j, {})[i] = x
+        vectors, width = [columns[j] for j in sorted(columns)], len(echelon)
+    # each row's one entry is its pivot, made positive
+    diag = _invariant_chain(x for r in echelon for x in r.values())
     diag += [0] * (min(matrix.rows, matrix.cols) - len(diag))
     return SmithNormalForm(tuple(diag), len(echelon), tuple(x for x in diag if x > 1))
 
 
 def _row_echelon(
     rows: Iterable[Sequence[int] | dict[int, int]], ncols: int
-) -> list[list[int]]:
+) -> list[dict[int, int]]:
     """Integer staircase form of the row lattice (row operations only).
 
-    The returned rows are dense lists that span the same lattice as the
-    input and have strictly increasing pivot columns.  Input rows are
-    dense sequences or sparse ``{column: entry}`` dicts, and are kept
-    sparse in buckets by leading column, tagged with their input position.
-    A column's bucket, in input order, is sorted by absolute leading entry
-    and reduced by its first row until one row leads there: the pivot.
-    Reduced rows move to the bucket of their new leading column, and zero
-    rows are dropped, so the output depends on the input order alone.
+    The returned rows are sparse ``{column: entry}`` dicts, holding no
+    zeros, that span the same lattice as the input and have strictly
+    increasing pivot (smallest) columns, each pivot positive.  Input rows
+    are dense sequences or sparse dicts, and are kept sparse in buckets by
+    leading column, tagged with their input position.  A column's bucket,
+    in input order, is sorted by absolute leading entry and reduced by its
+    first row until one row leads there: the pivot.  Reduced rows move to
+    the bucket of their new leading column, and zero rows are dropped, so
+    the output depends on the input order alone.
     """
     buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
     for pos, r in enumerate(rows):
@@ -147,7 +155,7 @@ def _row_echelon(
         row = {j: x for j, x in items if x}
         if row:
             buckets.setdefault(min(row), []).append((pos, row))
-    out: list[list[int]] = []
+    out: list[dict[int, int]] = []
     for col in range(ncols):
         active = buckets.pop(col, None)
         if active is None:
@@ -171,47 +179,35 @@ def _row_echelon(
                     buckets.setdefault(min(r), []).append((pos, r))
             active = kept
         pivot = active[0][1]
-        sign = -1 if pivot[col] < 0 else 1
-        dense = [0] * ncols
-        for j, x in pivot.items():
-            dense[j] = sign * x
-        out.append(dense)
+        out.append({j: -x for j, x in pivot.items()} if pivot[col] < 0 else pivot)
     return out
 
 
 def _kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Basis of the left kernel {x : x * M = 0} of the matrix with the given rows."""
     m = len(rows)
-    aug = [list(rows[i]) + [int(j == i) for j in range(m)] for i in range(m)]
+    aug = [{**dict(enumerate(row)), ncols + i: 1} for i, row in enumerate(rows)]
     ech = _row_echelon(aug, ncols + m)
-    return [r[ncols:] for r in ech if not any(r[:ncols])]
+    return [[r.get(ncols + i, 0) for i in range(m)] for r in ech if min(r) >= ncols]
 
 
-def _solve_in_lattice(basis: list[list[int]], vector: Sequence[int]) -> list[int]:
+def _solve_in_lattice(basis: list[dict[int, int]], vector: Sequence[int]) -> list[int]:
     """Coordinates of ``vector`` in an echelonised lattice basis.
 
     The basis must come from ``_row_echelon`` and the vector must lie in the
     lattice it spans; both are internal invariants here.
     """
-    ncols = len(vector)
-    pivots = []
-    for r in basis:
-        for j, x in enumerate(r):
-            if x:
-                pivots.append(j)
-                break
-    v = list(vector)
+    v = {j: x for j, x in enumerate(vector) if x}
     coords = [0] * len(basis)
     for idx, r in enumerate(basis):
-        pj = pivots[idx]
-        if v[pj]:
+        pj = min(r)
+        if v.get(pj, 0):
             if v[pj] % r[pj]:
                 raise ArithmeticError("vector is not in the lattice")
-            q = v[pj] // r[pj]
-            coords[idx] = q
-            for j in range(ncols):
-                v[j] -= q * r[j]
-    if any(v):
+            q = coords[idx] = v[pj] // r[pj]
+            for j, x in r.items():
+                v[j] = v.get(j, 0) - q * x
+    if any(v.values()):
         raise ArithmeticError("vector is not in the lattice")
     return coords
 

@@ -364,6 +364,25 @@ def test_json_integer_past_the_digit_limit_exits_two():
     assert out.stderr.startswith("error: --from: ")
 
 
+DEEP_JSON = "[" * 100_000
+
+
+def test_deeply_nested_presentation_file_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    out = run("lcs", "--presentation", str(path), "--layer", "1")
+    assert out.returncode == 2
+    _one_error_line(out)
+    assert out.stderr.startswith("error: --presentation: ")
+
+
+def test_deeply_nested_inline_json_exits_two():
+    out = run("epi", "--from", DEEP_JSON, "--to", '{"free_rank":0}')
+    assert out.returncode == 2
+    _one_error_line(out)
+    assert out.stderr.startswith("error: --from: ")
+
+
 def test_corpus_integer_past_the_digit_limit_exits_two(tmp_path):
     path = tmp_path / "corpus.yaml"
     path.write_text(

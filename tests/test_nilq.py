@@ -20,7 +20,15 @@ from braidkit.nilq import (
     nilpotent_quotient,
 )
 from braidkit.word import exponent_vector, generator
-from braidkit.zlinalg import FgAbelianGroup, _kernel_basis, abelianization, admits_epimorphism
+from braidkit.zlinalg import (
+    FgAbelianGroup,
+    IntMatrix,
+    _cokernel,
+    _kernel_basis,
+    _row_echelon,
+    abelianization,
+    admits_epimorphism,
+)
 
 
 def layer(p, i):
@@ -127,6 +135,16 @@ def test_lyndon_basis_is_unitriangular_against_lyndon_words():
             expansion = _standard_bracketing(word)
             assert expansion[word] == 1
             assert all(key >= word for key in expansion), word
+
+
+def test_no_generators_give_no_lyndon_words_and_no_rows():
+    import itertools
+
+    # islice, so that a generator that never ends fails instead of hanging
+    assert list(itertools.islice(_lyndon_words(0, 3), 10)) == []
+    assert list(itertools.islice(_lyndon_words(-1, 2), 10)) == []
+    for c in (2, 3):
+        assert _weight_rows(Presentation((), ()), c, [], _lyndon_index(0, c)) == []
 
 
 def test_lyndon_index_blocks_weights_in_order():
@@ -277,6 +295,12 @@ def _oracle_word_series(letters, c):
 
 
 def _oracle_weight_rows(p, c, index):
+    """Every relation row, dense and tagged with its kind, from whole
+    truncated series: per relator the [r, x] rows ("commutator"), at c = 3
+    each followed by its [[r, x], y] rows ("double"), then the
+    [r, [x_k, x_l]] rows ("jacobi"); the relator products ("product")
+    last.  Each jacobi row is checked to be the difference of two double
+    rows."""
     n, width = p.generator_count, len(index)
 
     def project(s):
@@ -296,23 +320,29 @@ def _oracle_weight_rows(p, c, index):
     for s, vec in zip(series, exponents):
         s1 = {(i,): v for i, v in enumerate(vec) if v}
         s_inv = _oracle_inv(s, c)
+        double = {}
         for x in range(n):
             g = {(): 1, (x,): 1}  # [s, x] = s^-1 x^-1 s x
             cs = _oracle_mul(_oracle_mul(s_inv, _oracle_inv(g, c), c), _oracle_mul(s, g, c), c)
-            rows.append(project(cs))
+            rows.append(("commutator", project(cs)))
             if c == 3:
                 c2 = {k: v for k, v in cs.items() if len(k) == 2}
-                rows.extend(bracket(c2, {(y,): 1}) for y in range(n))
+                for y in range(n):
+                    double[x, y] = bracket(c2, {(y,): 1})
+                    rows.append(("double", double[x, y]))
         if c == 3:
             for k in range(n):
                 for l in range(k):
-                    rows.append(bracket(s1, {(k, l): 1, (l, k): -1}))
+                    row = bracket(s1, {(k, l): 1, (l, k): -1})
+                    # Jacobi: [S_1, [X_k, X_l]] = [[S_1, X_k], X_l] - [[S_1, X_l], X_k]
+                    assert row == [a - b for a, b in zip(double[k, l], double[l, k])]
+                    rows.append(("jacobi", row))
     for lam in _kernel_basis(exponents, n):
         prod = {(): 1}
         for s, k in zip(series, lam):
             for _ in range(abs(k)):
                 prod = _oracle_mul(prod, s if k > 0 else _oracle_inv(s, c), c)
-        rows.append(project(prod))
+        rows.append(("product", project(prod)))
     return rows
 
 
@@ -344,9 +374,13 @@ def _rows_agree_with_oracle(p):
             assert _word_series(r.letters, c) == _oracle_word_series(r.letters, c)
         exponents = [exponent_vector(r, n) for r in p.relators]
         rows = _weight_rows(p, c, exponents, index)
+        assert all(rows)  # no row that projects to zero is kept
         assert all(0 not in row.values() for row in rows)  # sparse rows hold no zeros
         dense = [[row.get(j, 0) for j in range(len(index))] for row in rows]
-        assert dense == _oracle_weight_rows(p, c, index), (p.family, c)
+        # the oracle's rows without the zero and the Jacobi-redundant ones
+        oracle = _oracle_weight_rows(p, c, index)
+        expected = [row for kind, row in oracle if kind != "jacobi" and any(row)]
+        assert dense == expected, (p.family, c)
 
 
 def test_weight_rows_match_full_product_oracle_on_grid():
@@ -394,6 +428,34 @@ def test_weight_rows_match_full_product_oracle_on_random_relators():
         zero_sums += any(not any(exponent_vector(r, n)) for r in p.relators if len(r))
         _rows_agree_with_oracle(p)
     assert inverse_letters and zero_sums
+
+
+def _weight_layers(rows, n, c):
+    """Layers of weights 2..c cut out by dense or sparse relation rows: one
+    echelon, split where the weight-2 part vanishes."""
+    widths = [free_layer_rank(n, w) for w in range(2, c + 1)]
+    echelon = [[r.get(j, 0) for j in range(sum(widths))] for r in _row_echelon(rows, sum(widths))]
+    w2 = widths[0]
+    blocks = [[r[:w2] for r in echelon], [r[w2:] for r in echelon if not any(r[:w2])]]
+    return [
+        _cokernel(IntMatrix.from_rows(block, cols=width)) for block, width in zip(blocks, widths)
+    ]
+
+
+def test_left_out_rows_do_not_change_the_layers_on_random_relators():
+    import random
+
+    rng = random.Random(77)  # the presentations of the row-oracle test above
+    for trial in range(60):
+        n = 2 + trial % 3
+        p = _named_presentation([f"x{i}" for i in range(1, n + 1)], _random_relators(rng, n))
+        exponents = [exponent_vector(r, n) for r in p.relators]
+        for c in (2, 3):
+            index = _lyndon_index(n, c)
+            full = [row for _, row in _oracle_weight_rows(p, c, index)]
+            assert _weight_layers(full, n, c) == _weight_layers(
+                _weight_rows(p, c, exponents, index), n, c
+            ), (p.relators, c)
 
 
 def test_layer1_equals_abelianization_on_grid():

@@ -374,16 +374,22 @@ def _random_echelon_input(rng, trial):
     return rows, ncols
 
 
+def _densify(rows, ncols):
+    """Dense lists of sparse echelon rows, checking that they hold no zeros."""
+    assert all(r and 0 not in r.values() for r in rows)
+    return [[r.get(j, 0) for j in range(ncols)] for r in rows]
+
+
 def test_row_echelon_matches_dense_oracle():
     rng = random.Random(2024)
     seen = dict.fromkeys(("empty", "zero", "duplicate", "negative", "reduced to zero"), 0)
     for trial in range(3000):
         rows, ncols = _random_echelon_input(rng, trial)
         expected = _dense_row_echelon(rows, ncols)
-        assert _row_echelon(rows, ncols) == expected, (rows, ncols)
+        assert _densify(_row_echelon(rows, ncols), ncols) == expected, (rows, ncols)
         sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
-        assert _row_echelon(sparse, ncols) == expected, (rows, ncols)
-        assert _row_echelon([tuple(r) for r in rows], ncols) == expected
+        assert _densify(_row_echelon(sparse, ncols), ncols) == expected, (rows, ncols)
+        assert _densify(_row_echelon([tuple(r) for r in rows], ncols), ncols) == expected
         assert _kernel_basis(rows, ncols) == _dense_kernel_basis(rows, ncols), (rows, ncols)
         nonzero = [r for r in rows if any(r)]
         seen["empty"] += not rows
@@ -397,7 +403,7 @@ def test_row_echelon_matches_dense_oracle():
 def test_row_echelon_leaves_its_input_alone():
     dense = [[2, 4, 0], [-2, 0, 6], [0, 0, 0]]
     sparse = [{0: 2, 1: 4}, {0: -2, 2: 6}, {}]
-    assert _row_echelon(dense, 3) == _row_echelon(sparse, 3) == [[2, 4, 0], [0, 4, 6]]
+    assert _row_echelon(dense, 3) == _row_echelon(sparse, 3) == [{0: 2, 1: 4}, {1: 4, 2: 6}]
     assert dense == [[2, 4, 0], [-2, 0, 6], [0, 0, 0]]
     assert sparse == [{0: 2, 1: 4}, {0: -2, 2: 6}, {}]
 
