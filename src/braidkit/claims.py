@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 
+# collections nested in one document; the shipped corpus nests 5 deep
+MAX_CORPUS_DEPTH = 100
+
+
 @dataclass(frozen=True)
 class ClaimAnchor:
     location: str
@@ -341,11 +345,27 @@ def load_corpus(path: str) -> list[ClaimRecord]:
     # and error lines, ten times faster than the pure-Python one
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
+        # the composer recurses once per nesting level (in C for libyaml),
+        # so a deep enough document kills the interpreter; the parser's
+        # event stream does not recurse, and bounds the depth first
+        depth = 0
+        for event in yaml.parse(text, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_CORPUS_DEPTH:
+                    raise InvalidInputError(
+                        f"corpus {path} nests collections more than {MAX_CORPUS_DEPTH} deep"
+                        f" at line {event.start_mark.line + 1}"
+                    )
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
         docs = [d for d in yaml.load_all(text, Loader=loader) if d is not None]
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         location = f" at line {mark.line + 1}" if mark else ""
         raise InvalidInputError(f"malformed corpus {path}{location}: {exc}") from None
+    except InvalidInputError:
+        raise
     except ValueError as exc:  # a scalar the constructor refuses, e.g. an over-long integer
         raise InvalidInputError(f"malformed corpus {path}: {exc}") from None
     return [_parse_record(doc, i) for i, doc in enumerate(docs)]

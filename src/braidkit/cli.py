@@ -130,6 +130,8 @@ def _cmd_epi(args) -> int:
 def _cmd_homsearch(args) -> int:
     if args.threads < 1:
         raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
+    if args.representatives < 0:
+        raise InvalidInputError(f"--representatives must be >= 0, got {args.representatives}")
     p = _presentation_from_args(args)
     result = homsearch.enumerate_homs(
         p,
@@ -208,7 +210,7 @@ def _cmd_smallgrp(args) -> int:
         group = smallgrp.symmetric_group(args.n)
     else:  # pragma: no cover
         raise InvalidInputError(f"unknown action {args.action}")
-    if args.scan_dihedral or args.order or args.min_order:
+    if args.scan_dihedral or args.order is not None or args.min_order is not None:
         subs = smallgrp.subgroup_scan(
             group,
             order=args.order,

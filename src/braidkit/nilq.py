@@ -9,15 +9,19 @@ the degree 2..c parts.  A degree-w Lie element is fixed by its
 coefficients at the Lyndon words of length w, since the standard
 bracketing of a Lyndon word is that word plus larger ones
 (Chen-Fox-Lyndon 1958); those coefficients are the Z-coordinates of the
-weight-w layer.  The weight-w layer of the presented group is then the
-cokernel of the relation rows projected onto them:
+weight-w layer.  The Lyndon words of length 1 are the generators, so one
+index of the Lyndon words of length 1..c, in blocks by weight, gives
+every relation row its coordinates:
 
-* weight 1: the relators' exponent vectors;
-* weights 2..c: commutators [r, x] of relators with generators (for
-  c = 3 also [[r, x], y]) and products of relator powers whose exponent
-  sums cancel.  Each row is projected as it is made; the weight-w
-  lattice is spanned by the rows whose lower weights vanish after one
-  echelon.
+* in the weight-1 block, the relators' exponent vectors;
+* in the blocks of weights 2..c, commutators [r, x] of relators with
+  generators (for c = 3 also [[r, x], y]) and products of relator powers
+  whose exponent sums cancel, each projected as it is made.
+
+One echelon reduces all the rows together.  The rows it leaves leading
+in weight w's block, cut to that block, span the weight-w lattice (the
+relations whose lower weights vanish), and the weight-w layer of the
+presented group is its cokernel.
 
 Only rows that can be nonzero are built.  A relator whose exponent
 vector is zero (a braid or commutation relator) has S_1 = 0, so its
@@ -66,8 +70,8 @@ __all__ = [
 
 MAX_CLASS = 3
 # relation rows x Lyndon columns plus relator letters x n^c; every corpus
-# and test presentation needs under 3 million, which take about a second
-# and a few tens of MB
+# and test presentation needs under 1 million, which take well under a
+# second and a few tens of MB
 DEFAULT_LCS_BOUND = 10**7
 
 # ---------------------------------------------------------------------------
@@ -152,10 +156,11 @@ def _lyndon_words(n: int, c: int):
 
 
 def _lyndon_index(n: int, c: int) -> dict[tuple[int, ...], int]:
-    """Column of each Lyndon word of length 2..c: weight blocks in
-    increasing order, words in lexicographic order within a block."""
-    words = sorted((w for w in _lyndon_words(n, c) if len(w) > 1), key=len)
-    return {w: j for j, w in enumerate(words)}
+    """Column of each Lyndon word of length 1..c: weight blocks in
+    increasing order, words in lexicographic order within a block, so the
+    weight-1 block is the generators in order and an exponent vector is a
+    row as it stands."""
+    return {w: j for j, w in enumerate(sorted(_lyndon_words(n, c), key=len))}
 
 
 def _project(terms, index: dict) -> dict[int, int]:
@@ -196,10 +201,11 @@ def _commutator_row(s1: Series, s2: Series, x: int, c: int, index: dict):
 
 def free_layer_rank(n: int, w: int) -> int:
     """Rank of the weight-w lower central layer of a free group of rank n,
-    by the necklace formula (1/w) * sum over d | w of mu(d) * n^(w/d).
+    by the necklace formula (1/w) * sum over d | w of mu(d) * n^(w/d);
+    0 for the trivial group, n = 0.
     """
-    if n < 1:
-        raise InvalidInputError("generator count must be >= 1")
+    if n < 0:
+        raise InvalidInputError("generator count must be >= 0")
     if w not in (1, 2, 3):
         raise InvalidInputError(f"weight {w} unsupported (1..{MAX_CLASS})")
     mu = {1: 1, 2: -1, 3: -1}
@@ -213,9 +219,9 @@ def free_layer_rank(n: int, w: int) -> int:
 
 def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[int, int]]:
     """Sparse nonzero rows spanning the relation lattice of weights 2..c,
-    in the concatenated Lyndon coordinates of ``index``: per relator its
-    [r, x] rows and, at c = 3, its [[r, x], y] rows, each group left out
-    where it vanishes (see the module docstring).
+    in the Lyndon coordinates of ``index`` (none has a weight-1 entry):
+    per relator its [r, x] rows and, at c = 3, its [[r, x], y] rows, each
+    group left out where it vanishes (see the module docstring).
 
     The last rows are products of relator powers whose exponent vectors
     cancel, one per basis vector of the multiplicity lattice with
@@ -253,15 +259,21 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
     return [row for row in rows if row]
 
 
-def _layer_from_lattice(
-    rows: list, width: int, echelon: bool = False
-) -> tuple[FgAbelianGroup, IntMatrix]:
+def _weight_row_count(exponents, n: int, c: int) -> int:
+    """The most rows ``_weight_rows`` builds: n rows [r, x] per relator
+    (at c = 2 only per relator whose exponent vector is nonzero), at c = 3
+    also n^2 rows [[r, x], y] per such relator, and at most one relator
+    product per relator."""
+    unbalanced = sum(1 for vec in exponents if any(vec))
+    if c == 2:
+        return n * unbalanced + len(exponents)
+    return (n + 1) * len(exponents) + n * n * unbalanced
+
+
+def _layer_from_lattice(rows: list, width: int) -> tuple[FgAbelianGroup, IntMatrix]:
     """Quotient of the free weight layer (``width`` Lyndon coordinates)
-    by a lattice of dense or sparse rows, and the lattice's echelon as
-    an ``IntMatrix``.  With ``echelon`` the rows are already sparse
-    ``_row_echelon`` output and are not reduced again."""
-    if not echelon:
-        rows = _row_echelon(rows, width)
+    by the lattice of sparse ``_row_echelon`` rows, and those rows as an
+    ``IntMatrix``."""
     entries = [0] * (len(rows) * width)
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -294,43 +306,27 @@ def nilpotent_quotient(
     if c not in (1, 2, 3):
         raise InvalidInputError(f"class-{c} quotients are unsupported (max {MAX_CLASS})")
     n = p.generator_count
-    if n == 0:
-        trivial = FgAbelianGroup(0)
-        return NilpotentQuotient(
-            c, tuple(IntMatrix(0, 0, ()) for _ in range(c)), tuple(trivial for _ in range(c))
-        )
+    # the Lyndon columns of each weight, counted before the index is built
     widths = [free_layer_rank(n, w) for w in range(1, c + 1)]
-    # rows per relator: its exponent vector at c = 1; otherwise n rows
-    # [r, x], at c = 3 also n^2 rows [[r, x], y] and n(n-1)/2 rows
-    # [r, [x_k, x_l]], and at most one relator product.  The last kind and
-    # the vanishing rows are counted but never built (see _weight_rows),
-    # so this bounds the rows that are
-    per_relator = 1 if c == 1 else 1 + n + (n * n + n * (n - 1) // 2 if c == 3 else 0)
-    cost = len(p.relators) * per_relator * (sum(widths[1:]) if c > 1 else n)
+    exponents = [exponent_vector(r, n) for r in p.relators]
+    row_count = len(exponents) + (_weight_row_count(exponents, n, c) if c > 1 else 0)
     # a relator's truncated series costs about letters x n^c steps
-    cost += sum(len(r) for r in p.relators) * n**c
+    cost = row_count * sum(widths) + sum(len(r) for r in p.relators) * n**c
     if cost > bound:
         raise BoundExceededError(
             f"class-{c} quotient needs about {cost} cells and steps, over the bound {bound}"
         )
 
-    exponents = [exponent_vector(r, n) for r in p.relators]
-    blocks = [(exponents, False)]  # (rows, whether they are an echelon)
-    if c >= 2:
-        rows = _weight_rows(p, c, exponents, _lyndon_index(n, c))
-        if c == 2:
-            blocks.append((rows, False))
-        else:  # one echelon: rows leading in weight 2 give the weight-2
-            # lattice's echelon cut to weight 2, the others the weight-3 one
-            rows, w2 = _row_echelon(rows, sum(widths[1:])), widths[1]
-            lead2 = [{j: x for j, x in r.items() if j < w2} for r in rows if min(r) < w2]
-            lead3 = [{j - w2: x for j, x in r.items()} for r in rows if min(r) >= w2]
-            blocks += [(lead2, True), (lead3, True)]
-    lattices, layers = [], []
-    for (block, echelon), width in zip(blocks, widths):
-        layer, lattice = _layer_from_lattice(block, width, echelon)
+    rows = exponents + (_weight_rows(p, c, exponents, _lyndon_index(n, c)) if c > 1 else [])
+    echelon = _row_echelon(rows, sum(widths))
+    lattices, layers, lo = [], [], 0
+    for width in widths:  # one weight's block: columns lo..hi-1
+        hi = lo + width
+        lead = [{j - lo: x for j, x in r.items() if j < hi} for r in echelon if lo <= min(r) < hi]
+        layer, lattice = _layer_from_lattice(lead, width)
         layers.append(layer)
         lattices.append(lattice)
+        lo = hi
     return NilpotentQuotient(c, tuple(lattices), tuple(layers))
 
 

@@ -147,7 +147,8 @@ def _row_echelon(
     in input order, is sorted by absolute leading entry and reduced by its
     first row until one row leads there: the pivot.  Reduced rows move to
     the bucket of their new leading column, and zero rows are dropped, so
-    the output depends on the input order alone.
+    the output depends on the input order alone.  A row that leads at or
+    past ``ncols``, as given or once reduced, raises ValueError.
     """
     buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
     for pos, r in enumerate(rows):
@@ -180,6 +181,8 @@ def _row_echelon(
             active = kept
         pivot = active[0][1]
         out.append({j: -x for j, x in pivot.items()} if pivot[col] < 0 else pivot)
+    if buckets:
+        raise ValueError(f"a row leads at column {min(buckets)}, past the {ncols} columns")
     return out
 
 

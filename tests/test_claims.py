@@ -3,6 +3,7 @@ import textwrap
 import pytest
 
 from braidkit.claims import (
+    MAX_CORPUS_DEPTH,
     OPS,
     load_corpus,
     resolve_group,
@@ -75,6 +76,16 @@ def test_malformed_yaml_reports_line(tmp_path):
     with pytest.raises(InvalidInputError) as err:
         load_corpus(str(path))
     assert "line" in str(err.value)
+
+
+def test_nesting_past_the_depth_limit_is_refused_before_composing(tmp_path):
+    def nested(depth):  # a mapping holding depth - 1 nested lists
+        return "a: " + "[" * (depth - 1) + "]" * (depth - 1) + "\n"
+
+    with pytest.raises(InvalidInputError, match="missing required field"):
+        load_corpus(write_corpus(tmp_path, nested(MAX_CORPUS_DEPTH)))
+    with pytest.raises(InvalidInputError, match=f"more than {MAX_CORPUS_DEPTH} deep at line 1"):
+        load_corpus(write_corpus(tmp_path, nested(MAX_CORPUS_DEPTH + 1)))
 
 
 def test_unknown_op_is_rejected(tmp_path):

@@ -64,6 +64,16 @@ def test_homsearch_threads_below_one_exits_two():
         assert out.stdout == ""
 
 
+def test_homsearch_negative_representatives_exits_two():
+    out = run(
+        "homsearch", "--surface", "artin", "--strands", "3",
+        "--target-sym", "3", "--representatives", "-1", "--json",
+    )
+    assert out.returncode == 2
+    assert "--representatives must be >= 0, got -1" in out.stderr
+    assert out.stdout == ""
+
+
 def test_present_round_trips_through_abelianize(tmp_path):
     out = run("present", "--surface", "nonorientable", "--genus", "2", "--strands", "3", "--json")
     assert out.returncode == 0
@@ -99,6 +109,11 @@ def test_smallgrp_subcommand():
     assert json.loads(out.stdout) == {"order": 16, "dihedral": False}
     out = run("smallgrp", "z3-semidirect-z4", "--min-order", "4", "--scan-dihedral", "--json")
     assert json.loads(out.stdout)["matches"] == 0
+    # a bound of 0 is a bound, not an absent option: S_3 has 6 subgroups
+    out = run("smallgrp", "symmetric", "--n", "3", "--order", "0", "--json")
+    assert json.loads(out.stdout) == {"matches": 0, "orders": []}
+    out = run("smallgrp", "symmetric", "--n", "3", "--min-order", "0", "--json")
+    assert json.loads(out.stdout) == {"matches": 6, "orders": [1, 2, 2, 2, 3, 6]}
 
 
 def test_verify_hom_failure_exits_one(tmp_path):
@@ -183,7 +198,8 @@ def test_cli_import_loads_neither_yaml_nor_the_process_pool():
 
 
 def test_lcs_bound_exceeded_exits_three_before_work(tmp_path):
-    # 30 generators, 29 commutator relators: far over the default LCS bound
+    # 30 generators, 29 commutator relators: about 1.19 x 10^7, over the
+    # default LCS bound
     relators = [[i, i + 1, -i, -i - 1] for i in range(1, 30)]
     path = tmp_path / "raag.json"
     path.write_text(
@@ -245,6 +261,17 @@ def test_symmetric_group_of_degree_seven_is_built_quickly():
     out = run("smallgrp", "symmetric", "--n", "7", "--json", timeout=10)
     assert out.returncode == 0
     assert json.loads(out.stdout)["order"] == 5040
+
+
+def test_deeply_nested_corpus_exits_two(tmp_path):
+    # libyaml's composer recurses in C, and 100,000 levels killed the
+    # interpreter (exit 139); the child process keeps a crash out of pytest
+    path = tmp_path / "deep.yaml"
+    path.write_text("a: " + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    out = run("claims", "run", str(path), timeout=60)
+    assert out.returncode == 2, (out.returncode, out.stderr[-300:])
+    assert out.stderr.startswith("error: ") and "more than 100 deep" in out.stderr
+    assert out.stdout == ""
 
 
 def test_claims_run_pass_and_fail(tmp_path):

@@ -13,6 +13,7 @@ from braidkit.fpgroup import (
 from braidkit.nilq import (
     _lyndon_index,
     _lyndon_words,
+    _weight_row_count,
     _weight_rows,
     _word_series,
     free_layer_rank,
@@ -82,6 +83,9 @@ def test_free_layer_rank_values():
     assert free_layer_rank(2, 2) == 1
     assert free_layer_rank(2, 3) == 2
     assert free_layer_rank(4, 2) == 6
+    assert [free_layer_rank(0, w) for w in (1, 2, 3)] == [0, 0, 0]  # the trivial group
+    with pytest.raises(InvalidInputError):
+        free_layer_rank(-1, 1)
 
 
 def test_free_layer_rank_rejects_weight_above_three():
@@ -149,9 +153,10 @@ def test_no_generators_give_no_lyndon_words_and_no_rows():
 
 def test_lyndon_index_blocks_weights_in_order():
     index = _lyndon_index(9, 3)
-    assert len(index) == 36 + 240
-    assert sorted(index.values()) == list(range(276))
-    assert [len(w) for w in sorted(index, key=index.get)] == [2] * 36 + [3] * 240
+    assert len(index) == 9 + 36 + 240
+    assert sorted(index.values()) == list(range(285))
+    assert [len(w) for w in sorted(index, key=index.get)] == [1] * 9 + [2] * 36 + [3] * 240
+    assert [index[(i,)] for i in range(9)] == list(range(9))  # exponent vectors are rows
 
 
 # --- engine consistency -----------------------------------------------------------
@@ -366,8 +371,6 @@ def _random_relators(rng, n):
 
 def _rows_agree_with_oracle(p):
     n = p.generator_count
-    if n == 0:  # nilpotent_quotient answers before building any row
-        return
     for c in (2, 3):
         index = _lyndon_index(n, c)
         for r in p.relators:
@@ -401,8 +404,6 @@ def test_word_series_are_built_once_per_relator_and_sign_when_a_row_needs_them(m
     monkeypatch.setattr(nilq, "_word_series", counting)
     for p in GRID:
         n = p.generator_count
-        if n == 0:  # nilpotent_quotient answers before building any row
-            continue
         exponents = [exponent_vector(r, n) for r in p.relators]
         # at c = 2 only the relator products use series; at c = 3 every
         # relator's series also gives its degree-2 part
@@ -416,14 +417,23 @@ def test_word_series_are_built_once_per_relator_and_sign_when_a_row_needs_them(m
             assert sorted(built) == sorted(expected), (p.family, c)
 
 
-def test_weight_rows_match_full_product_oracle_on_random_relators():
+def _random_presentations():
+    """60 seeded presentations of three random relators each."""
     import random
 
     rng = random.Random(77)
-    inverse_letters = zero_sums = 0
+    out = []
     for trial in range(60):
         n = 2 + trial % 3  # one generator has no nonempty word with zero exponent sum
-        p = _named_presentation([f"x{i}" for i in range(1, n + 1)], _random_relators(rng, n))
+        names = [f"x{i}" for i in range(1, n + 1)]
+        out.append(_named_presentation(names, _random_relators(rng, n)))
+    return out
+
+
+def test_weight_rows_match_full_product_oracle_on_random_relators():
+    inverse_letters = zero_sums = 0
+    for p in _random_presentations():
+        n = p.generator_count
         inverse_letters += any(x < 0 for r in p.relators for x in r.letters)
         zero_sums += any(not any(exponent_vector(r, n)) for r in p.relators if len(r))
         _rows_agree_with_oracle(p)
@@ -431,24 +441,24 @@ def test_weight_rows_match_full_product_oracle_on_random_relators():
 
 
 def _weight_layers(rows, n, c):
-    """Layers of weights 2..c cut out by dense or sparse relation rows: one
-    echelon, split where the weight-2 part vanishes."""
-    widths = [free_layer_rank(n, w) for w in range(2, c + 1)]
-    echelon = [[r.get(j, 0) for j in range(sum(widths))] for r in _row_echelon(rows, sum(widths))]
-    w2 = widths[0]
-    blocks = [[r[:w2] for r in echelon], [r[w2:] for r in echelon if not any(r[:w2])]]
-    return [
-        _cokernel(IntMatrix.from_rows(block, cols=width)) for block, width in zip(blocks, widths)
-    ]
+    """Layers of weights 2..c cut out by dense or sparse relation rows in
+    the columns of _lyndon_index(n, c), whose weight-1 block is empty: one
+    echelon, and per weight the rows whose lower weights vanish, cut at
+    the block offsets."""
+    widths = [free_layer_rank(n, w) for w in range(1, c + 1)]
+    width = sum(widths)
+    echelon = [[r.get(j, 0) for j in range(width)] for r in _row_echelon(rows, width)]
+    layers = []
+    for w in range(2, c + 1):
+        start, end = sum(widths[: w - 1]), sum(widths[:w])
+        block = [r[start:end] for r in echelon if not any(r[:start])]
+        layers.append(_cokernel(IntMatrix.from_rows(block, cols=end - start)))
+    return layers
 
 
 def test_left_out_rows_do_not_change_the_layers_on_random_relators():
-    import random
-
-    rng = random.Random(77)  # the presentations of the row-oracle test above
-    for trial in range(60):
-        n = 2 + trial % 3
-        p = _named_presentation([f"x{i}" for i in range(1, n + 1)], _random_relators(rng, n))
+    for p in _random_presentations():
+        n = p.generator_count
         exponents = [exponent_vector(r, n) for r in p.relators]
         for c in (2, 3):
             index = _lyndon_index(n, c)
@@ -608,10 +618,19 @@ def test_bound_is_checked_before_any_row(monkeypatch):
 
     monkeypatch.setattr(nilq, "_word_series", no_rows)
     monkeypatch.setattr(nilq, "_weight_rows", no_rows)
-    with pytest.raises(BoundExceededError):
-        nilpotent_quotient(closed_orientable(3, 4), 3, bound=10**6)
+    with pytest.raises(BoundExceededError):  # estimated at 436,755
+        nilpotent_quotient(closed_orientable(3, 4), 3, bound=10**5)
     with pytest.raises(BoundExceededError):
         lcs_layer(closed_orientable(1, 2), 2, bound=10)
+
+
+def test_row_estimate_covers_the_rows_built():
+    for p in GRID + _random_presentations():
+        n = p.generator_count
+        exponents = [exponent_vector(r, n) for r in p.relators]
+        for c in (2, 3):
+            built = _weight_rows(p, c, exponents, _lyndon_index(n, c))
+            assert _weight_row_count(exponents, n, c) >= len(built), (p.family, p.relators, c)
 
 
 def test_relator_length_counts_toward_the_bound(monkeypatch):
@@ -623,7 +642,7 @@ def test_relator_length_counts_toward_the_bound(monkeypatch):
         raise AssertionError("series built before the bound check")
 
     # one reduced relator of 7,374 letters on 12 generators: its rows times
-    # Lyndon columns are 142,274, but letters x 12^3 is over 10^7
+    # Lyndon columns are at most 102,700, but letters x 12^3 is over 10^7
     rng = random.Random(3)
     letters = [1]
     while len(letters) < 7374:

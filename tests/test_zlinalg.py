@@ -400,6 +400,14 @@ def test_row_echelon_matches_dense_oracle():
     assert all(seen.values()), seen
 
 
+def test_row_echelon_refuses_rows_that_lead_past_its_columns():
+    # such a row was never popped from its bucket and vanished from the output
+    with pytest.raises(ValueError, match="column 3"):
+        _row_echelon([{3: 1}], 3)
+    with pytest.raises(ValueError, match="column 3"):  # leads there once reduced
+        _row_echelon([[1, 0, 0, 5], [1, 0, 0, 0]], 3)
+
+
 def test_row_echelon_leaves_its_input_alone():
     dense = [[2, 4, 0], [-2, 0, 6], [0, 0, 0]]
     sparse = [{0: 2, 1: 4}, {0: -2, 2: 6}, {}]
