@@ -53,6 +53,7 @@ bounded by an estimate of the matrix size made before any row is built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoundExceededError, InvalidInputError
@@ -69,9 +70,9 @@ __all__ = [
 ]
 
 MAX_CLASS = 3
-# relation rows x Lyndon columns plus relator letters x n^c; every corpus
-# and test presentation needs under 1 million, which take well under a
-# second and a few tens of MB
+# (relation rows + 1) x Lyndon columns plus relator letters x n^c; every
+# corpus and test presentation needs under 1 million, which take well
+# under a second and a few tens of MB
 DEFAULT_LCS_BOUND = 10**7
 
 # ---------------------------------------------------------------------------
@@ -259,15 +260,16 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
     return [row for row in rows if row]
 
 
-def _weight_row_count(exponents, n: int, c: int) -> int:
+def _weight_row_count(relators, n: int, c: int) -> int:
     """The most rows ``_weight_rows`` builds: n rows [r, x] per relator
     (at c = 2 only per relator whose exponent vector is nonzero), at c = 3
     also n^2 rows [[r, x], y] per such relator, and at most one relator
-    product per relator."""
-    unbalanced = sum(1 for vec in exponents if any(vec))
+    product per relator.  Reads letter counts, not n-long vectors."""
+    counts = [Counter(r.letters) for r in relators]
+    unbalanced = sum(any(k != cnt[-x] for x, k in cnt.items()) for cnt in counts)
     if c == 2:
-        return n * unbalanced + len(exponents)
-    return (n + 1) * len(exponents) + n * n * unbalanced
+        return n * unbalanced + len(relators)
+    return (n + 1) * len(relators) + n * n * unbalanced
 
 
 def _layer_from_lattice(rows: list, width: int) -> tuple[FgAbelianGroup, IntMatrix]:
@@ -299,8 +301,8 @@ def nilpotent_quotient(
     """Compute all lower central layers of weight <= nilpotency_class.
 
     Raises BoundExceededError, before building any row, if the relation
-    rows times the Lyndon columns, plus the relator letters times n^c,
-    would exceed ``bound``.
+    rows plus one times the Lyndon columns, plus the relator letters times
+    n^c, would exceed ``bound``.
     """
     c = nilpotency_class
     if c not in (1, 2, 3):
@@ -308,15 +310,15 @@ def nilpotent_quotient(
     n = p.generator_count
     # the Lyndon columns of each weight, counted before the index is built
     widths = [free_layer_rank(n, w) for w in range(1, c + 1)]
-    exponents = [exponent_vector(r, n) for r in p.relators]
-    row_count = len(exponents) + (_weight_row_count(exponents, n, c) if c > 1 else 0)
-    # a relator's truncated series costs about letters x n^c steps
-    cost = row_count * sum(widths) + sum(len(r) for r in p.relators) * n**c
+    row_count = len(p.relators) + (_weight_row_count(p.relators, n, c) if c > 1 else 0)
+    # the index costs a row of columns; a relator's series, letters x n^c
+    cost = (row_count + 1) * sum(widths) + sum(len(r) for r in p.relators) * n**c
     if cost > bound:
         raise BoundExceededError(
             f"class-{c} quotient needs about {cost} cells and steps, over the bound {bound}"
         )
 
+    exponents = [exponent_vector(r, n) for r in p.relators]
     rows = exponents + (_weight_rows(p, c, exponents, _lyndon_index(n, c)) if c > 1 else [])
     echelon = _row_echelon(rows, sum(widths))
     lattices, layers, lo = [], [], 0

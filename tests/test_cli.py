@@ -213,6 +213,33 @@ def test_lcs_bound_exceeded_exits_three_before_work(tmp_path):
     assert "bound" in out.stderr
 
 
+def test_lcs_bound_exceeded_exits_three_before_exponent_vectors(tmp_path):
+    # 30,000 generators and 30,000 one-letter relators: a file of a few
+    # hundred KB whose dense exponent vectors would take about 7 GB; the
+    # child gets 1 GB of address space, so building them before the bound
+    # check fails instead of exiting 3
+    import resource
+
+    n = 30000
+    names = [f"x{i}" for i in range(1, n + 1)]
+    path = tmp_path / "wide.json"
+    path.write_text(
+        json.dumps({"generators": names, "relators": [[i] for i in range(1, n + 1)]}),
+        encoding="utf-8",
+    )
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for layer in ("1", "2", "3"):
+        out = subprocess.run(
+            BASE + ["lcs", "--presentation", str(path), "--layer", layer],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        )
+        assert out.returncode == 3, out.stderr
+        assert "bound" in out.stderr
+
+
 def test_klein_scan_over_the_bound_exits_three_at_once():
     start = time.perf_counter()
     out = run("klein-scan", "--radius", "108", timeout=10)

@@ -618,10 +618,26 @@ def test_bound_is_checked_before_any_row(monkeypatch):
 
     monkeypatch.setattr(nilq, "_word_series", no_rows)
     monkeypatch.setattr(nilq, "_weight_rows", no_rows)
-    with pytest.raises(BoundExceededError):  # estimated at 436,755
+    monkeypatch.setattr(nilq, "exponent_vector", no_rows)
+    monkeypatch.setattr(nilq, "_lyndon_index", no_rows)
+    with pytest.raises(BoundExceededError):  # estimated at 437,040
         nilpotent_quotient(closed_orientable(3, 4), 3, bound=10**5)
+    for c in (1, 2, 3):
+        with pytest.raises(BoundExceededError):
+            lcs_layer(closed_orientable(1, 2), c, bound=10)
+
+
+def test_lyndon_columns_count_toward_the_bound(monkeypatch):
+    import braidkit.nilq as nilq
+
+    def no_index(*args):
+        raise AssertionError("Lyndon index built before the bound check")
+
+    # the free group of rank 400 has no relators, but 21,413,400 Lyndon
+    # columns at c = 3
+    monkeypatch.setattr(nilq, "_lyndon_index", no_index)
     with pytest.raises(BoundExceededError):
-        lcs_layer(closed_orientable(1, 2), 2, bound=10)
+        lcs_layer(Presentation(tuple(f"x{i}" for i in range(400)), ()), 3)
 
 
 def test_row_estimate_covers_the_rows_built():
@@ -630,7 +646,7 @@ def test_row_estimate_covers_the_rows_built():
         exponents = [exponent_vector(r, n) for r in p.relators]
         for c in (2, 3):
             built = _weight_rows(p, c, exponents, _lyndon_index(n, c))
-            assert _weight_row_count(exponents, n, c) >= len(built), (p.family, p.relators, c)
+            assert _weight_row_count(p.relators, n, c) >= len(built), (p.family, p.relators, c)
 
 
 def test_relator_length_counts_toward_the_bound(monkeypatch):
