@@ -26,15 +26,27 @@ is invariant under simultaneous conjugation, so the first generator in
 search order takes one image r per cycle type, weighted by its class size
 m!/|C(r)|, and the second one image per orbit of the centralizer C(r)
 acting by conjugation, weighted by the orbit size (canonical
-augmentation; McKay, J. Algorithms 26, 1998).  Deeper generators take
-every element of S_m, and an accepted leaf adds the product of its
-weights.  Representatives are drawn from the S_m-conjugates of the
-accepted leaves, each homomorphism met exactly once.
+augmentation; McKay, J. Algorithms 26, 1998).  An accepted leaf adds
+the product of its weights.  Representatives are drawn from the
+S_m-conjugates of the accepted leaves, each homomorphism met exactly
+once.
+
+Deeper generators take their candidates from memoised solution sets.  A
+relator that becomes complete at depth d ≥ 2 but does not involve the
+generator at d − 1 sees the same images of its other generators at
+every sibling, so the elements of S_m that satisfy it are found once per
+tuple of those images and kept for the rest of the search.  A node tries
+the intersection of its relators' sets, and checks each candidate with
+``_holds`` on the relators that do involve the generator at d − 1; a
+depth with no such memoised relator tries every element of S_m.
 
 The search is bounded by nodes counted as it runs: one per candidate
-image, one per element of S_m for each root's centralizer-orbit pass,
-and, when representatives are kept, one per homomorphism they are
-chosen from.  Past ``search_bound`` it raises BoundExceededError.
+image examined (at a deep node, each element of its smallest solution
+set, or of S_m when it has none), one per element of S_m for each
+solution set computed and each root's centralizer-orbit pass, and, when
+representatives are kept, one per homomorphism they are chosen from, so
+the memo's size stays within the bound too.  Past ``search_bound`` it
+raises BoundExceededError.
 
 ``enumerate_homs`` deals the p(m) root classes into min(workers, p(m),
 usable CPUs) shards, runs them in this process or, when there is more
@@ -289,23 +301,35 @@ class CensusResult:
 
 
 def _search_plan(presentation: Presentation):
-    """Assignment order (most-used generators first) and, per depth, the
-    compiled relators that become fully assigned at that depth."""
+    """Assignment order (most-used generators first) and, per depth d,
+    the compiled relators that become fully assigned at d, as two lists.
+
+    From d = 2 on, ``shared[d]`` holds each relator that does not involve
+    the generator at depth d − 1, as (word, its other generators, an empty
+    memo for its solution sets): every sibling under one depth-(d − 1)
+    node sees the same images of those generators.  ``rest[d]`` holds the
+    other words.
+    """
     n = presentation.generator_count
     usage = [0] * n
     rel_gens = []
     for rel in presentation.relators:
-        gens = sorted({abs(let) - 1 for let in rel.letters})
+        gens = {abs(let) - 1 for let in rel.letters}
         rel_gens.append(gens)
         for g in gens:
             usage[g] += 1
     order = sorted(range(n), key=lambda g: (-usage[g], g))
     depth_of = {g: d for d, g in enumerate(order)}
-    by_depth = [[] for _ in range(n + 1)]
+    shared = [[] for _ in range(n)]
+    rest = [[] for _ in range(n)]
     for rel, gens in zip(presentation.relators, rel_gens):
-        depth = max(depth_of[g] for g in gens) + 1
-        by_depth[depth].append(_compile(rel.letters))
-    return order, by_depth
+        depth = max(depth_of[g] for g in gens)
+        word = _compile(rel.letters)
+        if depth >= 2 and order[depth - 1] not in gens:
+            shared[depth].append((word, tuple(sorted(gens - {order[depth]})), {}))
+        else:
+            rest[depth].append(word)
+    return order, shared, rest
 
 
 def _conjugate(h, hinv, x):
@@ -380,9 +404,13 @@ def _search(
 
     The first generator in search order takes one image per conjugacy
     class of S_m, the second one image per orbit of that image's
-    centralizer, and each deeper one every element of S_m.  A leaf that
-    passes the predicate counts the class size times the orbit size.
-    ``shard`` slices the list of classes the first image is taken from.
+    centralizer, and each deeper one the elements common to the solution
+    sets of its shared relators (see ``_search_plan``), or every element
+    of S_m when it has none.  A solution set is computed on its first
+    use, at a charge of m! nodes, and kept in a dict of this call, so
+    each shard keeps its own.  A leaf that passes the predicate counts the
+    class size times the orbit size.  ``shard`` slices the list of
+    classes the first image is taken from.
     """
     n = presentation.generator_count
     if n == 0:
@@ -400,7 +428,7 @@ def _search(
     # spent before any table is built
     roots = range(_partition_count(m))[shard]
     spend(len(roots) * (1 + factorial(m) if n > 1 else 1))
-    order, by_depth = _search_plan(presentation)
+    order, shared, rest = _search_plan(presentation)
     images = list(itertools.permutations(range(m)))
     index = {x: i for i, x in enumerate(images)}
     perms = [Permutation(x) for x in images]
@@ -417,18 +445,42 @@ def _search(
         gen = order[depth]
         chosen[gen] = i
         current[gen] = tables[i]
-        return all(_holds(word, current) for word in by_depth[depth + 1])
+        return all(_holds(word, current) for word in rest[depth])
+
+    def solutions(gen: int, word) -> set:
+        """The element indices at gen that satisfy word, its other
+        generators' images as chosen."""
+        found = set()
+        for i, table in enumerate(tables):
+            current[gen] = table
+            if _holds(word, current):
+                found.add(i)
+        return found
 
     def descend(depth: int) -> None:
         if depth == n:
             if predicate(tuple(perms[i] for i in chosen), m):
                 group.append(tuple(chosen))
             return
-        gen, words = order[depth], by_depth[depth + 1]
-        spend(len(tables))
-        for i, table in enumerate(tables):
+        gen, words = order[depth], rest[depth]
+        sets = []
+        for word, others, memo in shared[depth]:
+            key = tuple([chosen[g] for g in others])
+            found = memo.get(key)
+            if found is None:
+                spend(len(tables))
+                found = memo[key] = solutions(gen, word)
+            sets.append(found)
+        if sets:
+            sets.sort(key=len)
+            spend(len(sets[0]))
+            candidates = sets[0].intersection(*sets[1:])
+        else:
+            spend(len(tables))
+            candidates = range(len(tables))
+        for i in candidates:
             chosen[gen] = i
-            current[gen] = table
+            current[gen] = tables[i]
             for word in words:
                 if not _holds(word, current):
                     break
@@ -537,12 +589,17 @@ def enumerate_homs(
     each accepted leaf by the product of its weights.  Representatives
     are chosen from the conjugates of the accepted leaves.
 
+    Below the second generator, each relator that does not involve the
+    generator just above is solved once per tuple of its other
+    generators' images, and a node tries only the elements that satisfy
+    all such relators.
+
     The search is bounded by nodes: one per candidate image examined, one
-    per element of S_m for each root's centralizer-orbit pass, and, when
-    representatives are kept, one per homomorphism they are chosen from.
-    Over ``search_bound`` nodes it raises BoundExceededError, as it does
-    at once when the m!·m cells of the element tables of S_m exceed the
-    bound.
+    per element of S_m for each solution set computed and each root's
+    centralizer-orbit pass, and, when representatives are kept, one per
+    homomorphism they are chosen from.  Over ``search_bound`` nodes it
+    raises BoundExceededError, as it does at once when the m!·m cells of
+    the element tables of S_m exceed the bound.
     """
     if m < 1:
         raise InvalidInputError("target degree must be >= 1")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, checked, json_field
+from .errors import BoundExceededError, InvalidInputError, checked, json_field
 from .fpgroup import Presentation
 from .word import exponent_vector
 
@@ -32,6 +32,10 @@ __all__ = [
     "admits_epimorphism",
     "min_generators_lower_bound",
 ]
+
+# relators x generators of a dense relator matrix, checked before any row
+# is built; the largest matrix of the claims corpus has 460 cells
+RELATOR_MATRIX_MAX_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -288,8 +292,18 @@ def _cokernel(matrix: IntMatrix) -> FgAbelianGroup:
 
 
 def relator_matrix(presentation: Presentation) -> IntMatrix:
-    """Exponent-sum matrix: one row per relator, one column per generator."""
+    """Exponent-sum matrix: one row per relator, one column per generator.
+
+    Raises BoundExceededError, before any row is built, when its cells
+    exceed ``RELATOR_MATRIX_MAX_CELLS``.
+    """
     n = len(presentation.generator_names)
+    cells = len(presentation.relators) * n
+    if cells > RELATOR_MATRIX_MAX_CELLS:
+        raise BoundExceededError(
+            f"relator matrix needs {cells} cells ({len(presentation.relators)} relators × "
+            f"{n} generators), over the bound {RELATOR_MATRIX_MAX_CELLS}"
+        )
     rows = [list(exponent_vector(r, n)) for r in presentation.relators]
     return IntMatrix.from_rows(rows, cols=n)
 

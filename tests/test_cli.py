@@ -213,13 +213,24 @@ def test_lcs_bound_exceeded_exits_three_before_work(tmp_path):
     assert "bound" in out.stderr
 
 
-def test_lcs_bound_exceeded_exits_three_before_exponent_vectors(tmp_path):
-    # 30,000 generators and 30,000 one-letter relators: a file of a few
-    # hundred KB whose dense exponent vectors would take about 7 GB; the
-    # child gets 1 GB of address space, so building them before the bound
-    # check fails instead of exiting 3
+def run_in_1gb(argv, path):
+    """Run the CLI on a wide presentation file in a child process with
+    1 GB of address space, so dense per-generator rows built before a
+    bound check fail with MemoryError instead of exhausting the host."""
     import resource
 
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        BASE + argv + ["--presentation", str(path)],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+
+
+def wide_presentation(tmp_path):
+    # 30,000 generators and 30,000 one-letter relators: a file of a few
+    # hundred KB whose dense exponent vectors would take about 7 GB
     n = 30000
     names = [f"x{i}" for i in range(1, n + 1)]
     path = tmp_path / "wide.json"
@@ -227,17 +238,24 @@ def test_lcs_bound_exceeded_exits_three_before_exponent_vectors(tmp_path):
         json.dumps({"generators": names, "relators": [[i] for i in range(1, n + 1)]}),
         encoding="utf-8",
     )
+    return path
 
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+def test_lcs_bound_exceeded_exits_three_before_exponent_vectors(tmp_path):
+    path = wide_presentation(tmp_path)
     for layer in ("1", "2", "3"):
-        out = subprocess.run(
-            BASE + ["lcs", "--presentation", str(path), "--layer", layer],
-            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
-        )
+        out = run_in_1gb(["lcs", "--layer", layer], path)
         assert out.returncode == 3, out.stderr
         assert "bound" in out.stderr
+
+
+def test_abelianize_bound_exceeded_exits_three_before_the_relator_matrix(tmp_path):
+    out = run_in_1gb(["abelianize"], wide_presentation(tmp_path))
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == (
+        "error: relator matrix needs 900000000 cells (30000 relators × 30000 generators), "
+        "over the bound 10000000\n"
+    )
 
 
 def test_klein_scan_over_the_bound_exits_three_at_once():

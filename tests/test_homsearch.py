@@ -455,6 +455,40 @@ def test_closed_genus1_five_strands_into_s5_runs_under_the_default_bound():
     assert enumerate_homs(closed_orientable(1, 5), 5, max_representatives=0).count == 2280
 
 
+def test_deep_censuses_keep_their_counts(monkeypatch):
+    # counts pinned from the search that tried every element at every deep node
+    assert enumerate_homs(closed_orientable(1, 4), 6, max_representatives=0).count == 42480
+    serial = enumerate_homs(closed_orientable(2, 3), 5)
+    assert serial.count == 59640
+    # the solution-set memo is local to each shard's search
+    monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 2)
+    assert enumerate_homs(closed_orientable(2, 3), 5, workers=2) == serial
+
+
+def test_holds_calls_are_charged_as_nodes(monkeypatch):
+    # a memo miss makes one _holds call per element of S_m and is charged
+    # m! nodes; every other call checks a candidate against the relators
+    # left after the memo, and each candidate is charged a node, so the
+    # calls stay under nodes × the most such relators at one depth.  A
+    # search that did not charge the candidates of a memo hit makes about
+    # 2.8 calls per node on closed g=2, n=3 → S_4.
+    calls = 0
+    holds = homsearch._holds
+
+    def counting(word, tables):
+        nonlocal calls
+        calls += 1
+        return holds(word, tables)
+
+    monkeypatch.setattr(homsearch, "_holds", counting)
+    for p, m in [(closed_orientable(1, 4), 5), (closed_orientable(2, 3), 4)]:
+        calls = 0
+        _, _, nodes = homsearch._search(p, m, homsearch.PREDICATES["all"], 0)
+        _, shared, rest = homsearch._search_plan(p)
+        widest = max(len(a) + len(b) for a, b in zip(shared, rest))
+        assert calls <= nodes * max(1, max(map(len, rest))) <= nodes * widest
+
+
 def test_node_budget_raises_in_serial_and_sharded_runs(monkeypatch):
     p = closed_orientable(1, 4)
     count, _, nodes = homsearch._search(p, 4, homsearch.PREDICATES["all"], 0)

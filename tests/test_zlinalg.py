@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from braidkit.errors import InvalidInputError
+from braidkit.errors import BoundExceededError, InvalidInputError
 from braidkit.fpgroup import Presentation, artin_presentation, closed_orientable, nonorientable
 from braidkit.nilq import nilpotent_quotient
 from braidkit.word import generator
@@ -453,6 +453,21 @@ def test_abelianization_metamorphic_invariance():
         rels[idx] = ~conj * rels[idx] * conj
         mutated = Presentation(base.generator_names, tuple(rels))
         assert abelianization(mutated) == expected
+
+
+def test_relator_matrix_is_bounded_before_any_row(monkeypatch):
+    import braidkit.zlinalg as zlinalg
+
+    def no_rows(*args):
+        raise AssertionError("an exponent vector was built before the bound check")
+
+    monkeypatch.setattr(zlinalg, "exponent_vector", no_rows)
+    n = 3163  # n² = 10,004,569 cells, just over the bound of 10⁷
+    wide = Presentation.from_json(
+        {"generators": [f"x{i}" for i in range(n)], "relators": [[i] for i in range(1, n + 1)]}
+    )
+    with pytest.raises(BoundExceededError, match="3163 relators × 3163 generators"):
+        abelianization(wide)
 
 
 def test_abelianization_of_trivial_presentation():
