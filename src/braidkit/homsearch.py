@@ -68,6 +68,7 @@ from .fpgroup import Presentation, class2_quotient_presentation, closed_orientab
 from .permgrp import (
     DEFAULT_CLOSURE_BOUND,
     Permutation,
+    _conjugate,
     _inverse,
     group_order,
     is_primitive,
@@ -330,11 +331,6 @@ def _search_plan(presentation: Presentation):
         else:
             rest[depth].append(word)
     return order, shared, rest
-
-
-def _conjugate(h, hinv, x):
-    """The image tuple of h⁻¹·x·h: point h(i) goes to h(x(i))."""
-    return tuple([h[x[k]] for k in hinv])
 
 
 def _centralizer_gens(x: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -1,13 +1,14 @@
 """Permutations and permutation-group analytics: composition, cycle
 types, orbits, minimal blocks and primitivity, subgroup closure, group
-orders from a Schreier–Sims stabilizer chain, centraliser orders, and
-lower central series of finite groups.
+orders and membership from a Schreier–Sims stabilizer chain, centraliser
+orders, and lower central series of finite groups.
 
 ``closure`` lists every element and serves where the list is the
-output; ``group_order`` builds a stabilizer chain over image tuples and
-never lists the group, so its cost follows the chain's size, not the
-order.  Both are bounded by ``DEFAULT_CLOSURE_BOUND``: elements for the
-closure, stored transversal cells for the chain.
+output.  ``_Chain``, a stabilizer chain over image tuples whose cost
+follows its size, not the order, answers the rest: group orders, the
+check that an element list is a group, and lower central series as
+normal closures.  Both are bounded by ``DEFAULT_CLOSURE_BOUND``:
+elements for the closure, stored transversal cells for the chain.
 
 Composition is left-to-right throughout: (p * q)(x) = q(p(x)).  Points
 are 0-based internally; cycle notation and all reported point sets are
@@ -316,17 +317,11 @@ def is_primitive(
     return True, None
 
 
-def closure(
-    gens: Sequence[Permutation],
-    bound: int = DEFAULT_CLOSURE_BOUND,
-    within: set | None = None,
-) -> list[Permutation]:
+def closure(gens: Sequence[Permutation], bound: int = DEFAULT_CLOSURE_BOUND) -> list[Permutation]:
     """All elements of the group generated by gens, sorted by image array.
 
     Raises BoundExceededError if the group has more than ``bound``
-    elements; never truncates silently.  With ``within`` (a set of image
-    tuples) given, the identity and every product must lie in it: the
-    first one outside raises InvalidInputError.
+    elements; never truncates silently.
     """
     if bound < 1:
         raise InvalidInputError("closure bound must be >= 1")
@@ -337,8 +332,6 @@ def closure(
         if g.degree != m:
             raise InvalidInputError("generator degree mismatch")
     ident = tuple(range(m))
-    if within is not None and ident not in within:
-        raise InvalidInputError("the identity is outside the ambient set")
     if m < 2:  # the identity is the only permutation
         return [Permutation(ident)]
     seen = {ident}
@@ -352,8 +345,6 @@ def closure(
             for pick in pickers:
                 y = pick(x)
                 if y not in seen:
-                    if within is not None and y not in within:
-                        raise InvalidInputError("a product leaves the ambient set")
                     if len(seen) >= bound:
                         raise BoundExceededError(
                             f"group closure exceeds bound {bound}"
@@ -379,41 +370,59 @@ def _inverse(t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def group_order(gens: Sequence[tuple[int, ...]], bound: int = DEFAULT_CLOSURE_BOUND) -> int:
-    """Order of the group generated by image tuples of one degree m, from
-    a stabilizer chain built by the deterministic Schreier–Sims algorithm
-    (Sims 1970; Seress, *Permutation Group Algorithms*, 2003); the
-    elements are never listed.
+def _conjugate(h, hinv, x):
+    """The image tuple of h⁻¹·x·h: point h(i) goes to h(x(i))."""
+    return tuple([h[x[k]] for k in hinv])
+
+
+def _power(t: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The image tuple of t^e: each point moves e steps along its cycle."""
+    out = list(t)
+    for cyc in _trusted(t).cycles():  # 1-based
+        for i, x in enumerate(cyc):
+            out[x - 1] = cyc[(i + e) % len(cyc)] - 1
+    return tuple(out)
+
+
+class _Chain:
+    """A stabilizer chain of the group generated by the image tuples of
+    degree m added so far, built by the deterministic Schreier–Sims
+    algorithm (Sims 1970; Seress, *Permutation Group Algorithms*, 2003,
+    ch. 4); the elements are never listed.
 
     Level i of the chain keeps a base point b_i, its orbit Δ_i under the
     strong generators that fix b_0..b_{i-1}, and for each orbit point β
-    a transversal element u_β taking b_i to β, with its inverse.  Every
-    Schreier generator u_β·s·u_{s(β)}⁻¹ is sifted through the levels
-    below; a residue that is not the identity becomes a strong
-    generator of the levels it passed, and when it fixes every base
-    point, the first point it moves becomes the next base point.  Each
+    a transversal element u_β taking b_i to β, with its inverse.
+    ``add(g)`` sifts g through the levels and returns False when the
+    residue is the identity, that is when the chain already holds g.
+    Otherwise the residue becomes a strong generator of the levels it
+    passed (when it fixes every base point, the first point it moves
+    becomes the next base point), and every Schreier generator
+    u_β·s·u_{s(β)}⁻¹ is sifted the same way until none is new; each
     (orbit point, strong generator) pair is taken once, the deepest
     level's first.  The order is Π|Δ_i|.
 
     The transversals hold Σ|Δ_i|·m cells; past ``bound`` it raises
     BoundExceededError.
     """
-    if bound < 1:
-        raise InvalidInputError("chain bound must be >= 1")
-    gens = list(gens)
-    m = len(gens[0]) if gens else 0
-    if any(len(g) != m for g in gens):
-        raise InvalidInputError("generator degree mismatch")
-    if m < 2:  # the identity is the only permutation
-        return 1
-    ident = tuple(range(m))
-    base: list[int] = []
-    transversals: list[dict] = []  # per level: orbit point β -> (u_β, u_β⁻¹)
-    strong: list[list] = []  # per level: (s, s⁻¹) for each strong generator
-    pending: list = []  # (level, β, s, s⁻¹), each pair pushed once
-    cells = 0
-    for g in gens:
-        h, top = g, 0  # h is to be sifted from level top
+
+    def __init__(self, m: int, bound: int = DEFAULT_CLOSURE_BOUND) -> None:
+        if bound < 1:
+            raise InvalidInputError("chain bound must be >= 1")
+        self.m, self.bound, self.cells = m, bound, 0
+        self.ident = tuple(range(m))
+        self.base: list[int] = []
+        self.transversals: list[dict] = []  # per level: orbit point β -> (u_β, u_β⁻¹)
+        self.strong: list[list] = []  # per level: (s, s⁻¹) for each strong generator
+
+    def order(self) -> int:
+        return prod(map(len, self.transversals))
+
+    def add(self, g: tuple[int, ...]) -> bool:
+        base, transversals, strong = self.base, self.transversals, self.strong
+        m, ident, cells, bound = self.m, self.ident, self.cells, self.bound
+        pending: list = []  # (level, β, s, s⁻¹), each pair pushed once
+        h, top, added = g, 0, False  # h is to be sifted from level top
         while True:
             if h is not None:
                 level = top
@@ -427,6 +436,7 @@ def group_order(gens: Sequence[tuple[int, ...]], bound: int = DEFAULT_CLOSURE_BO
                         h = itemgetter(*h)(entry[1])
                     level += 1
                 if h != ident:  # a new strong generator of levels top..level
+                    added = True
                     if level == len(base):  # h moves b, so a checked point follows
                         cells += m
                         b = next(i for i, x in enumerate(h) if i != x)
@@ -463,51 +473,83 @@ def group_order(gens: Sequence[tuple[int, ...]], bound: int = DEFAULT_CLOSURE_BO
                     # s fixes b_level, so it moves the base point of a deeper
                     # level and is a strong generator of level + 1 already
                     h = None
-    return prod(map(len, transversals))
+        self.cells = cells
+        return added
 
 
-def _commutator_perm(g: Permutation, h: Permutation) -> Permutation:
-    return g.inverse() * h.inverse() * g * h
+def group_order(gens: Sequence[tuple[int, ...]], bound: int = DEFAULT_CLOSURE_BOUND) -> int:
+    """Order of the group generated by image tuples of one degree m, from
+    a ``_Chain``; past ``bound`` transversal cells it raises
+    BoundExceededError."""
+    gens = list(gens)
+    chain = _Chain(len(gens[0]) if gens else 0, bound)
+    if any(len(g) != chain.m for g in gens):
+        raise InvalidInputError("generator degree mismatch")
+    for g in gens:
+        chain.add(g)
+    return chain.order()
+
+
+def _check_closed(elements: Sequence[Permutation]) -> tuple[list[Permutation], list]:
+    """The distinct elements, sorted, and the image tuples a ``_Chain``
+    takes as new among them, a generating set, once checked to form a
+    group: exactly when the group they generate is no larger than the set.
+    """
+    if not elements:
+        raise InvalidInputError("empty element list")
+    m = elements[0].degree
+    elems = sorted({e.images for e in elements})
+    if any(len(t) != m for t in elems):
+        raise InvalidInputError("element degree mismatch")
+    chain = _Chain(m, max(m, 1) * len(elems))
+    try:
+        gens = [t for t in elems if chain.add(t)]
+        closed = chain.order() == len(elems)
+    except BoundExceededError:  # Σ|Δ_i| <= |G|, so the group outgrew the set
+        closed = False
+    if not closed:
+        raise InvalidInputError("the elements do not form a group")
+    return [_trusted(t) for t in elems], gens
+
+
+def _series(group: list[Permutation], gens: list) -> list[tuple[int, list]]:
+    """(order, generators) of each term of the lower central series of a
+    group and generators from ``_check_closed``.  Γᵢ₊₁ = [Γᵢ, G] is the
+    normal closure of the commutators of Γᵢ's generators with G's (Holt,
+    Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4):
+    each element the chain takes as new is a generator, and its conjugates
+    by G's generators are sifted in turn, so the loop ends with the chain's
+    cells.  Stops at the first repeat or at the trivial subgroup.
+    """
+    pairs = [(g, _inverse(g)) for g in gens]
+    terms = [(len(group), gens)]
+    while True:
+        order, current = terms[-1]
+        # [a, g] = a⁻¹·g⁻¹·a·g takes x to g(a(g⁻¹(a⁻¹(x))))
+        todo = [
+            tuple([g[a[ginv[k]]] for k in _inverse(a)]) for a in current for g, ginv in pairs
+        ]
+        chain, nxt = _Chain(group[0].degree), []
+        while todo:
+            x = todo.pop()
+            if chain.add(x):
+                nxt.append(x)
+                todo += [_conjugate(g, ginv, x) for g, ginv in pairs]
+        terms.append((chain.order(), nxt))
+        if terms[-1][0] in (1, order):
+            return terms
 
 
 def lower_central_series(elements: Sequence[Permutation]) -> list[list[Permutation]]:
     """Successive terms of the lower central series of a finite group,
     given as a closed element list.  Stops at the first repeat or at the
-    trivial subgroup; the final term is included.
-    """
-    group = _check_closed(elements)
-    terms = [group]
-    while True:
-        current = terms[-1]
-        comms = {(_commutator_perm(g, h)).images for g in group for h in current}
-        nontrivial = [Permutation(t) for t in comms if any(i != j for i, j in enumerate(t))]
-        if nontrivial:
-            nxt = closure(nontrivial, bound=len(group))
-        else:
-            nxt = [identity_perm(group[0].degree)]
-        terms.append(nxt)
-        if len(nxt) == 1 or len(nxt) == len(current):
-            return terms
-
-
-def _check_closed(elements: Sequence[Permutation]) -> list[Permutation]:
-    """The distinct elements, sorted, once checked to form a group: each
-    element outside the subgroup so far joins the generators and the
-    subgroup is re-closed within the list.  Each re-closure at least
-    doubles it (Lagrange), so O(|G| log |G|) products in all.
-    """
-    if not elements:
-        raise InvalidInputError("empty element list")
-    elems = {e.images for e in elements}
-    group = [identity_perm(elements[0].degree)]
-    sub = {group[0].images}
-    gens: list[Permutation] = []
-    for e in elements:
-        if e.images not in sub:
-            gens.append(e)
-            group = closure(gens, len(elems), within=elems)
-            sub = {p.images for p in group}
-    return group
+    trivial subgroup; the final term is included; each is listed by
+    ``closure`` from its generators in ``_series``."""
+    group, gens = _check_closed(elements)
+    return [group] + [  # group[0], the least image tuple, is the identity
+        closure([group[0], *map(_trusted, nxt)], bound=len(group))
+        for _, nxt in _series(group, gens)[1:]
+    ]
 
 
 @dataclass(frozen=True)
@@ -517,58 +559,22 @@ class GroupInvariants:
     lcs_orders: tuple[int, ...]
 
 
-def _abelian_invariants_from_cosets(
-    group: list[Permutation], normal: list[Permutation]
-) -> FgAbelianGroup:
-    """Invariant factors of the (abelian) quotient group / normal subgroup,
-    recovered from order statistics of the cosets.
-
-    For an abelian group, counting solutions of x^(p^j) = 1 for each
-    prime power determines the multiset of elementary divisors.
+def _abelian_invariants(gens: list, order: int, normal: list, normal_order: int) -> FgAbelianGroup:
+    """Invariant factors of the abelian quotient A = ⟨gens⟩ / ⟨normal⟩, of
+    orders ``order`` and ``normal_order``, from chain orders alone: A^e is
+    generated by the images of the t^e, t in gens, so |⟨normal, t^e⟩| =
+    |⟨normal⟩|·|A^e|, and |A^(p^(j-1))| / |A^(p^j)| = p^k_j, where k_j
+    counts the cyclic p-summands of exponent >= j.
     """
-    normal_set = {p.images for p in normal}
-    reps: list[Permutation] = []
-    covered: set = set()
-    for el in group:
-        if el.images in covered:
-            continue
-        reps.append(el)
-        for h in normal:
-            covered.add((el * h).images)
-    q = len(reps)
-
-    def power_in_normal(rep: Permutation, e: int) -> bool:
-        acc = identity_perm(rep.degree)
-        base = rep
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc.images in normal_set
-
     moduli: list[int] = []
-    for p in _prime_factors(q):
-        # ks[j-1] = number of cyclic p-summands with exponent >= j
-        ks: list[int] = []
-        prev_count = 1
-        j = 1
-        while True:
-            count = sum(1 for rep in reps if power_in_normal(rep, p**j))
-            ratio = count // prev_count
-            k = 0
-            while ratio > 1:
-                ratio //= p
-                k += 1
-            if k == 0:
-                break
-            ks.append(k)
-            prev_count = count
-            j += 1
-        for exp in range(1, len(ks) + 1):
-            nxt = ks[exp] if exp < len(ks) else 0
-            moduli.extend([p**exp] * (ks[exp - 1] - nxt))
+    for p in _prime_factors(order // normal_order):
+        ks: list[int] = []  # ks[j-1] = k_j
+        prev, e = order, p
+        while (cur := group_order(normal + [_power(t, e) for t in gens])) < prev:
+            ks.append(next(k for k in range(1, prev) if cur * p**k == prev))
+            prev, e = cur, e * p
+        # the exponents are the partition conjugate to ks
+        moduli += [p ** sum(k >= i for k in ks) for i in range(1, ks[0] + 1)]
     return FgAbelianGroup.from_moduli(moduli)
 
 
@@ -588,9 +594,9 @@ def _prime_factors(n: int) -> list[int]:
 
 def finite_group_invariants(elements: Sequence[Permutation]) -> GroupInvariants:
     """Order, abelianisation, and lower-central-series orders of a finite
-    group given as a closed element list."""
-    series = lower_central_series(elements)
-    group = series[0]
-    derived = series[1]
-    ab = _abelian_invariants_from_cosets(group, derived)
-    return GroupInvariants(len(group), ab, tuple(len(t) for t in series))
+    group given as a closed element list, from the chain orders of
+    ``_series`` without listing any term."""
+    terms = _series(*_check_closed(elements))
+    (order, gens), (derived_order, derived) = terms[:2]
+    ab = _abelian_invariants(gens, order, derived, derived_order)
+    return GroupInvariants(order, ab, tuple(o for o, _ in terms))

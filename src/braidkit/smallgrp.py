@@ -3,8 +3,9 @@ torsion arguments, plus the Klein-bottle relation scan.
 
 Groups are carried as explicit permutation models (usually the regular
 representation), so membership, quotients, and subgroup scans all reduce
-to set arithmetic on image tuples; subgroups are ``permgrp.closure``
-run within the group's element set.  Both scans are bounded up front.
+to set arithmetic on image tuples; subgroups are ``permgrp.closure`` of
+group elements, and element lists are checked on ``permgrp``'s stabilizer
+chain.  The Klein scan is bounded up front; the subgroup scan as it runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import BoundExceededError, InvalidInputError
-from .permgrp import DEFAULT_CLOSURE_BOUND, Permutation, _check_closed, closure, identity_perm
+from .permgrp import (
+    DEFAULT_CLOSURE_BOUND,
+    Permutation,
+    _check_closed,
+    closure,
+    group_order,
+    identity_perm,
+)
 
 __all__ = [
     "FiniteGroup",
@@ -30,8 +38,8 @@ __all__ = [
 ]
 
 SUBGROUP_SCAN_MAX_ORDER = 10**4
-# full evaluations of the Klein scan's stage 2, at least (2 radius + 1)^3;
-# radius 107 is the largest
+# full evaluations of the Klein scan, (2 radius + 1)^3; radius 107 is the
+# largest
 KLEIN_SCAN_MAX_PAIRS = 10**7
 
 
@@ -39,15 +47,19 @@ KLEIN_SCAN_MAX_PAIRS = 10**7
 class FiniteGroup:
     """A finite group as a closed list of permutations of a common degree.
 
-    ``generators`` holds indices into ``elements``.
+    ``generators`` holds indices into ``elements`` of a generating set.
     """
 
     elements: tuple[Permutation, ...]
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(_check_closed(self.elements)) != len(self.elements):
+        if len(_check_closed(self.elements)[0]) != len(self.elements):
             raise InvalidInputError("duplicate elements")
+        if not all(0 <= i < len(self.elements) for i in self.generators):
+            raise InvalidInputError("a generator index is out of range")
+        if group_order([self.elements[i].images for i in self.generators]) != self.order:
+            raise InvalidInputError("the generators do not generate the group")
 
     @property
     def degree(self) -> int:
@@ -186,10 +198,12 @@ def quotient(group: FiniteGroup, normal_gens: Sequence[Permutation]) -> FiniteGr
     """Quotient by the subgroup generated by ``normal_gens``, which must be
     normal; the result acts faithfully on the cosets."""
     gset = group.element_set()
+    if any(h.images not in gset for h in normal_gens):
+        raise InvalidInputError("a normal generator is not an element of the group")
     # the identity generator makes quotient(group, []) the group itself
-    sub_perms = closure([identity_perm(group.degree), *normal_gens], len(gset), within=gset)
+    sub_perms = closure([identity_perm(group.degree), *normal_gens], len(gset))
     sub = {h.images for h in sub_perms}
-    for g in group.generator_perms() or group.elements:
+    for g in group.generator_perms():
         g_inv = g.inverse()
         for h in sub_perms:
             if (g_inv * h * g).images not in sub:
@@ -224,12 +238,13 @@ def subgroup_scan(
     dihedral: bool | None = None,
 ) -> list[FiniteGroup]:
     """All subgroups matching the predicate, enumerated by closing element
-    subsets, smallest groups first.  Deterministic output order."""
+    subsets, smallest groups first.  Deterministic output order.  The
+    closures' sizes are charged together against ``DEFAULT_CLOSURE_BOUND``."""
     if group.order > SUBGROUP_SCAN_MAX_ORDER:
         raise BoundExceededError(
             f"subgroup scan limited to groups of order {SUBGROUP_SCAN_MAX_ORDER}"
         )
-    gset = group.element_set()
+    closed = 0
     trivial = frozenset({tuple(range(group.degree))})
     # each subgroup found -> the generators it was first closed from
     all_subgroups: dict[frozenset, list[Permutation]] = {trivial: []}
@@ -244,7 +259,12 @@ def subgroup_scan(
                 # <sub, el> = <sub, el * h> for h in sub: close once per coset
                 done.update(map(itemgetter(*el.images), sub))
                 gens = all_subgroups[sub] + [el]
-                bigger = frozenset(p.images for p in closure(gens, len(gset), within=gset))
+                bigger = frozenset(p.images for p in closure(gens, group.order))
+                closed += len(bigger)
+                if closed > DEFAULT_CLOSURE_BOUND:
+                    raise BoundExceededError(
+                        f"subgroup scan exceeds bound {DEFAULT_CLOSURE_BOUND} closed elements"
+                    )
                 if bigger not in all_subgroups:
                     all_subgroups[bigger] = gens
                     new.append(bigger)
@@ -306,53 +326,31 @@ def _klein_sides(
     return lhs, rhs
 
 
-def _klein_stage_one(rng: range) -> list[tuple[int, int]]:
-    """The (b, d) in rng x rng whose sides agree in the second coordinate,
-    evaluated at a = c = 0."""
-    kept = []
-    for b in rng:
-        for d in rng:
-            lhs, rhs = _klein_sides((0, b), (0, d))
-            if lhs[1] == rhs[1]:
-                kept.append((b, d))
-    return kept
-
-
 def klein_relation_scan(radius: int) -> KleinScanResult:
     """Scan all x = (a, b), y = (c, d) with coordinates in [-radius, radius]
     for solutions of x y x y = y^-1 x y x.
 
-    (a, b) -> b is a homomorphism onto Z, so a pair whose sides differ in
-    the second coordinate is no solution.  Stage 1 evaluates the relation at
-    a = c = 0 for every (b, d) and keeps those whose sides agree there;
-    stage 2 evaluates it in full for every a, c over the kept (b, d).  Each
-    reported solution is checked by the group law.
+    (a, b) -> b is a homomorphism onto Z, under which the two sides map to
+    2b + 2d and 2b, so every solution has d = 0: the relation is evaluated
+    in full for every a, b, c with d = 0, (2 radius + 1)^3 evaluations,
+    and each reported solution is checked by the group law.
     """
     if radius < 1:
         raise InvalidInputError("radius must be >= 1")
     width = 2 * radius + 1
-    # y = 1 solves the relation, so every (b, 0) survives stage 1: stage 2
-    # costs at least width^3, and that is refused before any work
     if width**3 > KLEIN_SCAN_MAX_PAIRS:
         raise BoundExceededError(
             f"Klein scan of radius {radius} exceeds {KLEIN_SCAN_MAX_PAIRS} evaluations: "
-            f"stage 2 needs at least {width**3}"
+            f"it needs {width**3}"
         )
     rng = range(-radius, radius + 1)
-    kept = _klein_stage_one(rng)
-    if len(kept) * width**2 > KLEIN_SCAN_MAX_PAIRS:
-        raise BoundExceededError(
-            f"Klein scan of radius {radius} exceeds {KLEIN_SCAN_MAX_PAIRS} evaluations: "
-            f"stage 2 needs {len(kept) * width**2}"
-        )
     sols = []
-    for b, d in kept:
-        for a in rng:
+    for a in rng:
+        for b in rng:
             x = (a, b)
             for c in rng:
-                y = (c, d)
+                y = (c, 0)
                 lhs, rhs = _klein_sides(x, y)
                 if lhs == rhs:
                     sols.append((x, y))
-    sols.sort()  # the (a, b, c, d) order of a scan over the whole window
     return KleinScanResult(radius, tuple(sols))

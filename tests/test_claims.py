@@ -1,4 +1,6 @@
 import textwrap
+import time
+from math import factorial
 
 import pytest
 
@@ -199,6 +201,23 @@ def test_symmetric_lcs_op():
     out = OPS["symmetric-lcs"]({"n": 4})
     assert out["orders"] == [24, 12, 12]
     assert out["terminal_abelianization"] == {"free_rank": 0, "torsion": [3]}
+    # closed forms: Γ₂(S_n) = Γ₃(S_n) = A_n for n >= 3, A_3 and A_4^ab are
+    # Z/3, and A_n is perfect for n >= 5 (the paper's Proposition perfect)
+    assert OPS["symmetric-lcs"]({"n": 2}) == {
+        "orders": [2, 1],
+        "terminal_abelianization": {"free_rank": 0, "torsion": []},
+    }
+    for n in range(3, 9):
+        out = OPS["symmetric-lcs"]({"n": n})
+        assert out["orders"] == [factorial(n)] + [factorial(n) // 2] * 2, n
+        torsion = [3] if n < 5 else []
+        assert out["terminal_abelianization"] == {"free_rank": 0, "torsion": torsion}, n
+
+
+def test_symmetric_lcs_of_degree_seven_is_fast():
+    start = time.perf_counter()
+    assert OPS["symmetric-lcs"]({"n": 7})["orders"] == [5040, 2520, 2520]
+    assert time.perf_counter() - start < 2.0
 
 
 def test_dicyclic_quotient_op():

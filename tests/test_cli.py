@@ -302,6 +302,16 @@ def test_large_structures_over_the_bound_exit_three_at_once():
         assert out.stderr.startswith("error: ") and "bound" in out.stderr
 
 
+def test_subgroup_scan_over_the_closure_bound_exits_three():
+    # S_6 has 1,455 subgroups; the closures the scan makes pass 10^6
+    # elements long before it ends
+    start = time.perf_counter()
+    out = run("smallgrp", "symmetric", "--n", "6", "--order", "720", timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert out.returncode == 3
+    assert out.stderr == "error: subgroup scan exceeds bound 1000000 closed elements\n"
+
+
 def test_symmetric_group_of_degree_seven_is_built_quickly():
     out = run("smallgrp", "symmetric", "--n", "7", "--json", timeout=10)
     assert out.returncode == 0

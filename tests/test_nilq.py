@@ -491,12 +491,9 @@ def _named_presentation(names, relators):
 def test_layers_match_permutation_route_for_finite_groups():
     # dual route: the presentation engine against the lower central series
     # of an explicit permutation model of the same group
-    from braidkit.permgrp import (
-        _abelian_invariants_from_cosets,
-        closure,
-        lower_central_series,
-        parse_cycles,
-    )
+    from test_permgrp import _abelian_invariants_from_cosets
+
+    from braidkit.permgrp import closure, lower_central_series, parse_cycles
     from braidkit.smallgrp import dicyclic, symmetric_group
 
     cases = [

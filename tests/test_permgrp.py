@@ -10,7 +10,9 @@ from braidkit.permgrp import (
     DEFAULT_CLOSURE_BOUND,
     CycleType,
     Permutation,
+    _Chain,
     _check_closed,
+    _prime_factors,
     centralizer_order,
     closure,
     compose,
@@ -23,6 +25,7 @@ from braidkit.permgrp import (
     orbits,
     parse_cycles,
 )
+from braidkit.zlinalg import FgAbelianGroup
 
 EXO_GENS = [
     parse_cycles("(1,3)(2,4)", 8),
@@ -271,17 +274,6 @@ def test_closure_bound_is_enforced():
         closure([parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)], bound=10)
 
 
-def test_closure_within_rejects_generators_that_leave_the_set():
-    a3 = {p.images for p in closure([parse_cycles("(1,2,3)", 3)])}
-    assert len(closure([parse_cycles("(1,3,2)", 3)], within=a3)) == 3
-    with pytest.raises(InvalidInputError):
-        closure([parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)], within=a3)
-    with pytest.raises(InvalidInputError):  # the identity is missing
-        closure([parse_cycles("(1,2,3)", 3)], within=a3 - {(0, 1, 2)})
-    with pytest.raises(InvalidInputError):  # another degree
-        closure([parse_cycles("(1,2,3)", 4)], within=a3)
-
-
 def test_closure_result_is_closed_spot_check():
     rng = random.Random(13)
     group = closure([parse_cycles("(1,2)", 4), parse_cycles("(2,3,4)", 4)])
@@ -342,7 +334,7 @@ def test_check_closed_matches_brute_force_on_s4():
 
 def test_check_closed_returns_the_sorted_distinct_elements():
     elems = [parse_cycles("(1,2)", 3), identity_perm(3), parse_cycles("(1,2)", 3)]
-    assert _check_closed(elems) == [identity_perm(3), parse_cycles("(1,2)", 3)]
+    assert _check_closed(elems) == ([identity_perm(3), parse_cycles("(1,2)", 3)], [(1, 0, 2)])
     with pytest.raises(InvalidInputError):
         _check_closed([])
 
@@ -383,6 +375,115 @@ def test_invariants_reject_non_closed_input():
         finite_group_invariants([parse_cycles("(1,2)", 3)])
     with pytest.raises(InvalidInputError):
         finite_group_invariants([identity_perm(3), parse_cycles("(1,2,3)", 3)])
+    with pytest.raises(InvalidInputError, match="degree mismatch"):
+        lower_central_series([identity_perm(3), identity_perm(2)])
+    # three elements that generate S_100 are refused once the chain holds
+    # more than 3 elements' worth of cells, long before S_100 is built
+    start = time.perf_counter()
+    s100 = [identity_perm(100), parse_cycles("(1,2)", 100), Permutation((*range(1, 100), 0))]
+    with pytest.raises(InvalidInputError, match="do not form a group"):
+        lower_central_series(s100)
+    assert time.perf_counter() - start < 0.5
+
+
+# test-only oracles, neither of which uses the stabilizer chain: the lower
+# central series by a walk over element pairs, and abelian invariants by a
+# walk over cosets
+
+
+def _commutator_walk_series(elements):
+    """Every commutator [g, h], g in G and h in the last term, formed and
+    closed; G is the closure of the (closed) element list."""
+    group = closure(list(elements))
+    terms = [group]
+    while True:
+        current = terms[-1]
+        comms = {(g.inverse() * h.inverse() * g * h).images for g in group for h in current}
+        nontrivial = [Permutation(t) for t in comms if any(i != j for i, j in enumerate(t))]
+        if nontrivial:
+            nxt = closure(nontrivial, bound=len(group))
+        else:
+            nxt = [identity_perm(group[0].degree)]
+        terms.append(nxt)
+        if len(nxt) == 1 or len(nxt) == len(current):
+            return terms
+
+
+def _abelian_invariants_from_cosets(
+    group: list[Permutation], normal: list[Permutation]
+) -> FgAbelianGroup:
+    """Invariant factors of the (abelian) quotient group / normal subgroup,
+    recovered from order statistics of the cosets.
+
+    For an abelian group, counting solutions of x^(p^j) = 1 for each
+    prime power determines the multiset of elementary divisors.
+    """
+    normal_set = {p.images for p in normal}
+    reps: list[Permutation] = []
+    covered: set = set()
+    for el in group:
+        if el.images in covered:
+            continue
+        reps.append(el)
+        for h in normal:
+            covered.add((el * h).images)
+    q = len(reps)
+
+    def power_in_normal(rep: Permutation, e: int) -> bool:
+        acc = identity_perm(rep.degree)
+        base = rep
+        while e:
+            if e & 1:
+                acc = acc * base
+            e >>= 1
+            if e:
+                base = base * base
+        return acc.images in normal_set
+
+    moduli: list[int] = []
+    for p in _prime_factors(q):
+        # ks[j-1] = number of cyclic p-summands with exponent >= j
+        ks: list[int] = []
+        prev_count = 1
+        j = 1
+        while True:
+            count = sum(1 for rep in reps if power_in_normal(rep, p**j))
+            ratio = count // prev_count
+            k = 0
+            while ratio > 1:
+                ratio //= p
+                k += 1
+            if k == 0:
+                break
+            ks.append(k)
+            prev_count = count
+            j += 1
+        for exp in range(1, len(ks) + 1):
+            nxt = ks[exp] if exp < len(ks) else 0
+            moduli.extend([p**exp] * (ks[exp - 1] - nxt))
+    return FgAbelianGroup.from_moduli(moduli)
+
+
+def test_series_and_invariants_match_the_element_list_oracles():
+    from braidkit.smallgrp import dicyclic, z3_semidirect_z4
+
+    _, subgroups = _s4_subgroups_by_brute_force()
+    groups = [s_n_elements(n) for n in (3, 4, 5)]
+    groups += [list(dicyclic(n).elements) for n in (2, 3, 4)]
+    groups += [list(z3_semidirect_z4().elements)]
+    groups += [[Permutation(t) for t in sorted(sub)] for sub in subgroups]
+    for elements in groups:
+        series = lower_central_series(elements)
+        oracle = _commutator_walk_series(elements)
+        assert series == oracle
+        inv = finite_group_invariants(elements)
+        assert inv.order == len(elements)
+        assert inv.lcs_orders == tuple(len(t) for t in oracle)
+        assert inv.abelianization == _abelian_invariants_from_cosets(oracle[0], oracle[1])
+        terminal = _commutator_walk_series(oracle[-1])
+        assert finite_group_invariants(series[-1]).abelianization == (
+            _abelian_invariants_from_cosets(terminal[0], terminal[1])
+        )
 
 
 # --- the stabilizer chain --------------------------------------------------------------
@@ -457,6 +558,37 @@ def test_chain_order_of_trivial_inputs():
     assert group_order([(0, 1, 2), (0, 1, 2)]) == 1
     with pytest.raises(InvalidInputError):
         group_order([(0, 1), (0, 1, 2)])
+
+
+def _chain_of(gens, m):
+    chain = _Chain(m)
+    for g in gens:
+        chain.add(g)
+    return chain
+
+
+def test_chain_add_matches_closure_membership_on_every_subgroup_of_s4():
+    s4, subgroups = _s4_subgroups_by_brute_force()
+    assert len(subgroups) == 30
+    for sub in subgroups:
+        for x in s4:
+            chain = _chain_of(sorted(sub), 4)
+            assert chain.add(x) == (x not in sub), (sorted(sub), x)
+            assert chain.order() == _closure_order(sorted(sub) + [x])
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_chain_add_matches_closure_membership_on_random_sets(m):
+    rng = random.Random(50 + m)
+    held = 0
+    for _ in range(100):
+        gens = _random_gens(rng, m, rng.randint(1, 2))
+        members = sorted(p.images for p in closure([Permutation(g) for g in gens]))
+        candidates = _random_gens(rng, m, 5) + rng.sample(members, min(5, len(members)))
+        for x in candidates:  # a fresh chain each time: an added x joins it
+            assert _chain_of(gens, m).add(x) == (x not in members), (gens, x)
+            held += x in members
+    assert held > 500
 
 
 def test_chain_bound_counts_transversal_cells():

@@ -9,7 +9,6 @@ from braidkit.smallgrp import (
     FiniteGroup,
     _klein_inv,
     _klein_mul,
-    _klein_stage_one,
     _regular_representation,
     dicyclic,
     from_generators,
@@ -157,6 +156,16 @@ def test_quotient_rejects_non_normal_subgroup():
         quotient(s3, [transposition])
 
 
+def test_quotient_rejects_generators_outside_the_group():
+    s3 = symmetric_group(3)
+    for outside in (parse_cycles("(1,2)", 4), parse_cycles("(1,2)", 2)):
+        with pytest.raises(InvalidInputError, match="not an element of the group"):
+            quotient(s3, [outside])
+    a3 = from_generators([parse_cycles("(1,2,3)", 3)])
+    with pytest.raises(InvalidInputError, match="not an element of the group"):
+        quotient(a3, [parse_cycles("(1,2)", 3)])
+
+
 # --- subgroup scans ----------------------------------------------------------------------
 
 
@@ -242,17 +251,14 @@ def test_klein_scan_equals_the_four_loop_scan():
 def test_klein_scan_is_bounded_before_it_starts():
     start = time.perf_counter()
     with pytest.raises(BoundExceededError):
-        klein_relation_scan(108)  # stage 2 needs at least 217^3 evaluations
+        klein_relation_scan(108)  # 217^3 evaluations
     assert time.perf_counter() - start < 1.0
 
 
 def test_klein_scan_radius_107_is_within_both_guards():
-    # the whole scan takes about 20 s; its two guards are checked alone
+    # the whole scan takes about 20 s; its guard is checked alone
     width = 2 * 107 + 1
     assert width**3 <= KLEIN_SCAN_MAX_PAIRS
-    kept = _klein_stage_one(range(-107, 108))
-    assert kept == [(b, 0) for b in range(-107, 108)]
-    assert len(kept) * width**2 <= KLEIN_SCAN_MAX_PAIRS
 
 
 # --- FiniteGroup validation --------------------------------------------------------------------
@@ -274,3 +280,16 @@ def test_finite_group_rejects_duplicate_elements():
     assert FiniteGroup(z2, (1,)).order == 2
     with pytest.raises(InvalidInputError):
         FiniteGroup(z2 + (parse_cycles("(1,2)", 3),), (1,))
+
+
+def test_finite_group_checks_its_generators():
+    s3 = symmetric_group(3)
+    # the identity alone generates the trivial group, not S_3, so the
+    # group is refused before any quotient of it is taken
+    with pytest.raises(InvalidInputError, match="do not generate the group"):
+        quotient(FiniteGroup(s3.elements, (0,)), [parse_cycles("(1,2)", 3)])
+    for index in (9, 6, -1):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            FiniteGroup(s3.elements, (index,)).generator_perms()
+    assert FiniteGroup(s3.elements, s3.generators).order == 6
+    assert FiniteGroup((identity_perm(3),), ()).order == 1
