@@ -490,10 +490,11 @@ def group_order(gens: Sequence[tuple[int, ...]], bound: int = DEFAULT_CLOSURE_BO
     return chain.order()
 
 
-def _check_closed(elements: Sequence[Permutation]) -> tuple[list[Permutation], list]:
-    """The distinct elements, sorted, and the image tuples a ``_Chain``
-    takes as new among them, a generating set, once checked to form a
-    group: exactly when the group they generate is no larger than the set.
+def _check_closed(elements: Sequence[Permutation], gens: Sequence = ()) -> tuple[list, list]:
+    """The distinct elements, sorted, and those a ``_Chain`` started from
+    the image tuples ``gens`` takes as new, once checked to form a group:
+    exactly when the group they generate is no larger than the set.  The
+    new ones complete ``gens`` to a generating set of the elements' group.
     """
     if not elements:
         raise InvalidInputError("empty element list")
@@ -503,6 +504,8 @@ def _check_closed(elements: Sequence[Permutation]) -> tuple[list[Permutation], l
         raise InvalidInputError("element degree mismatch")
     chain = _Chain(m, max(m, 1) * len(elems))
     try:
+        for g in gens:
+            chain.add(g)
         gens = [t for t in elems if chain.add(t)]
         closed = chain.order() == len(elems)
     except BoundExceededError:  # Σ|Δ_i| <= |G|, so the group outgrew the set
@@ -519,7 +522,8 @@ def _series(group: list[Permutation], gens: list) -> list[tuple[int, list]]:
     Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4):
     each element the chain takes as new is a generator, and its conjugates
     by G's generators are sifted in turn, so the loop ends with the chain's
-    cells.  Stops at the first repeat or at the trivial subgroup.
+    cells, bounded as in ``_check_closed``.  Stops at the first repeat or
+    at the trivial subgroup.
     """
     pairs = [(g, _inverse(g)) for g in gens]
     terms = [(len(group), gens)]
@@ -529,7 +533,7 @@ def _series(group: list[Permutation], gens: list) -> list[tuple[int, list]]:
         todo = [
             tuple([g[a[ginv[k]]] for k in _inverse(a)]) for a in current for g, ginv in pairs
         ]
-        chain, nxt = _Chain(group[0].degree), []
+        chain, nxt = _Chain(group[0].degree, max(group[0].degree, 1) * len(group)), []
         while todo:
             x = todo.pop()
             if chain.add(x):
@@ -570,7 +574,8 @@ def _abelian_invariants(gens: list, order: int, normal: list, normal_order: int)
     for p in _prime_factors(order // normal_order):
         ks: list[int] = []  # ks[j-1] = k_j
         prev, e = order, p
-        while (cur := group_order(normal + [_power(t, e) for t in gens])) < prev:
+        bound = len(gens[0]) * order  # as in _check_closed; order > 1, so gens is not empty
+        while (cur := group_order(normal + [_power(t, e) for t in gens], bound)) < prev:
             ks.append(next(k for k in range(1, prev) if cur * p**k == prev))
             prev, e = cur, e * p
         # the exponents are the partition conjugate to ks

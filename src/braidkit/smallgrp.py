@@ -15,14 +15,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import BoundExceededError, InvalidInputError
-from .permgrp import (
-    DEFAULT_CLOSURE_BOUND,
-    Permutation,
-    _check_closed,
-    closure,
-    group_order,
-    identity_perm,
-)
+from .permgrp import DEFAULT_CLOSURE_BOUND, Permutation, _check_closed, closure, identity_perm
 
 __all__ = [
     "FiniteGroup",
@@ -54,11 +47,13 @@ class FiniteGroup:
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(_check_closed(self.elements)[0]) != len(self.elements):
-            raise InvalidInputError("duplicate elements")
         if not all(0 <= i < len(self.elements) for i in self.generators):
             raise InvalidInputError("a generator index is out of range")
-        if group_order([self.elements[i].images for i in self.generators]) != self.order:
+        gens = [self.elements[i].images for i in self.generators]
+        elems, new = _check_closed(self.elements, gens)
+        if len(elems) != len(self.elements):
+            raise InvalidInputError("duplicate elements")
+        if new:
             raise InvalidInputError("the generators do not generate the group")
 
     @property

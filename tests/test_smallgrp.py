@@ -3,7 +3,14 @@ import time
 import pytest
 
 from braidkit.errors import BoundExceededError, InvalidInputError
-from braidkit.permgrp import finite_group_invariants, identity_perm, parse_cycles
+from braidkit import permgrp
+from braidkit.permgrp import (
+    Permutation,
+    finite_group_invariants,
+    identity_perm,
+    lower_central_series,
+    parse_cycles,
+)
 from braidkit.smallgrp import (
     KLEIN_SCAN_MAX_PAIRS,
     FiniteGroup,
@@ -293,3 +300,33 @@ def test_finite_group_checks_its_generators():
             FiniteGroup(s3.elements, (index,)).generator_perms()
     assert FiniteGroup(s3.elements, s3.generators).order == 6
     assert FiniteGroup((identity_perm(3),), ()).order == 1
+
+
+def test_finite_group_checks_on_one_chain(monkeypatch):
+    made = []
+
+    class CountingChain(permgrp._Chain):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    s3 = symmetric_group(3)
+    monkeypatch.setattr(permgrp, "_Chain", CountingChain)
+    FiniteGroup(s3.elements, s3.generators)
+    assert made == [(3, 3 * 6)]  # degree 3, bounded by 6 elements' cells
+
+
+def test_large_degree_small_order_is_within_the_list_size_bound():
+    # S_4 on the first 4 of 150,000 points: the chains of S_4 and of its
+    # derived subgroup A_4 hold 9 and 7 x 150,000 cells, over
+    # DEFAULT_CLOSURE_BOUND but within the 24 x 150,000 of the element
+    # list, which bounds every chain over the group
+    m = 150_000
+    s4 = from_generators(
+        [Permutation((1, 0, *range(2, m))), Permutation((1, 2, 3, 0, *range(4, m)))]
+    )
+    assert s4.order == 24
+    assert [len(term) for term in lower_central_series(s4.elements)] == [24, 12, 12]
+    inv = finite_group_invariants(s4.elements)
+    assert inv.lcs_orders == (24, 12, 12)
+    assert inv.abelianization.to_json() == {"free_rank": 0, "torsion": [2]}
