@@ -256,13 +256,13 @@ def _op_dihedral_subgroup_count(args: dict):
 
 
 def _op_symmetric_lcs(args: dict):
-    group = smallgrp.symmetric_group(int(args["n"]))
-    series = permgrp.lower_central_series(list(group.elements))
-    terminal = permgrp.finite_group_invariants(series[-1])
-    return {
-        "orders": [len(t) for t in series],
-        "terminal_abelianization": terminal.abelianization.to_json(),
-    }
+    # S_n from a transposition and an n-cycle: the terms are chains, never lists
+    n = int(args["n"])
+    gens, order = smallgrp._symmetric_generators(n)
+    terms = permgrp._series(gens, n, order)
+    orders = [order] + [chain.order() for chain, _ in terms]
+    terminal = permgrp._invariants(terms[-1][1], n, orders[-1])
+    return {"orders": orders, "terminal_abelianization": terminal.abelianization.to_json()}
 
 
 def _op_centralizer_order(args: dict):

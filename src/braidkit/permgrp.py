@@ -3,12 +3,12 @@ types, orbits, minimal blocks and primitivity, subgroup closure, group
 orders and membership from a Schreier–Sims stabilizer chain, centraliser
 orders, and lower central series of finite groups.
 
-``closure`` lists every element and serves where the list is the
-output.  ``_Chain``, a stabilizer chain over image tuples whose cost
-follows its size, not the order, answers the rest: group orders, the
-check that an element list is a group, and lower central series as
-normal closures.  Both are bounded by ``DEFAULT_CLOSURE_BOUND``:
-elements for the closure, stored transversal cells for the chain.
+One stabilizer chain, ``_Chain``, over image tuples generates every
+group.  ``closure`` and the listed LCS terms are its listing; its order
+answers the rest: group orders, the check that an element list is a
+group, and lower central series as normal closures.  A chain stops once
+its order passes the most elements its caller accepts; ``group_order``
+bounds its transversal cells by ``DEFAULT_CLOSURE_BOUND`` instead.
 
 Composition is left-to-right throughout: (p * q)(x) = q(p(x)).  Points
 are 0-based internally; cycle notation and all reported point sets are
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, prod
+from math import factorial, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_BOUND = 10**6
+# elements × degree of a ``closure`` list, refused before any is listed, as
+# the census tables and ``zlinalg.RELATOR_MATRIX_MAX_CELLS`` are at 10⁷
+CLOSURE_MAX_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -76,24 +79,17 @@ class Permutation:
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            nxt = self.images[start]
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt] = True
-                nxt = self.images[nxt]
-            out.append(tuple(p + 1 for p in cyc))
+            cyc, x = [], start
+            while not seen[x]:
+                seen[x] = True
+                cyc.append(x + 1)
+                x = self.images[x]
+            if len(cyc) > 1:
+                out.append(tuple(cyc))
         return out
 
     def order(self) -> int:
-        out = 1
-        for cyc in self.cycles():
-            out = out * len(cyc) // gcd(out, len(cyc))
-        return out
+        return lcm(*map(len, self.cycles()))
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -172,9 +168,8 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             images[a - 1] = b - 1
     perm = Permutation(tuple(images))
-    if sorted(x for cyc in cycles for x in cyc) != sorted(
-        set(x for cyc in cycles for x in cyc)
-    ):
+    moved = [x for cyc in cycles for x in cyc]
+    if len(moved) != len(set(moved)):
         raise InvalidInputError(f"cycles overlap in {text!r}")
     return perm
 
@@ -207,10 +202,7 @@ class CycleType:
         return cls(tuple(mult))
 
     def lengths(self) -> list[int]:
-        out = []
-        for k, l in enumerate(self.multiplicities, start=1):
-            out.extend([k] * l)
-        return out
+        return [k for k, l in enumerate(self.multiplicities, start=1) for _ in range(l)]
 
     def __str__(self) -> str:
         return "".join(
@@ -219,19 +211,8 @@ class CycleType:
 
 
 def cycle_type(p: Permutation) -> CycleType:
-    seen = [False] * p.degree
-    lengths = []
-    for start in range(p.degree):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            length += 1
-            x = p.images[x]
-        lengths.append(length)
-    return CycleType.from_lengths(lengths, p.degree)
+    lengths = [len(cyc) for cyc in p.cycles()]  # the fixed points are 1-cycles
+    return CycleType.from_lengths(lengths + [1] * (p.degree - sum(lengths)), p.degree)
 
 
 def centralizer_order(t: CycleType) -> int:
@@ -240,9 +221,7 @@ def centralizer_order(t: CycleType) -> int:
     """
     out = 1
     for k, l in enumerate(t.multiplicities, start=1):
-        out *= k**l
-        for i in range(2, l + 1):
-            out *= i
+        out *= k**l * factorial(l)
     return out
 
 
@@ -318,10 +297,13 @@ def is_primitive(
 
 
 def closure(gens: Sequence[Permutation], bound: int = DEFAULT_CLOSURE_BOUND) -> list[Permutation]:
-    """All elements of the group generated by gens, sorted by image array.
+    """All elements of the group generated by gens, sorted by image array:
+    the listing of their ``_Chain``.
 
     Raises BoundExceededError if the group has more than ``bound``
-    elements; never truncates silently.
+    elements, or if the list would hold more than ``CLOSURE_MAX_CELLS``
+    cells (elements × degree); the chain's order checks both before any
+    element is listed, and nothing is truncated silently.
     """
     if bound < 1:
         raise InvalidInputError("closure bound must be >= 1")
@@ -331,28 +313,18 @@ def closure(gens: Sequence[Permutation], bound: int = DEFAULT_CLOSURE_BOUND) -> 
     for g in gens:
         if g.degree != m:
             raise InvalidInputError("generator degree mismatch")
-    ident = tuple(range(m))
     if m < 2:  # the identity is the only permutation
-        return [Permutation(ident)]
-    seen = {ident}
-    frontier = [ident]
-    # pick(x) is the product g * x, so this grows the group from the left;
-    # itemgetter builds the image tuple in one C call
-    pickers = [itemgetter(*g.images) for g in gens]
-    while frontier:
-        new = []
-        for x in frontier:
-            for pick in pickers:
-                y = pick(x)
-                if y not in seen:
-                    if len(seen) >= bound:
-                        raise BoundExceededError(
-                            f"group closure exceeds bound {bound}"
-                        )
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return [_trusted(t) for t in sorted(seen)]
+        return [Permutation(tuple(range(m)))]
+    # the chain's cells are at most m·Π|Δ_i|, so past the list's cell
+    # bound they show a list past it too
+    chain = _Chain(m, [g.images for g in gens], CLOSURE_MAX_CELLS, bound)
+    cells = chain.order() * m
+    if cells > CLOSURE_MAX_CELLS:
+        raise BoundExceededError(
+            f"group closure needs {cells} cells ({chain.order()} elements × degree {m}), "
+            f"over the bound {CLOSURE_MAX_CELLS}"
+        )
+    return chain.elements()
 
 
 def _trusted(images: tuple[int, ...]) -> Permutation:
@@ -400,27 +372,43 @@ class _Chain:
     becomes the next base point), and every Schreier generator
     u_β·s·u_{s(β)}⁻¹ is sifted the same way until none is new; each
     (orbit point, strong generator) pair is taken once, the deepest
-    level's first.  The order is Π|Δ_i|.
+    level's first.  The order is Π|Δ_i|, and every element is exactly one
+    product u_{k-1}⋯u_0 of one transversal element per level.
 
-    The transversals hold Σ|Δ_i|·m cells; past ``bound`` it raises
-    BoundExceededError.
+    BoundExceededError is raised past ``bound`` cells, the Σ|Δ_i|·m of the
+    transversals, or once the order passes ``cap``; a None is unchecked.
+    Π|Δ_i| only grows, and when it is checked every orbit has at least 2
+    points, so Σ|Δ_i| <= Π|Δ_i| and a cap holds the cells to m·cap.
     """
 
-    def __init__(self, m: int, bound: int = DEFAULT_CLOSURE_BOUND) -> None:
-        if bound < 1:
+    def __init__(self, m: int, gens: Iterable = (), bound=DEFAULT_CLOSURE_BOUND, cap=None) -> None:
+        if bound is not None and bound < 1:
             raise InvalidInputError("chain bound must be >= 1")
-        self.m, self.bound, self.cells = m, bound, 0
+        self.m, self.bound, self.cap, self.cells, self.size = m, bound, cap, 0, 1
         self.ident = tuple(range(m))
         self.base: list[int] = []
         self.transversals: list[dict] = []  # per level: orbit point β -> (u_β, u_β⁻¹)
         self.strong: list[list] = []  # per level: (s, s⁻¹) for each strong generator
+        for g in gens:
+            self.add(g)
 
     def order(self) -> int:
-        return prod(map(len, self.transversals))
+        return self.size
+
+    def elements(self) -> list[Permutation]:
+        """Every element, sorted by image tuple, from the products of one
+        transversal element per level, the deepest applied first."""
+        out = [self.ident]
+        for orbit in reversed(self.transversals):
+            us = [u for u, _ in orbit.values()]
+            # itemgetter(*p)(u) is the product p·u
+            out = [pick(u) for pick in [itemgetter(*p) for p in out] for u in us]
+        return [_trusted(t) for t in sorted(out)]
 
     def add(self, g: tuple[int, ...]) -> bool:
         base, transversals, strong = self.base, self.transversals, self.strong
-        m, ident, cells, bound = self.m, self.ident, self.cells, self.bound
+        m, ident, cells, size = self.m, self.ident, self.cells, self.size
+        bound, cap = self.bound, self.cap
         pending: list = []  # (level, β, s, s⁻¹), each pair pushed once
         h, top, added = g, 0, False  # h is to be sifted from level top
         while True:
@@ -463,8 +451,11 @@ class _Chain:
             h = None
             if entry is None:
                 cells += m
-                if cells > bound:
+                if bound is not None and cells > bound:
                     raise BoundExceededError(f"stabilizer chain exceeds bound {bound} cells")
+                size = size // len(orbit) * (len(orbit) + 1)
+                if cap is not None and size > cap:
+                    raise BoundExceededError(f"group closure exceeds bound {cap}")
                 orbit[gamma] = (t, itemgetter(*sinv)(uinv))
                 pending.extend([(level, gamma, s2, s2inv) for s2, s2inv in strong[level]])
             elif t != entry[0]:
@@ -473,7 +464,7 @@ class _Chain:
                     # s fixes b_level, so it moves the base point of a deeper
                     # level and is a strong generator of level + 1 already
                     h = None
-        self.cells = cells
+        self.cells, self.size = cells, size
         return added
 
 
@@ -482,19 +473,18 @@ def group_order(gens: Sequence[tuple[int, ...]], bound: int = DEFAULT_CLOSURE_BO
     a ``_Chain``; past ``bound`` transversal cells it raises
     BoundExceededError."""
     gens = list(gens)
-    chain = _Chain(len(gens[0]) if gens else 0, bound)
-    if any(len(g) != chain.m for g in gens):
+    m = len(gens[0]) if gens else 0
+    if any(len(g) != m for g in gens):
         raise InvalidInputError("generator degree mismatch")
-    for g in gens:
-        chain.add(g)
-    return chain.order()
+    return _Chain(m, gens, bound).order()
 
 
 def _check_closed(elements: Sequence[Permutation], gens: Sequence = ()) -> tuple[list, list]:
     """The distinct elements, sorted, and those a ``_Chain`` started from
     the image tuples ``gens`` takes as new, once checked to form a group:
-    exactly when the group they generate is no larger than the set.  The
-    new ones complete ``gens`` to a generating set of the elements' group.
+    exactly when the group they generate is no larger than the set, so
+    the chain is capped at the set's size.  The new ones complete
+    ``gens`` to a generating set of the elements' group.
     """
     if not elements:
         raise InvalidInputError("empty element list")
@@ -502,58 +492,55 @@ def _check_closed(elements: Sequence[Permutation], gens: Sequence = ()) -> tuple
     elems = sorted({e.images for e in elements})
     if any(len(t) != m for t in elems):
         raise InvalidInputError("element degree mismatch")
-    chain = _Chain(m, max(m, 1) * len(elems))
     try:
-        for g in gens:
-            chain.add(g)
+        chain = _Chain(m, gens, None, len(elems))
         gens = [t for t in elems if chain.add(t)]
         closed = chain.order() == len(elems)
-    except BoundExceededError:  # Σ|Δ_i| <= |G|, so the group outgrew the set
+    except BoundExceededError:  # the group outgrew the set
         closed = False
     if not closed:
         raise InvalidInputError("the elements do not form a group")
     return [_trusted(t) for t in elems], gens
 
 
-def _series(group: list[Permutation], gens: list) -> list[tuple[int, list]]:
-    """(order, generators) of each term of the lower central series of a
-    group and generators from ``_check_closed``.  Γᵢ₊₁ = [Γᵢ, G] is the
-    normal closure of the commutators of Γᵢ's generators with G's (Holt,
-    Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4):
-    each element the chain takes as new is a generator, and its conjugates
-    by G's generators are sifted in turn, so the loop ends with the chain's
-    cells, bounded as in ``_check_closed``.  Stops at the first repeat or
-    at the trivial subgroup.
+def _series(gens: list, m: int, order: int) -> list[tuple[_Chain, list]]:
+    """(chain, generators) of each term after the first of the lower
+    central series of the group of order ``order`` generated by the image
+    tuples ``gens`` of degree m.  Γᵢ₊₁ = [Γᵢ, G] is the normal closure of
+    the commutators of Γᵢ's generators with G's (Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 4): each element
+    the chain takes as new is a generator, and its conjugates by G's
+    generators are sifted in turn, so the loop ends with the chain, which
+    is capped at ``order`` since every term lies in the group.  Stops at
+    the first repeat or at the trivial subgroup.
     """
     pairs = [(g, _inverse(g)) for g in gens]
-    terms = [(len(group), gens)]
+    terms: list[tuple[_Chain, list]] = []
+    current, prev = gens, order
     while True:
-        order, current = terms[-1]
         # [a, g] = a⁻¹·g⁻¹·a·g takes x to g(a(g⁻¹(a⁻¹(x))))
         todo = [
             tuple([g[a[ginv[k]]] for k in _inverse(a)]) for a in current for g, ginv in pairs
         ]
-        chain, nxt = _Chain(group[0].degree, max(group[0].degree, 1) * len(group)), []
+        chain, nxt = _Chain(m, (), None, order), []
         while todo:
             x = todo.pop()
             if chain.add(x):
                 nxt.append(x)
                 todo += [_conjugate(g, ginv, x) for g, ginv in pairs]
-        terms.append((chain.order(), nxt))
-        if terms[-1][0] in (1, order):
+        terms.append((chain, nxt))
+        if chain.order() in (1, prev):
             return terms
+        current, prev = nxt, chain.order()
 
 
 def lower_central_series(elements: Sequence[Permutation]) -> list[list[Permutation]]:
     """Successive terms of the lower central series of a finite group,
     given as a closed element list.  Stops at the first repeat or at the
-    trivial subgroup; the final term is included; each is listed by
-    ``closure`` from its generators in ``_series``."""
+    trivial subgroup; the final term is included; each term after the
+    first is the listing of the chain ``_series`` built for it."""
     group, gens = _check_closed(elements)
-    return [group] + [  # group[0], the least image tuple, is the identity
-        closure([group[0], *map(_trusted, nxt)], bound=len(group))
-        for _, nxt in _series(group, gens)[1:]
-    ]
+    return [group] + [chain.elements() for chain, _ in _series(gens, group[0].degree, len(group))]
 
 
 @dataclass(frozen=True)
@@ -574,8 +561,8 @@ def _abelian_invariants(gens: list, order: int, normal: list, normal_order: int)
     for p in _prime_factors(order // normal_order):
         ks: list[int] = []  # ks[j-1] = k_j
         prev, e = order, p
-        bound = len(gens[0]) * order  # as in _check_closed; order > 1, so gens is not empty
-        while (cur := group_order(normal + [_power(t, e) for t in gens], bound)) < prev:
+        m = len(gens[0])  # order > normal_order, so gens is not empty
+        while (cur := _Chain(m, normal + [_power(t, e) for t in gens], None, order).order()) < prev:
             ks.append(next(k for k in range(1, prev) if cur * p**k == prev))
             prev, e = cur, e * p
         # the exponents are the partition conjugate to ks
@@ -601,7 +588,14 @@ def finite_group_invariants(elements: Sequence[Permutation]) -> GroupInvariants:
     """Order, abelianisation, and lower-central-series orders of a finite
     group given as a closed element list, from the chain orders of
     ``_series`` without listing any term."""
-    terms = _series(*_check_closed(elements))
-    (order, gens), (derived_order, derived) = terms[:2]
-    ab = _abelian_invariants(gens, order, derived, derived_order)
-    return GroupInvariants(order, ab, tuple(o for o, _ in terms))
+    group, gens = _check_closed(elements)
+    return _invariants(gens, group[0].degree, len(group))
+
+
+def _invariants(gens: list, m: int, order: int) -> GroupInvariants:
+    """``finite_group_invariants`` of the group of order ``order``
+    generated by the image tuples ``gens`` of degree m."""
+    terms = _series(gens, m, order)
+    derived_chain, derived = terms[0]
+    ab = _abelian_invariants(gens, order, derived, derived_chain.order())
+    return GroupInvariants(order, ab, (order, *(chain.order() for chain, _ in terms)))

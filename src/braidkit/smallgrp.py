@@ -3,8 +3,9 @@ torsion arguments, plus the Klein-bottle relation scan.
 
 Groups are carried as explicit permutation models (usually the regular
 representation), so membership, quotients, and subgroup scans all reduce
-to set arithmetic on image tuples; subgroups are ``permgrp.closure`` of
-group elements, and element lists are checked on ``permgrp``'s stabilizer
+to set arithmetic on image tuples.  ``permgrp``'s stabilizer chain
+generates every group: subgroups are ``permgrp.closure``, the listing of
+the chain of their generators, and each element list is checked on one
 chain.  The Klein scan is bounded up front; the subgroup scan as it runs.
 """
 
@@ -15,7 +16,8 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import BoundExceededError, InvalidInputError
-from .permgrp import DEFAULT_CLOSURE_BOUND, Permutation, _check_closed, closure, identity_perm
+from .permgrp import DEFAULT_CLOSURE_BOUND, Permutation, closure, identity_perm
+from .permgrp import _check_closed, _power
 
 __all__ = [
     "FiniteGroup",
@@ -97,19 +99,16 @@ def _check_regular_order(order: int) -> None:
         )
 
 
-def _regular_representation(
-    elems: list, mul, gens: list
-) -> FiniteGroup:
-    """Right-regular permutation model of an abstract multiplication table."""
+def _regular_representation(elems: list, mul, gens: list) -> FiniteGroup:
+    """Right-regular permutation model of an abstract multiplication table
+    whose least element is the identity: g takes the rank of x to the rank
+    of x·g, so its image tuple starts with g's own rank, and the
+    permutations come out sorted by image tuple."""
     _check_regular_order(len(elems))
-    order = sorted(range(len(elems)), key=lambda i: elems[i])
-    index = {elems[i]: rank for rank, i in enumerate(order)}
-    sorted_elems = [elems[i] for i in order]
-    perms = []
-    for g in sorted_elems:
-        perms.append(Permutation(tuple(index[mul(x, g)] for x in sorted_elems)))
-    group = from_generators([perms[index[g]] for g in gens])
-    return group
+    sorted_elems = sorted(elems)
+    index = {g: rank for rank, g in enumerate(sorted_elems)}
+    perms = tuple(Permutation(tuple(index[mul(x, g)] for x in sorted_elems)) for g in sorted_elems)
+    return FiniteGroup(perms, tuple(index[g] for g in gens))
 
 
 def dicyclic(n: int) -> FiniteGroup:
@@ -149,17 +148,26 @@ def z3_semidirect_z4() -> FiniteGroup:
     return _regular_representation(elems, mul, [(1, 0), (0, 1)])
 
 
-def symmetric_group(n: int) -> FiniteGroup:
-    """S_n on its natural points, generated by (1,2) and (1,2,...,n)."""
+def _symmetric_generators(n: int) -> tuple[list[tuple[int, ...]], int]:
+    """The image tuples of (1,2) and (1,2,...,n), none for n = 1, and the
+    order n! of S_n, refused as its closure would be when n! exceeds
+    ``DEFAULT_CLOSURE_BOUND``, before any tuple is built."""
     if n < 1:
         raise InvalidInputError("degree must be >= 1")
-    if n == 1:
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > DEFAULT_CLOSURE_BOUND:
+            raise BoundExceededError(f"group closure exceeds bound {DEFAULT_CLOSURE_BOUND}")
+    return ([(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []), order
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    """S_n on its natural points, generated by (1,2) and (1,2,...,n)."""
+    gens, _ = _symmetric_generators(n)
+    if not gens:
         return FiniteGroup((identity_perm(1),), ())
-    gens = [
-        Permutation(tuple([1, 0] + list(range(2, n)))),
-        Permutation(tuple(list(range(1, n)) + [0])),
-    ]
-    return from_generators(gens)
+    return from_generators([Permutation(g) for g in gens])
 
 
 def is_dihedral(group: FiniteGroup) -> bool:
@@ -175,11 +183,7 @@ def is_dihedral(group: FiniteGroup) -> bool:
     for r in elems:
         if r.order() != k:
             continue
-        powers = set()
-        acc = identity_perm(group.degree)
-        for _ in range(k):
-            powers.add(acc.images)
-            acc = acc * r
+        powers = {_power(r.images, e) for e in range(k)}
         r_inv = r.inverse()
         for s in elems:
             if s.images in powers or s.order() != 2:
@@ -203,17 +207,13 @@ def quotient(group: FiniteGroup, normal_gens: Sequence[Permutation]) -> FiniteGr
         for h in sub_perms:
             if (g_inv * h * g).images not in sub:
                 raise InvalidInputError("subgroup is not normal")
-    # right cosets, canonical representative = least element image tuple
+    # right cosets, each represented by its least element
     coset_of: dict = {}
     reps: list[Permutation] = []
     for el in group.elements:
-        if el.images in coset_of:
-            continue
-        members = sorted((h * el).images for h in sub_perms)
-        rep_index = len(reps)
-        for img in members:
-            coset_of[img] = rep_index
-        reps.append(el)
+        if el.images not in coset_of:
+            coset_of.update(((h * el).images, len(reps)) for h in sub_perms)
+            reps.append(el)
     perms = []
     for g in group.elements:
         image = tuple(coset_of[(rep * g).images] for rep in reps)

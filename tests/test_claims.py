@@ -12,7 +12,7 @@ from braidkit.claims import (
     resolve_presentation,
     run_corpus,
 )
-from braidkit.errors import InvalidInputError
+from braidkit.errors import BoundExceededError, InvalidInputError
 
 
 def write_corpus(tmp_path, text):
@@ -218,6 +218,35 @@ def test_symmetric_lcs_of_degree_seven_is_fast():
     start = time.perf_counter()
     assert OPS["symmetric-lcs"]({"n": 7})["orders"] == [5040, 2520, 2520]
     assert time.perf_counter() - start < 2.0
+
+
+def test_symmetric_lcs_outputs_are_pinned():
+    # n = 1 repeats the trivial group's order, as the series stops at
+    # the first repeat
+    orders = {1: [1, 1], 2: [2, 1], 3: [6, 3, 3], 4: [24, 12, 12]}
+    for n in range(1, 9):
+        expected = orders.get(n, [factorial(n), factorial(n) // 2, factorial(n) // 2])
+        torsion = [3] if n in (3, 4) else []
+        assert OPS["symmetric-lcs"]({"n": n}) == {
+            "orders": expected,
+            "terminal_abelianization": {"free_rank": 0, "torsion": torsion},
+        }, n
+
+
+def test_symmetric_lcs_runs_from_two_generators():
+    # S_9 from a transposition and a 9-cycle, no term listed; S_10 passes
+    # the closure bound and is refused before anything is built
+    start = time.perf_counter()
+    out = OPS["symmetric-lcs"]({"n": 9})
+    assert out["orders"] == [362880, 181440, 181440]
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    for n in (10, 10**6):
+        with pytest.raises(BoundExceededError, match="group closure exceeds bound 1000000"):
+            OPS["symmetric-lcs"]({"n": n})
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(InvalidInputError, match="degree must be >= 1"):
+        OPS["symmetric-lcs"]({"n": 0})
 
 
 def test_dicyclic_quotient_op():

@@ -213,18 +213,17 @@ def test_lcs_bound_exceeded_exits_three_before_work(tmp_path):
     assert "bound" in out.stderr
 
 
-def run_in_1gb(argv, path):
-    """Run the CLI on a wide presentation file in a child process with
-    1 GB of address space, so dense per-generator rows built before a
-    bound check fail with MemoryError instead of exhausting the host."""
+def run_in_1gb(*argv):
+    """Run the CLI in a child process with 1 GB of address space, so
+    work done before a bound check fails with MemoryError instead of
+    exhausting the host."""
     import resource
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     return subprocess.run(
-        BASE + argv + ["--presentation", str(path)],
-        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        BASE + list(argv), capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
     )
 
 
@@ -244,18 +243,40 @@ def wide_presentation(tmp_path):
 def test_lcs_bound_exceeded_exits_three_before_exponent_vectors(tmp_path):
     path = wide_presentation(tmp_path)
     for layer in ("1", "2", "3"):
-        out = run_in_1gb(["lcs", "--layer", layer], path)
+        out = run_in_1gb("lcs", "--layer", layer, "--presentation", str(path))
         assert out.returncode == 3, out.stderr
         assert "bound" in out.stderr
 
 
 def test_abelianize_bound_exceeded_exits_three_before_the_relator_matrix(tmp_path):
-    out = run_in_1gb(["abelianize"], wide_presentation(tmp_path))
+    out = run_in_1gb("abelianize", "--presentation", str(wide_presentation(tmp_path)))
     assert out.returncode == 3, out.stderr
     assert out.stderr == (
         "error: relator matrix needs 900000000 cells (30000 relators × 30000 generators), "
         "over the bound 10000000\n"
     )
+
+
+def _cycle(n):
+    return "(" + ",".join(map(str, range(1, n + 1))) + ")"
+
+
+def test_closure_over_the_bound_exits_three_from_the_chain():
+    # S_10 and S_300 pass 10^6 elements; the 15,000-cycle has 15,000, but
+    # its list would hold 2.25 x 10^8 cells, and its chain passes 10^7 first
+    start = time.perf_counter()
+    out = run("perm", "closure", "(1,2)", _cycle(10), timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 3
+    assert out.stderr == "error: group closure exceeds bound 1000000\n"
+    for argv, message in (
+        (["(1,2)", _cycle(300)], "group closure exceeds bound 1000000"),
+        ([_cycle(15000)], "stabilizer chain exceeds bound 10000000 cells"),
+    ):
+        out = run_in_1gb("perm", "closure", *argv)
+        assert out.returncode == 3, out.stderr[-300:]
+        _one_error_line(out)
+        assert out.stderr == f"error: {message}\n"
 
 
 def test_klein_scan_over_the_bound_exits_three_at_once():

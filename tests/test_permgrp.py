@@ -2,11 +2,13 @@ import itertools
 import random
 import time
 from math import factorial
+from operator import itemgetter
 
 import pytest
 
 from braidkit.errors import BoundExceededError, InvalidInputError
 from braidkit.permgrp import (
+    CLOSURE_MAX_CELLS,
     DEFAULT_CLOSURE_BOUND,
     CycleType,
     Permutation,
@@ -254,6 +256,27 @@ def test_witness_blocks_are_invariant():
 # --- closure -----------------------------------------------------------------------
 
 
+def _closure_by_walk(gens):
+    """Test-only oracle that never builds a stabilizer chain: the group
+    generated by gens, grown breadth-first from the identity by one
+    generator at a time and sorted by image tuple."""
+    m = gens[0].degree
+    ident = tuple(range(m))
+    seen, frontier = {ident}, [ident]
+    # pick(x) is the product g * x, so this grows the group from the left
+    pickers = [itemgetter(*g.images) for g in gens] if m > 1 else []
+    while frontier:
+        new = []
+        for x in frontier:
+            for pick in pickers:
+                y = pick(x)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return [Permutation(t) for t in sorted(seen)]
+
+
 def test_closure_of_s3_generators():
     group = closure([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
     assert len(group) == 6
@@ -272,6 +295,58 @@ def test_closure_of_dihedral_generators():
 def test_closure_bound_is_enforced():
     with pytest.raises(BoundExceededError):
         closure([parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)], bound=10)
+
+
+def test_closure_matches_the_walk_on_every_subgroup_of_s4():
+    s4, subgroups = _s4_subgroups_by_brute_force()
+    assert len(subgroups) == 30
+    for sub in subgroups:
+        listed = closure([Permutation(t) for t in sorted(sub)])
+        assert [p.images for p in listed] == sorted(sub)
+    for a, b in itertools.combinations_with_replacement(s4, 2):
+        gens = [Permutation(a), Permutation(b)]
+        assert closure(gens) == _closure_by_walk(gens), (a, b)
+
+
+def test_closure_matches_the_walk_on_seeded_generators():
+    rng = random.Random(61)
+    seen_orders = set()
+    for m in range(3, 8):
+        for _ in range(60):
+            gens = [Permutation(g) for g in _random_gens(rng, m, rng.randint(1, 3))]
+            if rng.random() < 0.1:  # identity-only generating sets
+                gens = [identity_perm(m)] * rng.randint(1, 2)
+            listed = closure(gens)
+            assert listed == _closure_by_walk(gens), [g.images for g in gens]
+            assert len({p.images for p in listed}) == len(listed)
+            seen_orders.add(len(listed))
+    assert {1, 2, 120, 720, 5040} <= seen_orders
+    assert closure([identity_perm(1)]) == [identity_perm(1)]  # degree 1
+    assert closure([Permutation(())]) == [Permutation(())]  # degree 0
+
+
+def test_closure_refuses_large_groups_before_listing():
+    def cycle(n):
+        return Permutation((*range(1, n), 0))
+
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="group closure exceeds bound 1000000"):
+        closure([parse_cycles("(1,2)", 10), cycle(10)])
+    assert time.perf_counter() - start < 0.5
+    # a list of elements x degree past CLOSURE_MAX_CELLS is refused from the
+    # chain: a 4,000-cycle's chain alone holds 1.6 x 10^7 cells, S_5 on
+    # 84,000 points holds 14 x 84,000, but its list would hold 120 x 84,000
+    with pytest.raises(BoundExceededError, match="stabilizer chain exceeds bound 10000000 cells"):
+        closure([cycle(4000)])
+    m = 84_000
+    s5 = [Permutation((1, 0, *range(2, m))), Permutation((1, 2, 3, 4, 0, *range(5, m)))]
+    with pytest.raises(BoundExceededError) as err:
+        closure(s5)
+    assert str(err.value) == (
+        "group closure needs 10080000 cells (120 elements × degree 84000), over the bound 10000000"
+    )
+    assert len(closure([Permutation((*range(1, 100), 0, *range(100, 100_000)))])) == 100
+    assert 100 * 100_000 <= CLOSURE_MAX_CELLS
 
 
 def test_closure_result_is_closed_spot_check():
@@ -393,15 +468,16 @@ def test_invariants_reject_non_closed_input():
 
 def _commutator_walk_series(elements):
     """Every commutator [g, h], g in G and h in the last term, formed and
-    closed; G is the closure of the (closed) element list."""
-    group = closure(list(elements))
+    closed by the walk; G is the walk's closure of the (closed) element
+    list."""
+    group = _closure_by_walk(list(elements))
     terms = [group]
     while True:
         current = terms[-1]
         comms = {(g.inverse() * h.inverse() * g * h).images for g in group for h in current}
         nontrivial = [Permutation(t) for t in comms if any(i != j for i, j in enumerate(t))]
         if nontrivial:
-            nxt = closure(nontrivial, bound=len(group))
+            nxt = _closure_by_walk(nontrivial)
         else:
             nxt = [identity_perm(group[0].degree)]
         terms.append(nxt)
@@ -505,7 +581,7 @@ def _random_gens(rng, m, count):
 
 
 def _closure_order(gens):
-    return len(closure([Permutation(g) for g in gens]))
+    return len(_closure_by_walk([Permutation(g) for g in gens]))
 
 
 def test_chain_order_matches_closure_on_every_subgroup_of_s4():
@@ -539,7 +615,7 @@ def test_chain_order_matches_closure_on_the_canned_assignments():
         homsearch.imprimitive_s32_assignment(),
     ] + [homsearch.wreath_cycle_assignment(l) for l in (3, 5, 7, 11)]
     for a in canned:
-        assert group_order([p.images for p in a.images]) == len(closure(list(a.images)))
+        assert group_order([p.images for p in a.images]) == len(_closure_by_walk(list(a.images)))
 
 
 def test_chain_order_matches_sympy_on_random_generators():
@@ -583,7 +659,7 @@ def test_chain_add_matches_closure_membership_on_random_sets(m):
     held = 0
     for _ in range(100):
         gens = _random_gens(rng, m, rng.randint(1, 2))
-        members = sorted(p.images for p in closure([Permutation(g) for g in gens]))
+        members = sorted(p.images for p in _closure_by_walk([Permutation(g) for g in gens]))
         candidates = _random_gens(rng, m, 5) + rng.sample(members, min(5, len(members)))
         for x in candidates:  # a fresh chain each time: an added x joins it
             assert _chain_of(gens, m).add(x) == (x not in members), (gens, x)

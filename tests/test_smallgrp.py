@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 
 import pytest
@@ -74,6 +76,18 @@ def test_regular_representation_over_the_bound_is_refused_at_once():
     with pytest.raises(BoundExceededError, match="order 1001 needs"):
         _regular_representation(list(range(1001)), None, [])
     assert time.perf_counter() - start < 1.0
+
+
+def test_regular_representations_keep_their_elements_and_generators():
+    # built directly from the multiplication table, they equal the closure
+    # of their generators; the digest pins the elements and generator
+    # indices they had when they were closed from the generators instead
+    groups = [dicyclic(n) for n in range(2, 11)] + [z3_semidirect_z4()]
+    for group in groups:
+        assert group == from_generators(group.generator_perms())
+    assert [g.generators for g in groups] == [(2, 1)] * 9 + [(4, 1)]
+    digest = hashlib.sha256(json.dumps([g.to_json() for g in groups]).encode()).hexdigest()
+    assert digest == "e92ebbc3f59163f61189f5e02bf1068f33e269a1b7393171a8731d675e2fb06f"
 
 
 # --- the order-12 group -----------------------------------------------------------
@@ -313,7 +327,8 @@ def test_finite_group_checks_on_one_chain(monkeypatch):
     s3 = symmetric_group(3)
     monkeypatch.setattr(permgrp, "_Chain", CountingChain)
     FiniteGroup(s3.elements, s3.generators)
-    assert made == [(3, 3 * 6)]  # degree 3, bounded by 6 elements' cells
+    # degree 3, started from the generators, capped at the 6 elements
+    assert made == [(3, [(1, 0, 2), (1, 2, 0)], None, 6)]
 
 
 def test_large_degree_small_order_is_within_the_list_size_bound():
