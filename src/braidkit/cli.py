@@ -188,11 +188,10 @@ def _cmd_perm(args) -> int:
         bound = _bound_override(permgrp.DEFAULT_CLOSURE_BOUND)
         perms, _ = _parse_perms(args.perms, degree)
         group = permgrp.closure(perms, bound)
-        _emit(
-            args,
-            {"order": len(group), "elements": [p.cycle_string() for p in group]},
-            f"order: {len(group)}",
-        )
+        data = {"order": len(group)}
+        if args.json:  # the text prints the order alone
+            data["elements"] = [p.cycle_string() for p in group]
+        _emit(args, data, f"order: {len(group)}")
     elif args.action == "centralizer-order":
         t = permgrp.CycleType.from_lengths(args.cycle_lengths, degree or None)
         _emit(args, {"order": permgrp.centralizer_order(t)}, str(permgrp.centralizer_order(t)))
@@ -220,9 +219,11 @@ def _cmd_smallgrp(args) -> int:
         data = {"matches": len(subs), "orders": [s.order for s in subs]}
         _emit(args, data, f"matches: {len(subs)}")
     else:
-        data = {"order": group.order, "dihedral": smallgrp.is_dihedral(group)}
-        if args.elements:
-            data["elements"] = [p.to_json() for p in group.elements]
+        data = {"order": group.order}
+        if args.json:  # the text prints the order alone
+            data["dihedral"] = smallgrp.is_dihedral(group)
+            if args.elements:
+                data["elements"] = [p.to_json() for p in group.elements]
         _emit(args, data, f"order: {group.order}")
     return EXIT_OK
 

@@ -2,11 +2,11 @@
 torsion arguments, plus the Klein-bottle relation scan.
 
 Groups are carried as explicit permutation models (usually the regular
-representation), so membership, quotients, and subgroup scans all reduce
-to set arithmetic on image tuples.  ``permgrp``'s stabilizer chain
-generates every group: subgroups are ``permgrp.closure``, the listing of
-the chain of their generators, and each element list is checked on one
-chain.  The Klein scan is bounded up front; the subgroup scan as it runs.
+representation) and examined on ``permgrp``'s stabilizer chain: subgroups
+are ``permgrp.closure``, each element list is checked on one chain, and
+a quotient sifts its normal generators' conjugates into their chain and
+acts with the group's generators alone.  The Klein scan is bounded up
+front; the subgroup scan as it runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import BoundExceededError, InvalidInputError
 from .permgrp import DEFAULT_CLOSURE_BOUND, Permutation, closure, identity_perm
-from .permgrp import _check_closed, _power
+from .permgrp import _Chain, _check_closed, _conjugate, _inverse, _power
 
 __all__ = [
     "FiniteGroup",
@@ -174,55 +174,63 @@ def is_dihedral(group: FiniteGroup) -> bool:
     """Whether the group is dihedral of order 2k, k >= 2: a cyclic
     subgroup of index 2 inverted by an outside involution.  The Klein
     four-group counts as the dihedral group of order 4.
+
+    The first element r of order k decides.  An involution s outside ⟨r⟩
+    with s·r·s = r⁻¹ makes the group ⟨r⟩⋊⟨s⟩ ≅ D_k; conversely, every
+    element of order k in D_k, k >= 3, is a rotation, which every
+    reflection inverts, and for k = 2 the group is V₄, whose involutions
+    commute, or Z₄, whose only involution is r.  s is outside ⟨r⟩ when it
+    is not r^(k/2), the only involution of ⟨r⟩ for k even.
+
+    >>> is_dihedral(dicyclic(4)), is_dihedral(symmetric_group(3))
+    (False, True)
     """
-    order = group.order
-    if order < 4 or order % 2:
+    k, odd = divmod(group.order, 2)
+    r = None if odd or k < 2 else next((g.images for g in group.elements if g.order() == k), None)
+    if r is None:
         return False
-    k = order // 2
-    elems = group.elements
-    for r in elems:
-        if r.order() != k:
-            continue
-        powers = {_power(r.images, e) for e in range(k)}
-        r_inv = r.inverse()
-        for s in elems:
-            if s.images in powers or s.order() != 2:
-                continue
-            if (s * r * s).images == r_inv.images:
-                return True
-    return False
+    r_inv, ident = _inverse(r), tuple(range(group.degree))
+    mid = _power(r, k // 2) if k % 2 == 0 else None
+    return any(
+        s != mid and s != ident and _inverse(s) == s and _conjugate(s, s, r) == r_inv
+        for s in (g.images for g in group.elements)
+    )
 
 
 def quotient(group: FiniteGroup, normal_gens: Sequence[Permutation]) -> FiniteGroup:
-    """Quotient by the subgroup generated by ``normal_gens``, which must be
-    normal; the result acts faithfully on the cosets."""
+    """Quotient by the subgroup N generated by ``normal_gens``, which must
+    be normal; the result acts faithfully on the right cosets N·x.
+
+    N is normal exactly when each generator g of the group conjugates each
+    generator x of N into N, for then g maps the finite N onto itself
+    (Holt, Eick & O'Brien, ch. 4); the g⁻¹·x·g are sifted into N's chain.
+    The cosets are numbered in the order of their first elements in the
+    list, and the quotient is the closure of the generators' actions.
+
+    >>> q16 = dicyclic(4)
+    >>> quo = quotient(q16, [g for g in q16.elements if g.order() == 2])
+    >>> quo.order, is_dihedral(quo)
+    (8, True)
+    """
     gset = group.element_set()
     if any(h.images not in gset for h in normal_gens):
         raise InvalidInputError("a normal generator is not an element of the group")
-    # the identity generator makes quotient(group, []) the group itself
-    sub_perms = closure([identity_perm(group.degree), *normal_gens], len(gset))
-    sub = {h.images for h in sub_perms}
-    for g in group.generator_perms():
-        g_inv = g.inverse()
-        for h in sub_perms:
-            if (g_inv * h * g).images not in sub:
-                raise InvalidInputError("subgroup is not normal")
-    # right cosets, each represented by its least element
-    coset_of: dict = {}
-    reps: list[Permutation] = []
-    for el in group.elements:
-        if el.images not in coset_of:
-            coset_of.update(((h * el).images, len(reps)) for h in sub_perms)
-            reps.append(el)
-    perms = []
-    for g in group.elements:
-        image = tuple(coset_of[(rep * g).images] for rep in reps)
-        perms.append(Permutation(image))
-    distinct = sorted({p.images for p in perms})
-    index = {img: i for i, img in enumerate(distinct)}
-    elements = tuple(Permutation(img) for img in distinct)
-    gen_indices = [index[perms[gi].images] for gi in group.generators]
-    return FiniteGroup(elements, tuple(dict.fromkeys(gen_indices)))
+    normal, gens = [h.images for h in normal_gens], [g.images for g in group.generator_perms()]
+    chain = _Chain(group.degree, normal, None, group.order)
+    if any(chain.add(_conjugate(g, _inverse(g), x)) for x in normal for g in gens):
+        raise InvalidInputError("subgroup is not normal")
+    sub = [h.images for h in chain.elements()]
+    coset_of, reps = {}, []  # element -> number of its coset; the first of each
+    for x in (el.images for el in group.elements):
+        if x not in coset_of:
+            coset_of.update((tuple([x[i] for i in h]), len(reps)) for h in sub)
+            reps.append(x)
+    # generator g takes the coset of rep to that of rep·g
+    actions = [tuple([coset_of[tuple([g[i] for i in rep])] for rep in reps]) for g in gens]
+    # the identity makes the quotient by the whole group the trivial group
+    elements = closure([identity_perm(len(reps)), *map(Permutation, actions)])
+    index = {p.images: i for i, p in enumerate(elements)}
+    return FiniteGroup(tuple(elements), tuple(dict.fromkeys(index[a] for a in actions)))
 
 
 def subgroup_scan(
@@ -312,15 +320,6 @@ def _klein_inv(u: tuple[int, int]) -> tuple[int, int]:
     return ((-1) ** (b % 2 + 1) * a, -b)
 
 
-def _klein_sides(
-    x: tuple[int, int], y: tuple[int, int]
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two sides x y x y and y^-1 x y x of the relation."""
-    lhs = _klein_mul(_klein_mul(_klein_mul(x, y), x), y)
-    rhs = _klein_mul(_klein_mul(_klein_mul(_klein_inv(y), x), y), x)
-    return lhs, rhs
-
-
 def klein_relation_scan(radius: int) -> KleinScanResult:
     """Scan all x = (a, b), y = (c, d) with coordinates in [-radius, radius]
     for solutions of x y x y = y^-1 x y x.
@@ -345,7 +344,7 @@ def klein_relation_scan(radius: int) -> KleinScanResult:
             x = (a, b)
             for c in rng:
                 y = (c, 0)
-                lhs, rhs = _klein_sides(x, y)
-                if lhs == rhs:
+                lhs = _klein_mul(_klein_mul(_klein_mul(x, y), x), y)  # x y x y
+                if lhs == _klein_mul(_klein_mul(_klein_mul(_klein_inv(y), x), y), x):
                     sols.append((x, y))
     return KleinScanResult(radius, tuple(sols))

@@ -220,6 +220,14 @@ def test_symmetric_lcs_of_degree_seven_is_fast():
     assert time.perf_counter() - start < 2.0
 
 
+def test_central_quotient_of_the_largest_dicyclic_group_is_fast():
+    # dicyclic(250) has order 1,000, the most its regular representation's
+    # bound admits; modulo its centre it is dihedral of order 500
+    start = time.perf_counter()
+    assert OPS["dicyclic-central-quotient"]({"n": 250}) == {"order": 500, "dihedral": True}
+    assert time.perf_counter() - start < 5.0
+
+
 def test_symmetric_lcs_outputs_are_pinned():
     # n = 1 repeats the trivial group's order, as the series stops at
     # the first repeat

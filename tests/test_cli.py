@@ -21,6 +21,16 @@ def run(*argv, env_extra=None, timeout=600):
     )
 
 
+def run_within(seconds, *argv):
+    """Run the CLI in a child process and assert it took under ``seconds``
+    of wall time; it is stopped at ten times that."""
+    start = time.perf_counter()
+    out = run(*argv, timeout=10 * seconds)
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"{argv[:3]} took {elapsed:.1f} s"
+    return out
+
+
 def test_lcs_json_output():
     out = run("lcs", "--surface", "closed-orientable", "--genus", "1", "--strands", "3", "--layer", "2", "--json")
     assert out.returncode == 0
@@ -206,9 +216,7 @@ def test_lcs_bound_exceeded_exits_three_before_work(tmp_path):
         json.dumps({"generators": [f"x{i}" for i in range(1, 31)], "relators": relators}),
         encoding="utf-8",
     )
-    start = time.perf_counter()
-    out = run("lcs", "--presentation", str(path), "--layer", "3")
-    assert time.perf_counter() - start < 1.0
+    out = run_within(1.0, "lcs", "--presentation", str(path), "--layer", "3")
     assert out.returncode == 3
     assert "bound" in out.stderr
 
@@ -264,9 +272,7 @@ def _cycle(n):
 def test_closure_over_the_bound_exits_three_from_the_chain():
     # S_10 and S_300 pass 10^6 elements; the 15,000-cycle has 15,000, but
     # its list would hold 2.25 x 10^8 cells, and its chain passes 10^7 first
-    start = time.perf_counter()
-    out = run("perm", "closure", "(1,2)", _cycle(10), timeout=10)
-    assert time.perf_counter() - start < 1.0
+    out = run_within(1.0, "perm", "closure", "(1,2)", _cycle(10))
     assert out.returncode == 3
     assert out.stderr == "error: group closure exceeds bound 1000000\n"
     for argv, message in (
@@ -280,9 +286,7 @@ def test_closure_over_the_bound_exits_three_from_the_chain():
 
 
 def test_klein_scan_over_the_bound_exits_three_at_once():
-    start = time.perf_counter()
-    out = run("klein-scan", "--radius", "108", timeout=10)
-    assert time.perf_counter() - start < 1.0
+    out = run_within(1.0, "klein-scan", "--radius", "108")
     assert out.returncode == 3
     assert "exceeds" in out.stderr
 
@@ -295,9 +299,7 @@ def test_assignment_degree_over_the_bound_exits_three_at_once(tmp_path):
         ["verify-hom", "--surface", "artin", "--strands", "2", "--assignment", str(path)],
         ["perm", "closure", "(1,2)", "--degree", str(10**8)],
     ):
-        start = time.perf_counter()
-        out = run(*argv, timeout=10)
-        assert time.perf_counter() - start < 1.0
+        out = run_within(1.0, *argv)
         assert out.returncode == 3
         assert out.stderr.startswith("error: ") and "bound" in out.stderr
 
@@ -316,9 +318,7 @@ def test_large_structures_over_the_bound_exit_three_at_once():
         ["perm", "centralizer-order", "--cycle-lengths", str(10**9)],
         ["smallgrp", "dicyclic", "--n", "5000"],
     ):
-        start = time.perf_counter()
-        out = run(*argv, timeout=10)
-        assert time.perf_counter() - start < 1.0
+        out = run_within(1.0, *argv)
         assert out.returncode == 3, argv
         assert out.stderr.startswith("error: ") and "bound" in out.stderr
 
@@ -326,11 +326,25 @@ def test_large_structures_over_the_bound_exit_three_at_once():
 def test_subgroup_scan_over_the_closure_bound_exits_three():
     # S_6 has 1,455 subgroups; the closures the scan makes pass 10^6
     # elements long before it ends
-    start = time.perf_counter()
-    out = run("smallgrp", "symmetric", "--n", "6", "--order", "720", timeout=60)
-    assert time.perf_counter() - start < 10.0
+    out = run_within(10.0, "smallgrp", "symmetric", "--n", "6", "--order", "720")
     assert out.returncode == 3
     assert out.stderr == "error: subgroup scan exceeds bound 1000000 closed elements\n"
+
+
+def test_largest_dicyclic_group_is_built_quickly():
+    # order 1,000, the most the regular representation's bound admits
+    out = run_within(10.0, "smallgrp", "dicyclic", "--n", "250")
+    assert out.returncode == 0
+    assert out.stdout == "order: 1000\n"
+    out = run_within(10.0, "smallgrp", "dicyclic", "--n", "250", "--json")
+    assert out.returncode == 0
+    assert json.loads(out.stdout) == {"order": 1000, "dihedral": False}
+
+
+def test_closure_text_prints_the_order_without_listing_cycles():
+    out = run_within(3.0, "perm", "closure", _cycle(3000))
+    assert out.returncode == 0
+    assert out.stdout == "order: 3000\n"
 
 
 def test_symmetric_group_of_degree_seven_is_built_quickly():

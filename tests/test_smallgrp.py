@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from braidkit.permgrp import (
     lower_central_series,
     parse_cycles,
 )
+from braidkit.permgrp import _power, closure
 from braidkit.smallgrp import (
     KLEIN_SCAN_MAX_PAIRS,
     FiniteGroup,
@@ -185,6 +187,122 @@ def test_quotient_rejects_generators_outside_the_group():
     a3 = from_generators([parse_cycles("(1,2,3)", 3)])
     with pytest.raises(InvalidInputError, match="not an element of the group"):
         quotient(a3, [parse_cycles("(1,2)", 3)])
+
+
+# --- the element-by-element recognisers, as test-only oracles ----------------------------
+
+
+def _is_dihedral_by_products(group):
+    """Every element r of order k = |G|/2 against every involution outside
+    the k powers of r, by Permutation products."""
+    order = group.order
+    if order < 4 or order % 2:
+        return False
+    k = order // 2
+    elems = group.elements
+    for r in elems:
+        if r.order() != k:
+            continue
+        powers = {_power(r.images, e) for e in range(k)}
+        r_inv = r.inverse()
+        for s in elems:
+            if s.images in powers or s.order() != 2:
+                continue
+            if (s * r * s).images == r_inv.images:
+                return True
+    return False
+
+
+def _quotient_by_products(group, normal_gens):
+    """The coset action of every element, with normality checked on every
+    element of the closed subgroup, by Permutation products."""
+    gset = group.element_set()
+    if any(h.images not in gset for h in normal_gens):
+        raise InvalidInputError("a normal generator is not an element of the group")
+    # the identity generator makes quotient(group, []) the group itself
+    sub_perms = closure([identity_perm(group.degree), *normal_gens], len(gset))
+    sub = {h.images for h in sub_perms}
+    for g in group.generator_perms():
+        g_inv = g.inverse()
+        for h in sub_perms:
+            if (g_inv * h * g).images not in sub:
+                raise InvalidInputError("subgroup is not normal")
+    # right cosets, each represented by its least element
+    coset_of: dict = {}
+    reps: list[Permutation] = []
+    for el in group.elements:
+        if el.images not in coset_of:
+            coset_of.update(((h * el).images, len(reps)) for h in sub_perms)
+            reps.append(el)
+    perms = []
+    for g in group.elements:
+        image = tuple(coset_of[(rep * g).images] for rep in reps)
+        perms.append(Permutation(image))
+    distinct = sorted({p.images for p in perms})
+    index = {img: i for i, img in enumerate(distinct)}
+    elements = tuple(Permutation(img) for img in distinct)
+    gen_indices = [index[perms[gi].images] for gi in group.generators]
+    return FiniteGroup(elements, tuple(dict.fromkeys(gen_indices)))
+
+
+def _natural(n, *cycles):
+    return from_generators([parse_cycles(c, n) for c in cycles])
+
+
+def _oracle_family():
+    """dicyclic(2..29), Z3 x| Z4, S_1..S_5, every subgroup of S_4,
+    dicyclic(6) and Z3 x| Z4, and D_3..D_30 and C_3..C_30 on n points."""
+    groups = [dicyclic(n) for n in range(2, 30)] + [z3_semidirect_z4()]
+    groups += [symmetric_group(n) for n in range(1, 6)]
+    for big in (symmetric_group(4), dicyclic(6), z3_semidirect_z4()):
+        groups += subgroup_scan(big)
+    for n in range(3, 31):
+        cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+        reflection = "".join(f"({i},{n + 1 - i})" for i in range(1, n // 2 + 1))
+        groups += [_natural(n, cycle, reflection), _natural(n, cycle)]
+    return groups
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def test_is_dihedral_matches_the_product_oracle():
+    verdicts = []
+    for group in _oracle_family():
+        verdicts.append(is_dihedral(group))
+        assert verdicts[-1] == _is_dihedral_by_products(group), group.generator_perms()
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_quotient_matches_the_product_oracle():
+    rng = random.Random(1)
+    outcomes = []
+    for group in _oracle_family():
+        elems, gens = list(group.elements), group.generator_perms()
+        outside = identity_perm(group.degree + 1)
+        for normal in (
+            [],
+            elems[-1:],
+            [e for e in elems if e.order() == 2],
+            gens[:1],
+            gens,
+            [g * g for g in gens],
+            elems,
+            rng.sample(elems, min(2, len(elems))),
+            [outside, *gens],
+        ):
+            outcomes.append(_outcome(quotient, group, normal))
+            assert outcomes[-1] == _outcome(_quotient_by_products, group, normal)
+    texts = [o for o in outcomes if isinstance(o, str)]
+    assert set(texts) == {
+        "a normal generator is not an element of the group",
+        "subgroup is not normal",
+    }
+    assert len(texts) < len(outcomes)
 
 
 # --- subgroup scans ----------------------------------------------------------------------
