@@ -241,14 +241,10 @@ def _op_dicyclic_central_quotient(args: dict):
 
 def _op_dihedral_subgroup_count(args: dict):
     name = args["group"]
-    if name == "z3-semidirect-z4":
-        group = smallgrp.z3_semidirect_z4()
-    elif name == "dicyclic":
-        group = smallgrp.dicyclic(int(args.get("n", 4)))
-    elif name == "symmetric":
-        group = smallgrp.symmetric_group(int(args["n"]))
-    else:
+    build = smallgrp.NAMED_GROUPS.get(name) if isinstance(name, str) else None
+    if build is None:
         raise InvalidInputError(f"unknown group {name!r}")
+    group = build(int(args.get("n", 4)))  # the CLI's default n
     subs = smallgrp.subgroup_scan(
         group, min_order=int(args.get("min_order", 4)), dihedral=True
     )

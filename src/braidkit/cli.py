@@ -201,14 +201,7 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_smallgrp(args) -> int:
-    if args.action == "dicyclic":
-        group = smallgrp.dicyclic(args.n)
-    elif args.action == "z3-semidirect-z4":
-        group = smallgrp.z3_semidirect_z4()
-    elif args.action == "symmetric":
-        group = smallgrp.symmetric_group(args.n)
-    else:  # pragma: no cover
-        raise InvalidInputError(f"unknown action {args.action}")
+    group = smallgrp.NAMED_GROUPS[args.action](args.n)
     if args.scan_dihedral or args.order is not None or args.min_order is not None:
         subs = smallgrp.subgroup_scan(
             group,
@@ -303,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_perm)
 
     p = sub.add_parser("smallgrp", help="canned finite groups and subgroup scans")
-    p.add_argument("action", choices=["dicyclic", "z3-semidirect-z4", "symmetric"])
+    p.add_argument("action", choices=list(smallgrp.NAMED_GROUPS))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--min-order", type=int, default=None)

@@ -479,12 +479,11 @@ def group_order(gens: Sequence[tuple[int, ...]], bound: int = DEFAULT_CLOSURE_BO
     return _Chain(m, gens, bound).order()
 
 
-def _check_closed(elements: Sequence[Permutation], gens: Sequence = ()) -> tuple[list, list]:
-    """The distinct elements, sorted, and those a ``_Chain`` started from
-    the image tuples ``gens`` takes as new, once checked to form a group:
-    exactly when the group they generate is no larger than the set, so
-    the chain is capped at the set's size.  The new ones complete
-    ``gens`` to a generating set of the elements' group.
+def _check_closed(elements: Sequence[Permutation]) -> tuple[list, list]:
+    """The distinct elements, sorted, and those a ``_Chain`` takes as new,
+    a generating set of them, once checked to form a group: exactly when
+    the group they generate is no larger than the set, so the chain is
+    capped at the set's size.
     """
     if not elements:
         raise InvalidInputError("empty element list")
@@ -493,7 +492,7 @@ def _check_closed(elements: Sequence[Permutation], gens: Sequence = ()) -> tuple
     if any(len(t) != m for t in elems):
         raise InvalidInputError("element degree mismatch")
     try:
-        chain = _Chain(m, gens, None, len(elems))
+        chain = _Chain(m, (), None, len(elems))
         gens = [t for t in elems if chain.add(t)]
         closed = chain.order() == len(elems)
     except BoundExceededError:  # the group outgrew the set

@@ -1,23 +1,23 @@
 """Constructions and recognisers for the small finite groups used in the
 torsion arguments, plus the Klein-bottle relation scan.
 
-Groups are carried as explicit permutation models (usually the regular
-representation) and examined on ``permgrp``'s stabilizer chain: subgroups
-are ``permgrp.closure``, each element list is checked on one chain, and
-a quotient sifts its normal generators' conjugates into their chain and
+A ``FiniteGroup`` is its generators, permutations of one degree (often
+a regular representation's), and ``permgrp.closure`` lists its elements
+from their stabilizer chain, so no group built here can be invalid.  A
+quotient sifts its normal generators' conjugates into their chain and
 acts with the group's generators alone.  The Klein scan is bounded up
 front; the subgroup scan as it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
 
 from .errors import BoundExceededError, InvalidInputError
-from .permgrp import DEFAULT_CLOSURE_BOUND, Permutation, closure, identity_perm
-from .permgrp import _Chain, _check_closed, _conjugate, _inverse, _power
+from .permgrp import CLOSURE_MAX_CELLS, DEFAULT_CLOSURE_BOUND, Permutation, closure, identity_perm
+from .permgrp import _Chain, _conjugate, _inverse, _power
 
 __all__ = [
     "FiniteGroup",
@@ -40,23 +40,21 @@ KLEIN_SCAN_MAX_PAIRS = 10**7
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group as a closed list of permutations of a common degree.
+    """The group generated by permutations of one degree.  ``elements``
+    is their ``closure``, sorted by image tuple, so the identity comes
+    first; ``closure`` refuses an empty tuple, mixed degrees and groups
+    past its bounds.
 
-    ``generators`` holds indices into ``elements`` of a generating set.
+    >>> s3 = FiniteGroup((Permutation((1, 2, 0)), Permutation((1, 0, 2))))
+    >>> s3.order, s3.elements[0].is_identity(), s3.to_json()["generators"]
+    (6, True, [3, 2])
     """
 
-    elements: tuple[Permutation, ...]
-    generators: tuple[int, ...]
+    generators: tuple[Permutation, ...]
+    elements: tuple[Permutation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not all(0 <= i < len(self.elements) for i in self.generators):
-            raise InvalidInputError("a generator index is out of range")
-        gens = [self.elements[i].images for i in self.generators]
-        elems, new = _check_closed(self.elements, gens)
-        if len(elems) != len(self.elements):
-            raise InvalidInputError("duplicate elements")
-        if new:
-            raise InvalidInputError("the generators do not generate the group")
+        object.__setattr__(self, "elements", tuple(closure(self.generators)))
 
     @property
     def degree(self) -> int:
@@ -66,27 +64,24 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def generator_perms(self) -> list[Permutation]:
-        return [self.elements[i] for i in self.generators]
-
     def element_set(self) -> set:
         return {p.images for p in self.elements}
 
     def to_json(self) -> dict:
+        """The elements, and the generators as indices into them."""
+        index = {p.images: i for i, p in enumerate(self.elements)}
         return {
             "degree": self.degree,
             "order": self.order,
             "elements": [p.to_json() for p in self.elements],
-            "generators": list(self.generators),
+            "generators": [index[g.images] for g in self.generators],
         }
 
 
 def from_generators(gens: Sequence[Permutation]) -> FiniteGroup:
-    """Close a generating set into a FiniteGroup, within the closure's
-    default bound ``permgrp.DEFAULT_CLOSURE_BOUND``."""
-    elems = closure(list(gens))
-    index = {p.images: i for i, p in enumerate(elems)}
-    return FiniteGroup(tuple(elems), tuple(index[g.images] for g in gens))
+    """The group generated by ``gens``, within the closure's default bound
+    ``permgrp.DEFAULT_CLOSURE_BOUND``."""
+    return FiniteGroup(tuple(gens))
 
 
 def _check_regular_order(order: int) -> None:
@@ -100,15 +95,15 @@ def _check_regular_order(order: int) -> None:
 
 
 def _regular_representation(elems: list, mul, gens: list) -> FiniteGroup:
-    """Right-regular permutation model of an abstract multiplication table
-    whose least element is the identity: g takes the rank of x to the rank
-    of x·g, so its image tuple starts with g's own rank, and the
-    permutations come out sorted by image tuple."""
+    """Right-regular permutation model of the group ``gens`` generate in
+    an abstract multiplication table: g takes the rank of x to the rank of
+    x·g.  Only the generators' permutations are built, |gens|·|elems|
+    products; their closure lists the rest."""
     _check_regular_order(len(elems))
     sorted_elems = sorted(elems)
     index = {g: rank for rank, g in enumerate(sorted_elems)}
-    perms = tuple(Permutation(tuple(index[mul(x, g)] for x in sorted_elems)) for g in sorted_elems)
-    return FiniteGroup(perms, tuple(index[g] for g in gens))
+    perms = [Permutation(tuple([index[mul(x, g)] for x in sorted_elems])) for g in gens]
+    return from_generators(perms)
 
 
 def dicyclic(n: int) -> FiniteGroup:
@@ -165,9 +160,15 @@ def _symmetric_generators(n: int) -> tuple[list[tuple[int, ...]], int]:
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on its natural points, generated by (1,2) and (1,2,...,n)."""
     gens, _ = _symmetric_generators(n)
-    if not gens:
-        return FiniteGroup((identity_perm(1),), ())
-    return from_generators([Permutation(g) for g in gens])
+    return from_generators([Permutation(g) for g in gens] or [identity_perm(1)])
+
+
+# the groups ``braidkit smallgrp`` and the claims build by name, from n
+NAMED_GROUPS = {
+    "dicyclic": dicyclic,
+    "z3-semidirect-z4": lambda n: z3_semidirect_z4(),
+    "symmetric": symmetric_group,
+}
 
 
 def is_dihedral(group: FiniteGroup) -> bool:
@@ -215,7 +216,7 @@ def quotient(group: FiniteGroup, normal_gens: Sequence[Permutation]) -> FiniteGr
     gset = group.element_set()
     if any(h.images not in gset for h in normal_gens):
         raise InvalidInputError("a normal generator is not an element of the group")
-    normal, gens = [h.images for h in normal_gens], [g.images for g in group.generator_perms()]
+    normal, gens = [h.images for h in normal_gens], [g.images for g in group.generators]
     chain = _Chain(group.degree, normal, None, group.order)
     if any(chain.add(_conjugate(g, _inverse(g), x)) for x in normal for g in gens):
         raise InvalidInputError("subgroup is not normal")
@@ -227,10 +228,7 @@ def quotient(group: FiniteGroup, normal_gens: Sequence[Permutation]) -> FiniteGr
             reps.append(x)
     # generator g takes the coset of rep to that of rep·g
     actions = [tuple([coset_of[tuple([g[i] for i in rep])] for rep in reps]) for g in gens]
-    # the identity makes the quotient by the whole group the trivial group
-    elements = closure([identity_perm(len(reps)), *map(Permutation, actions)])
-    index = {p.images: i for i, p in enumerate(elements)}
-    return FiniteGroup(tuple(elements), tuple(dict.fromkeys(index[a] for a in actions)))
+    return from_generators([Permutation(a) for a in dict.fromkeys(actions)])
 
 
 def subgroup_scan(
@@ -241,8 +239,10 @@ def subgroup_scan(
     dihedral: bool | None = None,
 ) -> list[FiniteGroup]:
     """All subgroups matching the predicate, enumerated by closing element
-    subsets, smallest groups first.  Deterministic output order.  The
-    closures' sizes are charged together against ``DEFAULT_CLOSURE_BOUND``."""
+    subsets, smallest groups first, each generated by the elements it was
+    first closed from.  Deterministic output order.  The closures' cells,
+    elements × degree, are charged together against ``CLOSURE_MAX_CELLS``,
+    the bound of one closure's list."""
     if group.order > SUBGROUP_SCAN_MAX_ORDER:
         raise BoundExceededError(
             f"subgroup scan limited to groups of order {SUBGROUP_SCAN_MAX_ORDER}"
@@ -263,32 +263,22 @@ def subgroup_scan(
                 done.update(map(itemgetter(*el.images), sub))
                 gens = all_subgroups[sub] + [el]
                 bigger = frozenset(p.images for p in closure(gens, group.order))
-                closed += len(bigger)
-                if closed > DEFAULT_CLOSURE_BOUND:
+                closed += len(bigger) * group.degree
+                if closed > CLOSURE_MAX_CELLS:
                     raise BoundExceededError(
-                        f"subgroup scan exceeds bound {DEFAULT_CLOSURE_BOUND} closed elements"
+                        f"subgroup scan exceeds bound {CLOSURE_MAX_CELLS} cells "
+                        "(closed elements × degree)"
                     )
                 if bigger not in all_subgroups:
                     all_subgroups[bigger] = gens
                     new.append(bigger)
         frontier = new
-    out = []
-    for sub in sorted(all_subgroups, key=lambda s: (len(s), sorted(s))):
-        if order is not None and len(sub) != order:
-            continue
-        if min_order is not None and len(sub) < min_order:
-            continue
-        sub_group = _subgroup_as_group(sub)
-        if dihedral is not None and is_dihedral(sub_group) != dihedral:
-            continue
-        out.append(sub_group)
-    return out
-
-
-def _subgroup_as_group(images: frozenset) -> FiniteGroup:
-    elems = tuple(Permutation(t) for t in sorted(images))
-    gens = tuple(i for i, p in enumerate(elems) if not p.is_identity())
-    return FiniteGroup(elems, gens)
+    subs = [
+        from_generators(all_subgroups[sub] or [identity_perm(group.degree)])
+        for sub in sorted(all_subgroups, key=lambda s: (len(s), sorted(s)))
+        if (order is None or len(sub) == order) and (min_order is None or len(sub) >= min_order)
+    ]
+    return [sub for sub in subs if dihedral is None or is_dihedral(sub) == dihedral]
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,16 @@ def test_dicyclic_quotient_op():
     assert out == {"order": 8, "dihedral": True}
 
 
+def test_dihedral_subgroup_count_op_builds_the_named_groups():
+    # S_4: three D_4, four Klein four-groups and four S_3; n defaults to 4
+    count = OPS["dihedral-subgroup-count"]
+    assert count({"group": "symmetric"}) == count({"group": "symmetric", "n": 4}) == 11
+    assert count({"group": "z3-semidirect-z4"}) == 0
+    for name in ("nope", ["symmetric"], None):
+        with pytest.raises(InvalidInputError, match="unknown group"):
+            count({"group": name})
+
+
 def test_mutated_claim_documents_load_or_raise_invalid_input(tmp_path):
     # byte insertions, deletions and replacements in a valid document
     hypothesis = pytest.importorskip("hypothesis")

@@ -5,8 +5,11 @@ import sys
 import textwrap
 import time
 
+from pathlib import Path
+
 import pytest
 
+import braidkit
 from braidkit import cli
 
 BASE = [sys.executable, "-m", "braidkit"]
@@ -324,11 +327,29 @@ def test_large_structures_over_the_bound_exit_three_at_once():
 
 
 def test_subgroup_scan_over_the_closure_bound_exits_three():
-    # S_6 has 1,455 subgroups; the closures the scan makes pass 10^6
-    # elements long before it ends
+    # S_6 has 1,455 subgroups; the closures the scan makes pass 10^7
+    # cells, elements × degree 6, long before it ends
     out = run_within(10.0, "smallgrp", "symmetric", "--n", "6", "--order", "720")
     assert out.returncode == 3
-    assert out.stderr == "error: subgroup scan exceeds bound 1000000 closed elements\n"
+    assert out.stderr == (
+        "error: subgroup scan exceeds bound 10000000 cells (closed elements × degree)\n"
+    )
+
+
+def test_subgroup_scan_charges_the_degree_of_each_closed_element():
+    # dicyclic(250) on 1,000 points: 10^4 closed elements reach the bound
+    out = run_within(10.0, "smallgrp", "dicyclic", "--n", "250", "--scan-dihedral")
+    assert out.returncode == 3
+    assert out.stderr.startswith("error: subgroup scan exceeds bound 10000000 cells")
+
+
+def test_braidkit_is_imported_from_this_checkout():
+    # the check bench/run.py's import_program makes, here and in a child
+    src = Path(__file__).resolve().parent.parent / "src"
+    assert Path(braidkit.__file__).resolve().parent == src / "braidkit"
+    code = "import braidkit; print(braidkit.__file__)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert Path(out.stdout.strip()).resolve().parent == src / "braidkit"
 
 
 def test_largest_dicyclic_group_is_built_quickly():

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from braidkit.errors import BoundExceededError, InvalidInputError
-from braidkit import permgrp
+from braidkit import permgrp, smallgrp
 from braidkit.permgrp import (
     Permutation,
     finite_group_invariants,
@@ -52,7 +52,7 @@ def test_dicyclic_has_unique_involution():
 def test_dicyclic_first_generator_has_order_2n():
     for n in (2, 4):
         group = dicyclic(n)
-        x, y = group.generator_perms()
+        x, y = group.generators
         assert x.order() == 2 * n
         assert y.order() == 4
         # defining relations: x^n = y^2 and y x y^-1 = x^-1
@@ -81,15 +81,41 @@ def test_regular_representation_over_the_bound_is_refused_at_once():
 
 
 def test_regular_representations_keep_their_elements_and_generators():
-    # built directly from the multiplication table, they equal the closure
-    # of their generators; the digest pins the elements and generator
-    # indices they had when they were closed from the generators instead
+    # the digest pins the elements and generator indices they had when
+    # they were built from the whole multiplication table
     groups = [dicyclic(n) for n in range(2, 11)] + [z3_semidirect_z4()]
-    for group in groups:
-        assert group == from_generators(group.generator_perms())
-    assert [g.generators for g in groups] == [(2, 1)] * 9 + [(4, 1)]
+    assert [g.to_json()["generators"] for g in groups] == [[2, 1]] * 9 + [[4, 1]]
     digest = hashlib.sha256(json.dumps([g.to_json() for g in groups]).encode()).hexdigest()
     assert digest == "e92ebbc3f59163f61189f5e02bf1068f33e269a1b7393171a8731d675e2fb06f"
+
+
+def test_regular_representations_multiply_by_the_generators_alone(monkeypatch):
+    # |gens|·|G| products build the generators' permutations; the whole
+    # right-regular table, |G|² products, is the oracle for the elements
+    built = []
+
+    def counting(elems, mul, gens):
+        calls = []
+
+        def counted_mul(u, v):
+            calls.append(None)
+            return mul(u, v)
+
+        group = _regular_representation(elems, counted_mul, gens)
+        built.append((group, len(calls), elems, mul, gens))
+        return group
+
+    monkeypatch.setattr(smallgrp, "_regular_representation", counting)
+    for n in range(2, 11):
+        dicyclic(n)
+    z3_semidirect_z4()
+    assert len(built) == 10
+    for group, calls, elems, mul, gens in built:
+        assert calls == len(gens) * len(elems) == 2 * group.order
+        ranked = sorted(elems)
+        index = {g: rank for rank, g in enumerate(ranked)}
+        table = sorted(tuple(index[mul(x, g)] for x in ranked) for g in ranked)
+        assert [p.images for p in group.elements] == table
 
 
 # --- the order-12 group -----------------------------------------------------------
@@ -161,7 +187,7 @@ def test_quotient_by_whole_group_is_trivial():
 
 def test_quotient_orders_multiply():
     group = dicyclic(4)
-    x, _ = group.generator_perms()
+    x, _ = group.generators
     sub = from_generators([x * x])  # <x^2>, normal, order 4
     quo = quotient(group, list(sub.elements))
     assert quo.order * sub.order == group.order
@@ -215,14 +241,15 @@ def _is_dihedral_by_products(group):
 
 def _quotient_by_products(group, normal_gens):
     """The coset action of every element, with normality checked on every
-    element of the closed subgroup, by Permutation products."""
+    element of the closed subgroup, by Permutation products: the sorted
+    distinct actions, and the distinct actions of the generators."""
     gset = group.element_set()
     if any(h.images not in gset for h in normal_gens):
         raise InvalidInputError("a normal generator is not an element of the group")
     # the identity generator makes quotient(group, []) the group itself
     sub_perms = closure([identity_perm(group.degree), *normal_gens], len(gset))
     sub = {h.images for h in sub_perms}
-    for g in group.generator_perms():
+    for g in group.generators:
         g_inv = g.inverse()
         for h in sub_perms:
             if (g_inv * h * g).images not in sub:
@@ -234,15 +261,11 @@ def _quotient_by_products(group, normal_gens):
         if el.images not in coset_of:
             coset_of.update(((h * el).images, len(reps)) for h in sub_perms)
             reps.append(el)
-    perms = []
+    action = {}
     for g in group.elements:
-        image = tuple(coset_of[(rep * g).images] for rep in reps)
-        perms.append(Permutation(image))
-    distinct = sorted({p.images for p in perms})
-    index = {img: i for i, img in enumerate(distinct)}
-    elements = tuple(Permutation(img) for img in distinct)
-    gen_indices = [index[perms[gi].images] for gi in group.generators]
-    return FiniteGroup(elements, tuple(dict.fromkeys(gen_indices)))
+        action[g] = Permutation(tuple(coset_of[(rep * g).images] for rep in reps))
+    elements = tuple(sorted(set(action.values()), key=lambda p: p.images))
+    return elements, tuple(dict.fromkeys(action[g] for g in group.generators))
 
 
 def _natural(n, *cycles):
@@ -274,7 +297,7 @@ def test_is_dihedral_matches_the_product_oracle():
     verdicts = []
     for group in _oracle_family():
         verdicts.append(is_dihedral(group))
-        assert verdicts[-1] == _is_dihedral_by_products(group), group.generator_perms()
+        assert verdicts[-1] == _is_dihedral_by_products(group), group.generators
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -282,7 +305,7 @@ def test_quotient_matches_the_product_oracle():
     rng = random.Random(1)
     outcomes = []
     for group in _oracle_family():
-        elems, gens = list(group.elements), group.generator_perms()
+        elems, gens = list(group.elements), list(group.generators)
         outside = identity_perm(group.degree + 1)
         for normal in (
             [],
@@ -296,7 +319,10 @@ def test_quotient_matches_the_product_oracle():
             [outside, *gens],
         ):
             outcomes.append(_outcome(quotient, group, normal))
-            assert outcomes[-1] == _outcome(_quotient_by_products, group, normal)
+            got = outcomes[-1]
+            if not isinstance(got, str):
+                got = (got.elements, got.generators)
+            assert got == _outcome(_quotient_by_products, group, normal)
     texts = [o for o in outcomes if isinstance(o, str)]
     assert set(texts) == {
         "a normal generator is not an element of the group",
@@ -400,38 +426,26 @@ def test_klein_scan_radius_107_is_within_both_guards():
     assert width**3 <= KLEIN_SCAN_MAX_PAIRS
 
 
-# --- FiniteGroup validation --------------------------------------------------------------------
+# --- FiniteGroup ------------------------------------------------------------------------------
 
 
-def test_finite_group_rejects_non_closed_lists():
-    with pytest.raises(InvalidInputError):
-        FiniteGroup((parse_cycles("(1,2)", 3),), (0,))
-    with pytest.raises(InvalidInputError):  # not closed under products
-        FiniteGroup(
-            (identity_perm(3), parse_cycles("(1,2)", 3), parse_cycles("(2,3)", 3)), (1, 2)
-        )
-    with pytest.raises(InvalidInputError):
-        FiniteGroup((), ())
+def test_finite_group_is_the_closure_of_its_generators():
+    a, b = parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,3)", 4)
+    group = FiniteGroup((a, b))
+    assert group == from_generators([a, b])
+    assert group.generators == (a, b)
+    assert group.elements == tuple(closure([a, b]))
+    assert (group.order, group.degree) == (8, 4)
+    assert symmetric_group(1).elements == (identity_perm(1),)
 
 
-def test_finite_group_rejects_duplicate_elements():
-    z2 = (identity_perm(3), parse_cycles("(1,2)", 3))
-    assert FiniteGroup(z2, (1,)).order == 2
-    with pytest.raises(InvalidInputError):
-        FiniteGroup(z2 + (parse_cycles("(1,2)", 3),), (1,))
-
-
-def test_finite_group_checks_its_generators():
-    s3 = symmetric_group(3)
-    # the identity alone generates the trivial group, not S_3, so the
-    # group is refused before any quotient of it is taken
-    with pytest.raises(InvalidInputError, match="do not generate the group"):
-        quotient(FiniteGroup(s3.elements, (0,)), [parse_cycles("(1,2)", 3)])
-    for index in (9, 6, -1):
-        with pytest.raises(InvalidInputError, match="out of range"):
-            FiniteGroup(s3.elements, (index,)).generator_perms()
-    assert FiniteGroup(s3.elements, s3.generators).order == 6
-    assert FiniteGroup((identity_perm(3),), ()).order == 1
+def test_finite_group_refuses_what_closure_refuses():
+    with pytest.raises(InvalidInputError, match="^closure needs at least one generator$"):
+        FiniteGroup(())
+    with pytest.raises(InvalidInputError, match="^generator degree mismatch$"):
+        FiniteGroup((parse_cycles("(1,2)", 3), parse_cycles("(1,2)", 4)))
+    with pytest.raises(BoundExceededError, match="^group closure exceeds bound 1000000$"):
+        FiniteGroup((Permutation((1, 0, *range(2, 10))), Permutation((*range(1, 10), 0))))
 
 
 def test_finite_group_checks_on_one_chain(monkeypatch):
@@ -444,9 +458,10 @@ def test_finite_group_checks_on_one_chain(monkeypatch):
 
     s3 = symmetric_group(3)
     monkeypatch.setattr(permgrp, "_Chain", CountingChain)
-    FiniteGroup(s3.elements, s3.generators)
-    # degree 3, started from the generators, capped at the 6 elements
-    assert made == [(3, [(1, 0, 2), (1, 2, 0)], None, 6)]
+    FiniteGroup(s3.generators)
+    # the closure's chain alone: degree 3, started from the generators,
+    # bounded by the list's cells and capped at the closure bound
+    assert made == [(3, [(1, 0, 2), (1, 2, 0)], permgrp.CLOSURE_MAX_CELLS, 10**6)]
 
 
 def test_large_degree_small_order_is_within_the_list_size_bound():
