@@ -8,12 +8,16 @@ generators go first) and prunes on every relator whose generators are all
 assigned.
 
 One kernel evaluates relators for the census and for verify_hom (and so
-for classify_hom).  Each relator is compiled once into (generator index,
-is_inverse) pairs, and each permutation in play gets one (image, inverse)
-table pair: the census builds them for all of S_m before it starts and
-then only assigns element indices.  ``_holds`` follows one point at a time
-through the word over those tables and stops at the first point the word
-moves, so a rejected candidate usually costs len(word) lookups.
+for classify_hom).  Each relator is compiled once, as ``Word.runs``, into
+its maximal cyclic runs (generator index, signed exponent k), and each
+permutation t in play gets one table per exponent, its power t^k:
+verify_hom builds the powers each generator's runs use, keyed by k, and
+the census builds those of every exponent for all of S_m before it
+starts, one slot of an element's tuple each, and then only assigns
+element indices.  ``_holds`` follows one point at a time through the runs
+over those tables and stops at the first point the word moves, so a
+rejected candidate usually costs one lookup per run, however long the
+runs are.
 
 Image orders, for classify_hom and the surjective and cyclic filters,
 come from ``permgrp.group_order``, a Schreier–Sims stabilizer chain that
@@ -70,6 +74,7 @@ from .permgrp import (
     Permutation,
     _conjugate,
     _inverse,
+    _power,
     group_order,
     is_primitive,
     orbits,
@@ -143,31 +148,29 @@ class GeneratorAssignment:
         return cls(presentation, degree, tuple(images))
 
 
-def _compile(letters) -> tuple[tuple[int, bool], ...]:
-    """A word as (0-based generator index, is_inverse) pairs."""
-    return tuple((abs(let) - 1, let < 0) for let in letters)
-
-
-def _tables(images: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (image, inverse) pair of one permutation's image tuple."""
-    return images, _inverse(images)
+def _exponents(presentation: Presentation) -> set[int]:
+    """The exponents of the relators' runs, and 1, whose power is the
+    image tuple itself."""
+    return {1} | {k for rel in presentation.relators for _, k in rel.runs}
 
 
 def _holds(word, tables) -> bool:
-    """True when the compiled word evaluates to the identity, where
-    tables[g] is the (image, inverse) pair of generator g.
+    """True when the compiled word evaluates to the identity, where for
+    each run (g, key) tables[g][key] is the image tuple of the run's
+    power of generator g: verify_hom keys a generator's tables by the
+    exponent, the census its elements' by the exponent's slot.
 
     One point at a time is followed through the whole word, and the
     first point the word moves ends the check.  Point 0 is traced
-    straight through the tables, which settles most failing words in
-    len(word) lookups; the steps are resolved once for the other points.
+    straight through the tables, which settles most failing words in one
+    lookup per run; the steps are resolved once for the other points.
     """
     y = 0
-    for g, inv in word:
-        y = tables[g][inv][y]
+    for g, k in word:
+        y = tables[g][k][y]
     if y:
         return False
-    steps = [tables[g][inv] for g, inv in word]
+    steps = [tables[g][k] for g, k in word]
     for x in range(1, len(steps[0])):
         y = x
         for step in steps:
@@ -179,14 +182,32 @@ def _holds(word, tables) -> bool:
 
 def verify_hom(presentation: Presentation, assignment: GeneratorAssignment) -> int | None:
     """Check every relator; returns None if all hold, else the 1-based
-    index of the first failing relator."""
+    index of the first failing relator.
+
+    Each generator gets a table for each exponent its runs use, t^k by
+    repeated squaring.  The work, runs × degree lookups plus degree cells
+    per table, is charged against ``DEFAULT_SEARCH_BOUND`` before any
+    table is built; past it, BoundExceededError is raised.
+    """
     if assignment.presentation.generator_count != presentation.generator_count:
         raise InvalidInputError("assignment arity does not match the presentation")
-    if assignment.degree == 0:  # S_0 is trivial, and _holds starts at point 0
+    m = assignment.degree
+    words = [rel.runs for rel in presentation.relators]
+    used = {run for word in words for run in word}
+    runs = sum(map(len, words))
+    cost = (runs + len(used)) * m
+    if cost > DEFAULT_SEARCH_BOUND:
+        raise BoundExceededError(
+            f"verifying needs {cost} cells and lookups ({runs} runs and {len(used)} "
+            f"power tables × degree {m}), over the bound {DEFAULT_SEARCH_BOUND}"
+        )
+    if m == 0:  # S_0 is trivial, and _holds starts at point 0
         return None
-    tables = [_tables(p.images) for p in assignment.images]
-    for idx, rel in enumerate(presentation.relators, start=1):
-        if not _holds(_compile(rel.letters), tables):
+    tables = [{} for _ in assignment.images]
+    for g, k in used:
+        tables[g][k] = _power(assignment.images[g].images, k)
+    for idx, word in enumerate(words, start=1):
+        if not _holds(word, tables):
             return idx
     return None
 
@@ -302,8 +323,11 @@ class CensusResult:
 
 
 def _search_plan(presentation: Presentation):
-    """Assignment order (most-used generators first) and, per depth d,
-    the compiled relators that become fully assigned at d, as two lists.
+    """Assignment order (most-used generators first), per depth d the
+    relators that become fully assigned at d, as two lists, and the
+    exponents of their runs (see ``_exponents``), sorted: each relator
+    is compiled as its runs (g, s), with s the slot of the run's exponent
+    in that list.
 
     From d = 2 on, ``shared[d]`` holds each relator that does not involve
     the generator at depth d − 1, as (word, its other generators, an empty
@@ -323,14 +347,16 @@ def _search_plan(presentation: Presentation):
     depth_of = {g: d for d, g in enumerate(order)}
     shared = [[] for _ in range(n)]
     rest = [[] for _ in range(n)]
+    exponents = sorted(_exponents(presentation))
+    slot = {k: s for s, k in enumerate(exponents)}
     for rel, gens in zip(presentation.relators, rel_gens):
         depth = max(depth_of[g] for g in gens)
-        word = _compile(rel.letters)
+        word = tuple([(g, slot[k]) for g, k in rel.runs])
         if depth >= 2 and order[depth - 1] not in gens:
             shared[depth].append((word, tuple(sorted(gens - {order[depth]})), {}))
         else:
             rest[depth].append(word)
-    return order, shared, rest
+    return order, shared, rest, exponents
 
 
 def _centralizer_gens(x: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -366,7 +392,7 @@ def _conjugacy_orbits(gens, images, index):
 
     A breadth-first pass over S_m: O(m! · len(gens)) conjugations.
     """
-    pairs = [_tables(g) for g in gens]
+    pairs = [(g, _inverse(g)) for g in gens]
     identity = tuple(range(len(images[0])))
     placed = [False] * len(images)
     out = []
@@ -424,11 +450,12 @@ def _search(
     # spent before any table is built
     roots = range(_partition_count(m))[shard]
     spend(len(roots) * (1 + factorial(m) if n > 1 else 1))
-    order, shared, rest = _search_plan(presentation)
+    order, shared, rest, exponents = _search_plan(presentation)
     images = list(itertools.permutations(range(m)))
     index = {x: i for i, x in enumerate(images)}
     perms = [Permutation(x) for x in images]
-    tables = [_tables(x) for x in images]
+    # tables[i][s]: element i to the exponent of slot s
+    tables = list(zip(*[[_power(x, k) for x in images] for k in exponents]))
     classes = _conjugacy_orbits(_centralizer_gens(images[0]), images, index)
     classes = classes[shard]
     chosen = [0] * n  # element index, per generator
@@ -495,7 +522,7 @@ def _search(
         the group's first two images onto each pair in their orbit."""
         spend(len(group) * len(conjugators))
         for h in conjugators:
-            hinv = _tables(h)[1]
+            hinv = _inverse(h)
             memo = {}
             for leaf in group:
                 # once k keys are kept, a conjugate whose first image is
@@ -594,8 +621,9 @@ def enumerate_homs(
     per element of S_m for each solution set computed and each root's
     centralizer-orbit pass, and, when representatives are kept, one per
     homomorphism they are chosen from.  Over ``search_bound`` nodes it
-    raises BoundExceededError, as it does at once when the m!·m cells of
-    the element tables of S_m exceed the bound.
+    raises BoundExceededError, as it does at once when the element tables
+    of S_m, m!·m cells for each exponent of the relators' runs and for 1,
+    exceed the bound.
     """
     if m < 1:
         raise InvalidInputError("target degree must be >= 1")
@@ -603,7 +631,7 @@ def enumerate_homs(
         raise InvalidInputError(
             f"unknown predicate {predicate!r}; choose from {sorted(PREDICATES)}"
         )
-    cells = factorial(m) * m
+    cells = factorial(m) * m * len(_exponents(presentation))
     if cells > search_bound:
         raise BoundExceededError(
             f"S_{m} needs element tables of {cells} cells, over the search bound {search_bound}"

@@ -324,7 +324,7 @@ def closure(gens: Sequence[Permutation], bound: int = DEFAULT_CLOSURE_BOUND) -> 
             f"group closure needs {cells} cells ({chain.order()} elements × degree {m}), "
             f"over the bound {CLOSURE_MAX_CELLS}"
         )
-    return chain.elements()
+    return [_trusted(t) for t in chain.elements()]
 
 
 def _trusted(images: tuple[int, ...]) -> Permutation:
@@ -348,12 +348,21 @@ def _conjugate(h, hinv, x):
 
 
 def _power(t: tuple[int, ...], e: int) -> tuple[int, ...]:
-    """The image tuple of t^e: each point moves e steps along its cycle."""
-    out = list(t)
-    for cyc in _trusted(t).cycles():  # 1-based
-        for i, x in enumerate(cyc):
-            out[x - 1] = cyc[(i + e) % len(cyc)] - 1
-    return tuple(out)
+    """The image tuple of t^e for any integer e, by repeated squaring on
+    the image tuple: O(m·log|e|), and t itself for e = 1."""
+    if e < 0:
+        t, e = _inverse(t), -e
+    if e == 1 or len(t) < 2:  # below degree 2 the identity is the only permutation
+        return t
+    out = None  # the product of the squares t^(2^i) for the bits of e
+    while e:
+        if e & 1:
+            # itemgetter(*p)(q) is the product p·q
+            out = t if out is None else itemgetter(*out)(t)
+        e >>= 1
+        if e:
+            t = itemgetter(*t)(t)
+    return tuple(range(len(t))) if out is None else out
 
 
 class _Chain:
@@ -395,15 +404,15 @@ class _Chain:
     def order(self) -> int:
         return self.size
 
-    def elements(self) -> list[Permutation]:
-        """Every element, sorted by image tuple, from the products of one
-        transversal element per level, the deepest applied first."""
+    def elements(self) -> list[tuple[int, ...]]:
+        """The image tuple of every element, sorted, from the products of
+        one transversal element per level, the deepest applied first."""
         out = [self.ident]
         for orbit in reversed(self.transversals):
             us = [u for u, _ in orbit.values()]
             # itemgetter(*p)(u) is the product p·u
             out = [pick(u) for pick in [itemgetter(*p) for p in out] for u in us]
-        return [_trusted(t) for t in sorted(out)]
+        return sorted(out)
 
     def add(self, g: tuple[int, ...]) -> bool:
         base, transversals, strong = self.base, self.transversals, self.strong
@@ -539,7 +548,8 @@ def lower_central_series(elements: Sequence[Permutation]) -> list[list[Permutati
     trivial subgroup; the final term is included; each term after the
     first is the listing of the chain ``_series`` built for it."""
     group, gens = _check_closed(elements)
-    return [group] + [chain.elements() for chain, _ in _series(gens, group[0].degree, len(group))]
+    terms = _series(gens, group[0].degree, len(group))
+    return [group] + [[_trusted(t) for t in chain.elements()] for chain, _ in terms]
 
 
 @dataclass(frozen=True)

@@ -220,7 +220,7 @@ def quotient(group: FiniteGroup, normal_gens: Sequence[Permutation]) -> FiniteGr
     chain = _Chain(group.degree, normal, None, group.order)
     if any(chain.add(_conjugate(g, _inverse(g), x)) for x in normal for g in gens):
         raise InvalidInputError("subgroup is not normal")
-    sub = [h.images for h in chain.elements()]
+    sub = chain.elements()
     coset_of, reps = {}, []  # element -> number of its coset; the first of each
     for x in (el.images for el in group.elements):
         if x not in coset_of:
@@ -240,9 +240,10 @@ def subgroup_scan(
 ) -> list[FiniteGroup]:
     """All subgroups matching the predicate, enumerated by closing element
     subsets, smallest groups first, each generated by the elements it was
-    first closed from.  Deterministic output order.  The closures' cells,
-    elements × degree, are charged together against ``CLOSURE_MAX_CELLS``,
-    the bound of one closure's list."""
+    first closed from.  Deterministic output order.  Each closure is the
+    image tuples its ``_Chain`` lists, capped at the group's order; their
+    cells, elements × degree, are charged together against
+    ``CLOSURE_MAX_CELLS``, the bound of one closure's list."""
     if group.order > SUBGROUP_SCAN_MAX_ORDER:
         raise BoundExceededError(
             f"subgroup scan limited to groups of order {SUBGROUP_SCAN_MAX_ORDER}"
@@ -262,7 +263,8 @@ def subgroup_scan(
                 # <sub, el> = <sub, el * h> for h in sub: close once per coset
                 done.update(map(itemgetter(*el.images), sub))
                 gens = all_subgroups[sub] + [el]
-                bigger = frozenset(p.images for p in closure(gens, group.order))
+                chain = _Chain(group.degree, [g.images for g in gens], None, group.order)
+                bigger = frozenset(chain.elements())
                 closed += len(bigger) * group.degree
                 if closed > CLOSURE_MAX_CELLS:
                     raise BoundExceededError(

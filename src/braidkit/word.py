@@ -8,6 +8,7 @@ equality of words is equality in the free group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InvalidInputError, checked
@@ -44,6 +45,36 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """The word's maximal runs g^k as (0-based generator index g,
+        signed exponent k) pairs, computed once per word.
+
+        A word is the identity exactly when its cyclic rotations are, so
+        a run split across the word's ends, as in x·y·x, is taken whole
+        (x²·y).
+
+        >>> reduce_word([2, 1, 1, -2, -2, 1, 2], 2).runs
+        ((1, 2), (0, 2), (1, -2), (0, 1))
+        """
+        runs = []
+        prev = count = 0  # the current run's letter and length; no letter is 0
+        for let in self.letters:
+            if let == prev:
+                count += 1
+                continue
+            if count:
+                runs.append((abs(prev) - 1, count if prev > 0 else -count))
+            prev, count = let, 1
+        if not count:
+            return ()
+        g, k = abs(prev) - 1, count if prev > 0 else -count
+        if runs and self.letters[0] == prev:  # the last run wraps round onto the first
+            runs[0] = (g, runs[0][1] + k)
+        else:
+            runs.append((g, k))
+        return tuple(runs)
 
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet_size != other.alphabet_size:

@@ -186,6 +186,13 @@ def test_epi_op():
 def test_verify_and_image_order_ops():
     out = OPS["verify-hom"]({"builtin": "imprimitive-s8"})
     assert out == {"ok": True}
+    # (ab)^1000 at degree 20,000 is over the verification bound
+    spec = {
+        "presentation": {"generators": ["a", "b"], "relators": [[1, 2] * 1000]},
+        "assignment": {"degree": 20_000, "images": {"a": "()", "b": "()"}},
+    }
+    with pytest.raises(BoundExceededError, match="verifying needs"):
+        OPS["verify-hom"](spec)
     order = OPS["image-order"]({"builtin": "wreath-cycle", "block_count": 3, "generator": "sigma"})
     assert order == 6
 

@@ -152,6 +152,20 @@ def test_verify_hom_success(tmp_path):
     assert out.returncode == 0
 
 
+def test_verify_hom_over_the_bound_exits_three(tmp_path):
+    # (ab)^1000 at degree 20,000 costs 40,040,000 cells and lookups, over
+    # the default search bound; it is refused before any table is built
+    presentation = tmp_path / "presentation.json"
+    presentation.write_text(
+        json.dumps({"generators": ["a", "b"], "relators": [[1, 2] * 1000]}), encoding="utf-8"
+    )
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps({"degree": 20_000, "images": {"a": "()", "b": "()"}}), encoding="utf-8")
+    out = run_within(5, "verify-hom", "--presentation", str(presentation), "--assignment", str(path))
+    assert out.returncode == 3
+    assert "verifying needs 40040000 cells" in out.stderr
+
+
 def test_unknown_subcommand_exits_two():
     assert run("frobnicate").returncode == 2
 

@@ -114,6 +114,163 @@ def test_verify_arity_mismatch():
         GeneratorAssignment(p, 3, (identity_perm(3),))
 
 
+# --- the run kernel against a letter-by-letter oracle ---------------------------
+
+
+def _letter_compile(letters):
+    """A word as (0-based generator index, is_inverse) pairs, one per letter."""
+    return tuple((abs(let) - 1, let < 0) for let in letters)
+
+
+def _letter_holds(word, tables):
+    """True when the letter-compiled word evaluates to the identity, where
+    tables[g] is the (image, inverse) pair of generator g: every point is
+    followed through every letter."""
+    y = 0
+    for g, inv in word:
+        y = tables[g][inv][y]
+    if y:
+        return False
+    steps = [tables[g][inv] for g, inv in word]
+    for x in range(1, len(steps[0])):
+        y = x
+        for step in steps:
+            y = step[y]
+        if y != x:
+            return False
+    return True
+
+
+def letter_verify(p, a):
+    """``verify_hom`` one letter at a time."""
+    if a.degree == 0:
+        return None
+    tables = [(q.images, q.inverse().images) for q in a.images]
+    return next(
+        (i for i, rel in enumerate(p.relators, start=1)
+         if not _letter_holds(_letter_compile(rel.letters), tables)),
+        None,
+    )
+
+
+def _blockwise_images(rng, n, m):
+    """n random permutations of degree m, each acting on the blocks of four
+    consecutive points (the last may be smaller), then relabelled by one
+    random permutation: every element they generate has order dividing
+    12, the exponent of S_4."""
+    relabel = list(range(m))
+    rng.shuffle(relabel)
+    perms = []
+    for _ in range(n):
+        images = []
+        for start in range(0, m, 4):
+            block = list(range(start, min(start + 4, m)))
+            rng.shuffle(block)
+            images += block
+        out = [0] * m
+        for i, j in enumerate(images):
+            out[relabel[i]] = relabel[j]
+        perms.append(Permutation(tuple(out)))
+    return perms
+
+
+def _kernel_relator(rng, perms, m, holds):
+    """A freely reduced word over len(perms) generators that holds under
+    perms or (for m >= 2) does not; half carry a run of over 3,000
+    letters, and the word is rotated, half the time inside that run."""
+    n = len(perms)
+    while True:
+        letters, prev = [], None
+        for _ in range(rng.randint(1, 5)):
+            g = rng.choice([x for x in range(1, n + 1) if x != prev] or [1])
+            letters += [g * rng.choice((1, -1))] * rng.randint(1, 3)
+            prev = g
+        value = plain_value(letters, perms, m)
+        if holds:
+            letters *= value.order()
+        elif value.is_identity():
+            continue
+        # x^3000 is the identity, so the inserted run keeps the word's value
+        i = rng.randrange(len(letters))
+        if rng.random() < 0.5:
+            letters[i:i] = [letters[i]] * 3000
+        letters = list(reduce_word(letters, n).letters)
+        if letters:
+            break
+    k = rng.randrange(len(letters))
+    if len(letters) > 3000 and rng.random() < 0.5:
+        k = i + rng.randrange(1, 3000)  # most often inside the long run
+    return reduce_word(letters[k:] + letters[:k], n)
+
+
+def test_words_take_maximal_cyclic_runs():
+    def runs(*letters):
+        return reduce_word(letters, 3).runs
+
+    assert runs() == ()
+    assert runs(1) == ((0, 1),)
+    assert runs(2, 2, 2) == ((1, 3),)
+    assert runs(-1, -1, 2, 1) == ((0, -2), (1, 1), (0, 1))
+    # a run split across the word's ends is taken whole: x·y·x as x²·y
+    assert runs(1, 2, 1) == ((0, 2), (1, 1))
+    assert runs(*[-3] * 1000, 1, 2, *[-3] * 2000) == ((2, -3000), (0, 1), (1, 1))
+
+
+def test_the_s408_sigma_relator_is_one_run():
+    a = composite_s408_assignment()
+    sigma = a.presentation.generator_index("sigma") - 1
+    relator = a.presentation.relators[0]
+    assert relator.runs == ((sigma, 2310),)
+    # the benchmark's rewrites rotate a relator and may invert it
+    letters = relator.letters
+    assert reduce_word(letters[7:] + letters[:7], 3).runs == ((sigma, 2310),)
+    assert (~relator).runs == ((sigma, -2310),)
+
+
+def test_run_kernel_matches_the_letter_oracle():
+    rng = random.Random(2310)
+    positions, exponents, split = set(), set(), 0
+    for m, trials in [(0, 10), (1, 10), (2, 40), (5, 60), (408, 8)]:
+        for _ in range(trials):
+            n = rng.randint(1, 3)
+            perms = _blockwise_images(rng, n, m)
+            while m >= 2 and all(p.is_identity() for p in perms):
+                perms = _blockwise_images(rng, n, m)
+            count = rng.randint(1, 4)
+            failing = rng.randint(1, count) if m >= 2 else None
+            relators = [
+                _kernel_relator(rng, perms, m, holds=failing is None or i < failing or rng.random() < 0.5)
+                if i != failing else _kernel_relator(rng, perms, m, holds=False)
+                for i in range(1, count + 1)
+            ]
+            p = Presentation(tuple(f"x{i}" for i in range(1, n + 1)), tuple(relators))
+            a = GeneratorAssignment(p, m, tuple(perms))
+            assert verify_hom(p, a) == letter_verify(p, a) == failing
+            positions.add(failing)
+            for rel in relators:
+                exponents.update(k for _, k in rel.runs)
+                letters = rel.letters
+                split += len(set(letters)) > 1 and letters[0] == letters[-1]
+    assert positions == {None, 1, 2, 3, 4}
+    assert max(exponents) > 3000 and min(exponents) < -3000
+    assert split > 0  # some rotation cut a run in two
+
+
+def test_verify_is_bounded_before_any_table_is_built():
+    # (ab)^1000 at degree 20,000: 2,000 runs and two tables of 20,000 points,
+    # 40,040,000 cells and lookups
+    p = Presentation.from_json({"generators": ["a", "b"], "relators": [[1, 2] * 1000]})
+    a = GeneratorAssignment(p, 20_000, (identity_perm(20_000),) * 2)
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="verifying needs 40040000 cells"):
+        verify_hom(p, a)
+    with pytest.raises(BoundExceededError, match="40040000"):
+        classify_hom(p, a)
+    assert time.perf_counter() - start < 0.5
+    smaller = GeneratorAssignment(p, 4_995, (identity_perm(4_995),) * 2)
+    assert verify_hom(p, smaller) is None  # 9,999,990: within the bound
+
+
 # --- classification -----------------------------------------------------------
 
 
@@ -484,7 +641,7 @@ def test_holds_calls_are_charged_as_nodes(monkeypatch):
     for p, m in [(closed_orientable(1, 4), 5), (closed_orientable(2, 3), 4)]:
         calls = 0
         _, _, nodes = homsearch._search(p, m, homsearch.PREDICATES["all"], 0)
-        _, shared, rest = homsearch._search_plan(p)
+        _, shared, rest, _ = homsearch._search_plan(p)
         widest = max(len(a) + len(b) for a, b in zip(shared, rest))
         assert calls <= nodes * max(1, max(map(len, rest))) <= nodes * widest
 
@@ -506,6 +663,18 @@ def test_node_budget_raises_in_serial_and_sharded_runs(monkeypatch):
     assert time.perf_counter() - start < 1.0
     with pytest.raises(BoundExceededError, match="S_11"):
         enumerate_homs(p, 11)
+
+
+def test_census_tables_count_every_exponent_of_the_runs():
+    # x², y³ and x·y⁻¹ use the exponents 1, 2, 3 and -1: four tables of
+    # 9!·9 cells for S_9, over the default budget, which the image tables
+    # alone (3,265,920 cells) are not
+    p = Presentation.from_json({"generators": ["x", "y"], "relators": [[1, 1], [2, 2, 2], [1, -2]]})
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="S_9 needs element tables of 13063680 cells"):
+        enumerate_homs(p, 9)
+    assert time.perf_counter() - start < 1.0
+    assert enumerate_homs(p, 3).count == 1  # x = y of order dividing 2 and 3
 
 
 def test_one_generator_census_is_refused_before_the_tables_of_s10():

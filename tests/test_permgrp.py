@@ -14,6 +14,7 @@ from braidkit.permgrp import (
     Permutation,
     _Chain,
     _check_closed,
+    _power,
     _prime_factors,
     centralizer_order,
     closure,
@@ -93,6 +94,25 @@ def test_non_bijections_are_rejected():
         Permutation((0, 0))
     with pytest.raises(InvalidInputError):
         Permutation.from_json([1, 1])
+
+
+def test_power_matches_repeated_products():
+    rng = random.Random(5)
+    for m in (0, 1, 2, 5, 9):
+        for _ in range(10):
+            images = list(range(m))
+            rng.shuffle(images)
+            p = Permutation(tuple(images))
+            value, inverse = identity_perm(m), p.inverse()
+            for e in range(40):
+                assert _power(p.images, e) == value.images
+                assert _power(p.images, -e) == _power(inverse.images, e)
+                value = value * p
+            order = p.order()
+            assert _power(p.images, 2310 * order + 7) == _power(p.images, 7)
+            assert _power(p.images, -2310 * order - 1) == inverse.images
+    t = (1, 2, 0)
+    assert _power(t, 1) is t  # the image tuple itself, not a copy
 
 
 # --- cycle types -----------------------------------------------------------
