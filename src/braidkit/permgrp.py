@@ -284,9 +284,15 @@ def is_primitive(
     For m <= 2 no nontrivial partition exists, so every group counts
     as primitive, the trivial group included.
     """
+    return _primitivity(gens, m, orbits(gens, m))
+
+
+def _primitivity(
+    gens: Sequence[Permutation], m: int, parts: tuple[tuple[int, ...], ...]
+) -> tuple[bool, tuple[int, ...] | None]:
+    """``is_primitive``, given parts, the ``orbits`` of gens."""
     if m <= 2:
         return True, None
-    parts = orbits(gens, m)
     if len(parts) > 1:
         return False, parts[0]
     for beta in range(1, m):

@@ -66,6 +66,20 @@ def test_homsearch_threaded_matches_serial():
     assert serial["count"] == 8
 
 
+def test_homsearch_threaded_over_the_serial_allowance_matches_serial():
+    # this census spends far more than homsearch.SERIAL_NODES nodes, so
+    # --threads 2 goes on past the serial trial to a pool of processes
+    args = [
+        "homsearch", "--surface", "closed-orientable", "--genus", "2", "--strands", "3",
+        "--target-sym", "5", "--representatives", "3", "--json",
+    ]
+    serial = run(*args, "--threads", "1")
+    threaded = run(*args, "--threads", "2")
+    assert serial.returncode == threaded.returncode == 0
+    assert threaded.stdout == serial.stdout
+    assert json.loads(serial.stdout)["count"] == 59640
+
+
 def test_homsearch_threads_below_one_exits_two():
     for threads in ("0", "-2"):
         out = run(

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from braidkit import homsearch
+from braidkit import homsearch, permgrp
 from braidkit.errors import BoundExceededError, InvalidInputError
 from braidkit.fpgroup import (
     FamilyTag,
@@ -321,6 +321,41 @@ def test_classify_rejects_invalid_hom():
     with pytest.raises(InvalidInputError) as err:
         classify_hom(p, a)
     assert err.value.failing_relator == 1
+
+
+def test_classify_makes_one_orbit_pass(monkeypatch):
+    artin = artin_presentation(3)
+    cases = [
+        assignment(artin, 0, ["()", "()"]),
+        assignment(artin, 1, ["()", "()"]),
+        assignment(artin, 2, ["()", "()"]),
+        assignment(artin, 2, ["(1,2)", "(1,2)"]),
+        imprimitive_s8_assignment(4),
+        imprimitive_s16_assignment(),
+        imprimitive_s32_assignment(),
+        composite_s408_assignment(),
+    ] + [wreath_cycle_assignment(l) for l in (3, 5, 7, 11)]
+    expected = [
+        (len(permgrp.orbits(a.images, a.degree)) == 1, permgrp.is_primitive(a.images, a.degree)[0])
+        for a in cases
+    ]
+    # at degrees 0, 1 and 2 every group counts as primitive, the
+    # intransitive ones too
+    assert expected[:4] == [(False, True), (True, True), (False, True), (True, True)]
+    orbits = permgrp.orbits
+    calls = []
+
+    def counting(gens, m):
+        calls.append(m)
+        return orbits(gens, m)
+
+    monkeypatch.setattr(homsearch, "orbits", counting)
+    monkeypatch.setattr(permgrp, "orbits", counting)
+    for a, (transitive, primitive) in zip(cases, expected):
+        calls.clear()
+        c = classify_hom(a.presentation, a)
+        assert calls == [a.degree]
+        assert (c.transitive, c.primitive) == (transitive, primitive)
 
 
 # --- censuses -------------------------------------------------------------------
@@ -652,9 +687,11 @@ def test_node_budget_raises_in_serial_and_sharded_runs(monkeypatch):
     assert count == 384
     assert enumerate_homs(p, 4, max_representatives=0, search_bound=nodes).count == 384
     monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 2)
-    for workers in (1, 2):
-        with pytest.raises(BoundExceededError, match="nodes"):
-            enumerate_homs(p, 4, max_representatives=0, search_bound=nodes - 1, workers=workers)
+    for allowance in (homsearch.SERIAL_NODES, 0):  # the serial trial, then a real pool
+        monkeypatch.setattr(homsearch, "SERIAL_NODES", allowance)
+        for workers in (1, 2):
+            with pytest.raises(BoundExceededError, match="nodes"):
+                enumerate_homs(p, 4, max_representatives=0, search_bound=nodes - 1, workers=workers)
     # S_9: the 30 centralizer-orbit passes alone are over the default budget,
     # which is spent before any table is built
     start = time.perf_counter()
@@ -705,15 +742,17 @@ def test_worker_sharding_matches_serial_search():
     ]
 
 
-def test_worker_pool_is_capped(monkeypatch):
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker pools a census starts: each is an InlinePool."""
+    started = []
 
     class InlinePool:
         """Runs the shards in this process and records the pool it was asked for."""
 
         def __init__(self, max_workers):
             self.max_workers = max_workers
-            pools.append(self)
+            started.append(self)
 
         def __enter__(self):
             return self
@@ -726,6 +765,12 @@ def test_worker_pool_is_capped(monkeypatch):
             return map(fn, self.shards)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return started
+
+
+def test_worker_pool_is_capped(monkeypatch, pools):
+    # no serial trial, so that these small censuses reach the pool
+    monkeypatch.setattr(homsearch, "SERIAL_NODES", 0)
     monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 4)
     p = artin_presentation(4)
     for m, workers, cap in [(3, 10**9, 3), (3, 3, 3), (2, 10**9, 2)]:
@@ -738,6 +783,55 @@ def test_worker_pool_is_capped(monkeypatch):
     pools.clear()
     assert enumerate_homs(p, 3, workers=10**9) == enumerate_homs(p, 3)
     assert pools == []
+
+
+def census_nodes(p, m):
+    """Nodes of the serial census of all homomorphisms, 10 representatives kept."""
+    return homsearch._search(p, m, homsearch.PREDICATES["all"], 10)[2]
+
+
+def test_census_under_the_serial_allowance_starts_no_pool(monkeypatch, pools):
+    monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 2)
+    p = closed_orientable(1, 4)
+    assert census_nodes(p, 4) <= homsearch.SERIAL_NODES
+    assert enumerate_homs(p, 4, workers=2) == enumerate_homs(p, 4)
+    assert pools == []
+
+
+def test_census_over_the_serial_allowance_starts_one_capped_pool(monkeypatch, pools):
+    p = closed_orientable(1, 4)
+    monkeypatch.setattr(homsearch, "SERIAL_NODES", census_nodes(p, 4) - 1)
+    monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 4)
+    serial = enumerate_homs(p, 4)
+    for workers, cap in [(2, 2), (10**9, 4)]:  # S_4 has 5 classes, the host 4 CPUs
+        pools.clear()
+        assert enumerate_homs(p, 4, workers=workers) == serial
+        assert [(pool.max_workers, len(pool.shards)) for pool in pools] == [(cap, cap)]
+
+
+def test_census_bound_errors_name_the_callers_bound(monkeypatch, pools):
+    # one bound the trial covers, and one between the allowance and the
+    # census's nodes, where the trial's error is thrown away
+    monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 2)
+    p = closed_orientable(2, 3)
+    allowance = homsearch.SERIAL_NODES
+    for bound, pooled in [(allowance // 2, 0), (2 * allowance, 1)]:
+        for workers in (1, 2):
+            pools.clear()
+            with pytest.raises(BoundExceededError) as err:
+                enumerate_homs(p, 5, search_bound=bound, workers=workers)
+            assert str(err.value) == f"census search exceeds {bound} nodes"
+            assert len(pools) == (pooled if workers == 2 else 0)
+
+
+def test_serial_allowance_sits_between_censuses_that_shard_at_a_loss_and_at_a_gain():
+    # two workers lose on the first and gain on the second (the timings in
+    # the enumerate_homs docstring); when the meaning of a node changes,
+    # these counts change, and the allowance must be measured again
+    losing = census_nodes(closed_orientable(2, 2), 4)
+    paying = census_nodes(closed_orientable(2, 3), 5)
+    assert (losing, paying) == (22_100, 230_080)
+    assert losing < homsearch.SERIAL_NODES < paying
 
 
 # --- image constraints over the full census ----------------------------------------
