@@ -660,7 +660,11 @@ def enumerate_homs(
     ===========================  =========  ===============
 
     ``SERIAL_NODES`` = 3·10⁴ sits below the break-even, so on these
-    censuses a trial that runs out costs about 30 ms.
+    censuses a trial that runs out costs about 30 ms.  Between the
+    allowance and about 5·10⁴ nodes that cost is not won back: two
+    workers take up to twice as long as a pool with no trial and longer
+    than one worker (g=1, n=4 → S_5: about 70 ms, against 35–45 ms with
+    no trial and 30 ms serially).
     """
     if m < 1:
         raise InvalidInputError("target degree must be >= 1")
@@ -677,23 +681,19 @@ def enumerate_homs(
     # or CPUs
     classes = _partition_count(m) if presentation.generator_count else 1
     shards = max(1, min(workers, classes, _usable_cpus()))
-    census = (presentation, m, predicate, max_representatives)
     if shards > 1:
         try:  # the serial trial
-            return _sharded(census, 1, min(search_bound, SERIAL_NODES))
+            return enumerate_homs(
+                presentation, m, predicate, max_representatives, min(search_bound, SERIAL_NODES)
+            )
         except BoundExceededError:
             if search_bound <= SERIAL_NODES:
                 raise
-    return _sharded(census, shards, search_bound)
-
-
-def _sharded(census, shards: int, bound: int) -> CensusResult:
-    """The census (presentation, m, predicate, max_representatives) with
-    its root classes dealt round-robin into shards, run in this process
-    when there is one and in a pool of that many processes otherwise, and
-    merged: counts and nodes summed, representatives sorted and cut."""
-    presentation, m, predicate, max_representatives = census
-    args = [(*census, slice(i, None, shards), bound) for i in range(shards)]
+    # root classes dealt round-robin, one shard per process
+    args = [
+        (presentation, m, predicate, max_representatives, slice(i, None, shards), search_bound)
+        for i in range(shards)
+    ]
     if shards == 1:
         results = list(map(_search_shard, args))
     else:
@@ -702,8 +702,8 @@ def _sharded(census, shards: int, bound: int) -> CensusResult:
         with ProcessPoolExecutor(max_workers=shards) as pool:
             results = list(pool.map(_search_shard, args))
     counts, keys, nodes = zip(*results)
-    if sum(nodes) > bound:  # as one search over every class would have raised
-        raise BoundExceededError(f"census search exceeds {bound} nodes")
+    if sum(nodes) > search_bound:  # as one search over every class would have raised
+        raise BoundExceededError(f"census search exceeds {search_bound} nodes")
     reps = sorted(itertools.chain.from_iterable(keys))[:max_representatives]
     return CensusResult(
         sum(counts),

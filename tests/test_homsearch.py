@@ -731,11 +731,24 @@ def test_search_bound_guard():
         enumerate_homs(closed_orientable(2, 5), 6, search_bound=10**6)
 
 
-def test_worker_sharding_matches_serial_search():
+def test_worker_sharding_matches_serial_search(monkeypatch):
+    # no serial trial, so that a real pool of two processes runs the census
+    # and looks the predicate up by name in each worker
+    monkeypatch.setattr(homsearch, "SERIAL_NODES", 0)
+    monkeypatch.setattr(homsearch, "_usable_cpus", lambda: 2)
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     serial = enumerate_homs(artin_presentation(4), 3, predicate="transitive", max_representatives=5)
     parallel = enumerate_homs(
         artin_presentation(4), 3, predicate="transitive", max_representatives=5, workers=2
     )
+    assert started == [2]
     assert parallel.count == serial.count
     assert [a.to_json() for a in parallel.representatives] == [
         a.to_json() for a in serial.representatives
