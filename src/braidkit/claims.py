@@ -12,6 +12,12 @@ A corpus is a multi-document YAML file, one claim per document:
 
 The runner executes every claim (it never stops at the first failure) and
 reports pass/fail/error per claim plus summary counts.
+
+A claim's arguments name presentations and groups as the CLI's do:
+``resolve_presentation`` (defined in ``fpgroup``, next to the builders)
+and ``resolve_group`` (defined in ``nilq``, next to ``lcs_layer``) are
+re-exported here.  This module imports every layer, since its operations
+use them all.
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from . import fpgroup, homsearch, nilq, permgrp, smallgrp, zlinalg
-from .errors import InvalidInputError, checked, json_field
+from . import homsearch, nilq, permgrp, smallgrp, zlinalg
+from .errors import InvalidInputError, checked
+from .fpgroup import resolve_presentation
+from .nilq import resolve_group
 
 __all__ = [
     "ClaimAnchor",
@@ -33,6 +41,7 @@ __all__ = [
     "run_records",
     "OPS",
     "resolve_presentation",
+    "resolve_group",
     "resolve_assignment",
 ]
 
@@ -117,44 +126,7 @@ class ClaimReport:
 
 
 # ---------------------------------------------------------------------------
-# argument resolution shared with the CLI
-
-_FAMILIES: dict[str, Callable] = {
-    "closed-orientable": lambda g, n: fpgroup.closed_orientable(g, n),
-    "boundary-orientable": lambda g, n: fpgroup.boundary_orientable(g, n),
-    "nonorientable": lambda g, n: fpgroup.nonorientable(g, n),
-    "artin": lambda g, n: fpgroup.artin_presentation(n),
-    "class2-quotient": lambda g, n: fpgroup.class2_quotient_presentation(g, n),
-}
-
-
-def resolve_presentation(spec: dict) -> fpgroup.Presentation:
-    """Build a presentation from a family spec or inline JSON."""
-    checked(spec, dict, "presentation spec")
-    if "presentation" in spec:
-        return fpgroup.Presentation.from_json(spec["presentation"])
-    surface = json_field(spec, "surface", str, "presentation spec", None)
-    if surface not in _FAMILIES:
-        raise InvalidInputError(
-            f"unknown surface family {surface!r}; choose from {sorted(_FAMILIES)}"
-        )
-    genus = json_field(spec, "genus", int, "presentation spec", 0)
-    strands = json_field(spec, "strands", int, "presentation spec", 1)
-    return _FAMILIES[surface](genus, strands)
-
-
-def resolve_group(spec: Any) -> zlinalg.FgAbelianGroup:
-    """An abelian group given literally, or as an abelianisation or LCS
-    layer of a presentation."""
-    if isinstance(spec, dict) and "lcs" in spec:
-        inner = checked(spec["lcs"], dict, "lcs spec")
-        layer = json_field(inner, "layer", int, "lcs spec")
-        return nilq.lcs_layer(resolve_presentation(inner), layer)
-    if isinstance(spec, dict) and "abelianization" in spec:
-        return zlinalg.abelianization(resolve_presentation(spec["abelianization"]))
-    if isinstance(spec, dict) and "free_rank" in spec:
-        return zlinalg.FgAbelianGroup.from_json(spec)
-    raise InvalidInputError(f"cannot interpret group spec {spec!r}")
+# argument resolution
 
 
 def resolve_assignment(spec: dict) -> homsearch.GeneratorAssignment:
@@ -215,9 +187,9 @@ def _op_classify_hom(args: dict):
 
 
 def classification_with_block(assignment: homsearch.GeneratorAssignment) -> dict:
-    out = homsearch.classify_hom(assignment.presentation, assignment).to_json()
-    primitive, witness = permgrp.is_primitive(list(assignment.images), assignment.degree)
-    out["block"] = None if primitive else list(witness)
+    classification, witness = homsearch._classify(assignment.presentation, assignment)
+    out = classification.to_json()
+    out["block"] = None if witness is None else list(witness)
     return out
 
 

@@ -3,6 +3,13 @@
 Results go to stdout (JSON with --json, text otherwise); diagnostics go
 to stderr.  Exit codes: 0 success, 1 claim or verification failure,
 2 invalid input, 3 resource bound exceeded.
+
+A process loads only the layers its command runs: each ``_cmd_*``
+imports the modules it calls, and ``build_parser`` fills in the
+arguments of the invoked subcommand alone, so the tables its choices
+come from (surface families, hom-search filters, named groups) are
+imported only by the commands that take them.  ``present`` loads
+``errors``, ``fpgroup`` and ``word`` and nothing else of the library.
 """
 
 from __future__ import annotations
@@ -13,8 +20,6 @@ import json
 import os
 import sys
 
-from . import claims as claims_mod
-from . import fpgroup, homsearch, nilq, permgrp, smallgrp, zlinalg
 from .errors import BoundExceededError, InvalidInputError
 
 EXIT_OK = 0
@@ -34,9 +39,11 @@ def _bound_override(default: int) -> int:
 
 
 def _add_presentation_args(parser: argparse.ArgumentParser) -> None:
+    from .fpgroup import _FAMILIES
+
     parser.add_argument(
         "--surface",
-        choices=sorted(claims_mod._FAMILIES),
+        choices=sorted(_FAMILIES),
         help="presentation family",
     )
     parser.add_argument("--genus", type=int, default=0)
@@ -64,12 +71,14 @@ def _read_json(option: str, value: str, *, inline: bool = False):
         raise InvalidInputError(f"{option}: JSON nested too deeply") from None
 
 
-def _presentation_from_args(args) -> fpgroup.Presentation:
+def _presentation_from_args(args):
+    from . import fpgroup
+
     if args.presentation:
         return fpgroup.Presentation.from_json(_read_json("--presentation", args.presentation))
     if not args.surface:
         raise InvalidInputError("give --surface or --presentation")
-    return claims_mod.resolve_presentation(
+    return fpgroup.resolve_presentation(
         {"surface": args.surface, "genus": args.genus, "strands": args.strands}
     )
 
@@ -83,6 +92,8 @@ def _emit(args, data, text: str | None = None) -> None:
 
 def _parse_perms(tokens, degree):
     """Parse cycle strings; returns (permutations, effective degree)."""
+    from . import permgrp
+
     if not tokens:
         raise InvalidInputError("no permutations given")
     if not degree:
@@ -105,12 +116,16 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_abelianize(args) -> int:
+    from . import zlinalg
+
     group = zlinalg.abelianization(_presentation_from_args(args))
     _emit(args, group.to_json(), str(group))
     return EXIT_OK
 
 
 def _cmd_lcs(args) -> int:
+    from . import nilq
+
     group = nilq.lcs_layer(
         _presentation_from_args(args), args.layer, _bound_override(nilq.DEFAULT_LCS_BOUND)
     )
@@ -119,15 +134,19 @@ def _cmd_lcs(args) -> int:
 
 
 def _cmd_epi(args) -> int:
+    from . import nilq, zlinalg
+
     result = zlinalg.admits_epimorphism(
-        claims_mod.resolve_group(_read_json("--from", args.source, inline=True)),
-        claims_mod.resolve_group(_read_json("--to", args.target, inline=True)),
+        nilq.resolve_group(_read_json("--from", args.source, inline=True)),
+        nilq.resolve_group(_read_json("--to", args.target, inline=True)),
     )
     _emit(args, {"admits": result}, "yes" if result else "no")
     return EXIT_OK
 
 
 def _cmd_homsearch(args) -> int:
+    from . import homsearch
+
     if args.threads < 1:
         raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
     if args.representatives < 0:
@@ -150,6 +169,8 @@ def _cmd_homsearch(args) -> int:
 
 
 def _cmd_verify_hom(args) -> int:
+    from . import homsearch
+
     p = _presentation_from_args(args)
     assignment = homsearch.GeneratorAssignment.from_json(
         p, _read_json("--assignment", args.assignment)
@@ -163,6 +184,8 @@ def _cmd_verify_hom(args) -> int:
 
 
 def _cmd_perm(args) -> int:
+    from . import permgrp
+
     degree = args.degree
     if args.action == "compose":
         if len(args.perms) != 2:
@@ -201,6 +224,8 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_smallgrp(args) -> int:
+    from . import smallgrp
+
     group = smallgrp.NAMED_GROUPS[args.action](args.n)
     if args.scan_dihedral or args.order is not None or args.min_order is not None:
         subs = smallgrp.subgroup_scan(
@@ -222,6 +247,8 @@ def _cmd_smallgrp(args) -> int:
 
 
 def _cmd_klein_scan(args) -> int:
+    from . import smallgrp
+
     result = smallgrp.klein_relation_scan(args.radius)
     data = {"nontrivial_solutions": len(result.nontrivial_solutions)}
     _emit(args, data, f"nontrivial solutions: {len(result.nontrivial_solutions)}")
@@ -229,62 +256,39 @@ def _cmd_klein_scan(args) -> int:
 
 
 def _cmd_claims(args) -> int:
-    report = claims_mod.run_corpus(args.corpus)
+    from . import claims
+
+    report = claims.run_corpus(args.corpus)
     _emit(args, report.to_json(), report.table())
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: ``main`` only parses
-    with it, and parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="braidkit",
-        description="surface braid group presentations, lower central series, and permutation representations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("present", help="emit a presentation")
-    _add_presentation_args(p)
-    common(p)
-    p.set_defaults(func=_cmd_present)
-
-    p = sub.add_parser("abelianize", help="abelianisation of a presentation")
-    _add_presentation_args(p)
-    common(p)
-    p.set_defaults(func=_cmd_abelianize)
-
-    p = sub.add_parser("lcs", help="lower central series layer")
+def _lcs_args(p):
     _add_presentation_args(p)
     p.add_argument("--layer", type=int, required=True, choices=(1, 2, 3))
-    common(p)
-    p.set_defaults(func=_cmd_lcs)
 
-    p = sub.add_parser("epi", help="does an abelian surjection exist")
+
+def _epi_args(p):
     p.add_argument("--from", dest="source", required=True, metavar="JSON")
     p.add_argument("--to", dest="target", required=True, metavar="JSON")
-    common(p)
-    p.set_defaults(func=_cmd_epi)
 
-    p = sub.add_parser("homsearch", help="census of homomorphisms into S_m")
+
+def _homsearch_args(p):
+    from .homsearch import PREDICATES
+
     _add_presentation_args(p)
     p.add_argument("--target-sym", type=int, required=True, metavar="M")
-    p.add_argument("--filter", default="all", choices=sorted(homsearch.PREDICATES))
+    p.add_argument("--filter", default="all", choices=sorted(PREDICATES))
     p.add_argument("--representatives", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
-    common(p)
-    p.set_defaults(func=_cmd_homsearch)
 
-    p = sub.add_parser("verify-hom", help="check an assignment against a presentation")
+
+def _verify_hom_args(p):
     _add_presentation_args(p)
     p.add_argument("--assignment", required=True, metavar="PATH")
-    common(p)
-    p.set_defaults(func=_cmd_verify_hom)
 
-    p = sub.add_parser("perm", help="permutation utilities")
+
+def _perm_args(p):
     p.add_argument(
         "action",
         choices=["compose", "cycle-type", "orbits", "primitive", "closure", "centralizer-order"],
@@ -292,36 +296,77 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("perms", nargs="*", help="permutations in cycle notation")
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("--cycle-lengths", type=int, nargs="*", default=[])
-    common(p)
-    p.set_defaults(func=_cmd_perm)
 
-    p = sub.add_parser("smallgrp", help="canned finite groups and subgroup scans")
-    p.add_argument("action", choices=list(smallgrp.NAMED_GROUPS))
+
+def _smallgrp_args(p):
+    from .smallgrp import NAMED_GROUPS
+
+    p.add_argument("action", choices=list(NAMED_GROUPS))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--min-order", type=int, default=None)
     p.add_argument("--scan-dihedral", action="store_true")
     p.add_argument("--elements", action="store_true", help="include the element list")
-    common(p)
-    p.set_defaults(func=_cmd_smallgrp)
 
-    p = sub.add_parser("klein-scan", help="scan the Klein-bottle relation over a window")
+
+def _klein_scan_args(p):
     p.add_argument("--radius", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_klein_scan)
 
-    p = sub.add_parser("claims", help="run a claims corpus")
+
+def _claims_args(p):
     claims_sub = p.add_subparsers(dest="claims_command", required=True)
     run_p = claims_sub.add_parser("run")
     run_p.add_argument("corpus", metavar="PATH")
-    common(run_p)
-    run_p.set_defaults(func=_cmd_claims)
+    return run_p
 
+
+# subcommand -> (help, argument builder, handler); the builder adds the
+# subcommand's own arguments, and returns the parser of a nested command
+_SUBCOMMANDS = {
+    "present": ("emit a presentation", _add_presentation_args, _cmd_present),
+    "abelianize": ("abelianisation of a presentation", _add_presentation_args, _cmd_abelianize),
+    "lcs": ("lower central series layer", _lcs_args, _cmd_lcs),
+    "epi": ("does an abelian surjection exist", _epi_args, _cmd_epi),
+    "homsearch": ("census of homomorphisms into S_m", _homsearch_args, _cmd_homsearch),
+    "verify-hom": ("check an assignment against a presentation", _verify_hom_args, _cmd_verify_hom),
+    "perm": ("permutation utilities", _perm_args, _cmd_perm),
+    "smallgrp": ("canned finite groups and subgroup scans", _smallgrp_args, _cmd_smallgrp),
+    "klein-scan": ("scan the Klein-bottle relation over a window", _klein_scan_args, _cmd_klein_scan),
+    "claims": ("run a claims corpus", _claims_args, _cmd_claims),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with the arguments of ``command`` alone, built
+    once per process and command: ``main`` only parses with it, and
+    parsing leaves it unchanged.
+
+    Every subcommand is listed with its help, so the top-level help and
+    usage errors read the same whichever command is filled in; a
+    subcommand left empty is one that argparse will not run.  argparse
+    reads each ``choices`` table as the argument is added, so filling in
+    one command is what keeps the other commands' tables unloaded.
+    """
+    parser = argparse.ArgumentParser(
+        prog="braidkit",
+        description="surface braid group presentations, lower central series, and permutation representations",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, handler) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            leaf = add_args(p) or p
+            leaf.add_argument("--json", action="store_true", help="machine-readable output")
+            leaf.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse runs the first word that names a subcommand; an unknown
+    # word is never a cache key, and fails the same way on any parser
+    parser = build_parser(next((word for word in argv if word in _SUBCOMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,6 +25,7 @@ __all__ = [
     "nonorientable",
     "class2_quotient_presentation",
     "add_relators",
+    "resolve_presentation",
 ]
 
 
@@ -300,3 +301,29 @@ def add_relators(presentation: Presentation, extra: Iterable[Word]) -> Presentat
         if not w.is_identity():
             new.append(w)
     return Presentation(presentation.generator_names, tuple(new), None)
+
+
+# surface family name -> builder of (genus, strands); each entry looks the
+# builder up when called, so a wrapper set on this module is the one called
+_FAMILIES = {
+    "closed-orientable": lambda g, n: closed_orientable(g, n),
+    "boundary-orientable": lambda g, n: boundary_orientable(g, n),
+    "nonorientable": lambda g, n: nonorientable(g, n),
+    "artin": lambda g, n: artin_presentation(n),
+    "class2-quotient": lambda g, n: class2_quotient_presentation(g, n),
+}
+
+
+def resolve_presentation(spec: dict) -> Presentation:
+    """Build a presentation from a family spec or inline JSON."""
+    checked(spec, dict, "presentation spec")
+    if "presentation" in spec:
+        return Presentation.from_json(spec["presentation"])
+    surface = json_field(spec, "surface", str, "presentation spec", None)
+    if surface not in _FAMILIES:
+        raise InvalidInputError(
+            f"unknown surface family {surface!r}; choose from {sorted(_FAMILIES)}"
+        )
+    genus = json_field(spec, "genus", int, "presentation spec", 0)
+    strands = json_field(spec, "strands", int, "presentation spec", 1)
+    return _FAMILIES[surface](genus, strands)

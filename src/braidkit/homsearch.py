@@ -244,6 +244,13 @@ class HomClassification:
 
 def classify_hom(presentation: Presentation, assignment: GeneratorAssignment) -> HomClassification:
     """Image-group classification of a valid homomorphism."""
+    return _classify(presentation, assignment)[0]
+
+
+def _classify(presentation: Presentation, assignment: GeneratorAssignment):
+    """(classification, witness): ``classify_hom``'s result and, from the
+    same orbit pass and block search, ``is_primitive``'s witness for the
+    images (a nontrivial block, an orbit when intransitive, or None)."""
     failing = verify_hom(presentation, assignment)
     if failing is not None:
         err = InvalidInputError(f"assignment fails relator {failing}")
@@ -254,15 +261,16 @@ def classify_hom(presentation: Presentation, assignment: GeneratorAssignment) ->
     order = _image_order(gens)
     abelian = _commute(gens)
     parts = orbits(gens, m)  # one pass, for transitive and primitive
+    primitive, witness = _primitivity(gens, m, parts)
     return HomClassification(
         valid=True,
         image_order=order,
         abelian=abelian,
         cyclic=abelian and _cyclic(gens, order),
         transitive=len(parts) == 1,
-        primitive=_primitivity(gens, m, parts)[0],
+        primitive=primitive,
         surjective_onto_sym=order == factorial(m),
-    )
+    ), witness
 
 
 def _image_order(images) -> int:

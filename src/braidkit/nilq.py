@@ -56,10 +56,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BoundExceededError, InvalidInputError
-from .fpgroup import Presentation
+from .errors import BoundExceededError, InvalidInputError, checked, json_field
+from .fpgroup import Presentation, resolve_presentation
 from .word import exponent_vector
-from .zlinalg import FgAbelianGroup, IntMatrix, _cokernel, _kernel_basis, _row_echelon
+from .zlinalg import (
+    FgAbelianGroup,
+    IntMatrix,
+    _cokernel,
+    _kernel_basis,
+    _row_echelon,
+    abelianization,
+)
 
 __all__ = [
     "DEFAULT_LCS_BOUND",
@@ -67,6 +74,7 @@ __all__ = [
     "nilpotent_quotient",
     "lcs_layer",
     "free_layer_rank",
+    "resolve_group",
 ]
 
 MAX_CLASS = 3
@@ -343,3 +351,17 @@ def lcs_layer(p: Presentation, i: int, bound: int = DEFAULT_LCS_BOUND) -> FgAbel
     if i not in (1, 2, 3):
         raise InvalidInputError(f"layer {i} unsupported (1..{MAX_CLASS})")
     return nilpotent_quotient(p, i, bound).layers[i - 1]
+
+
+def resolve_group(spec) -> FgAbelianGroup:
+    """An abelian group given literally, or as an abelianisation or LCS
+    layer of a presentation."""
+    if isinstance(spec, dict) and "lcs" in spec:
+        inner = checked(spec["lcs"], dict, "lcs spec")
+        layer = json_field(inner, "layer", int, "lcs spec")
+        return lcs_layer(resolve_presentation(inner), layer)
+    if isinstance(spec, dict) and "abelianization" in spec:
+        return abelianization(resolve_presentation(spec["abelianization"]))
+    if isinstance(spec, dict) and "free_rank" in spec:
+        return FgAbelianGroup.from_json(spec)
+    raise InvalidInputError(f"cannot interpret group spec {spec!r}")

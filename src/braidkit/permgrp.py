@@ -21,10 +21,12 @@ import re
 from dataclasses import dataclass
 from math import factorial, lcm
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BoundExceededError, InvalidInputError
-from .zlinalg import FgAbelianGroup
+
+if TYPE_CHECKING:
+    from .zlinalg import FgAbelianGroup
 
 __all__ = [
     "Permutation",
@@ -572,6 +574,8 @@ def _abelian_invariants(gens: list, order: int, normal: list, normal_order: int)
     |⟨normal⟩|·|A^e|, and |A^(p^(j-1))| / |A^(p^j)| = p^k_j, where k_j
     counts the cyclic p-summands of exponent >= j.
     """
+    from .zlinalg import FgAbelianGroup  # the module's only use of zlinalg
+
     moduli: list[int] = []
     for p in _prime_factors(order // normal_order):
         ks: list[int] = []  # ks[j-1] = k_j

@@ -4,10 +4,12 @@ from math import factorial
 
 import pytest
 
+from braidkit import homsearch, permgrp
 from braidkit.claims import (
     MAX_CORPUS_DEPTH,
     OPS,
     load_corpus,
+    resolve_assignment,
     resolve_group,
     resolve_presentation,
     run_corpus,
@@ -202,6 +204,36 @@ def test_classify_op_reports_block():
     assert out["transitive"] and not out["primitive"]
     assert out["block"] == [1, 2, 3, 4]
     assert out["image_order"] == 16
+
+
+def _artin3(degree, sigma1, sigma2):
+    images = {"sigma1": sigma1, "sigma2": sigma2}
+    return {"surface": "artin", "strands": 3, "assignment": {"degree": degree, "images": images}}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"builtin": "imprimitive-s8"},  # a block of four
+        {"builtin": "wreath-cycle", "block_count": 3},  # a block of six
+        _artin3(4, "(1,2)", "(1,2)"),  # intransitive: the witness is an orbit
+        _artin3(3, "(1,2)", "(2,3)"),  # S_3, primitive
+    ],
+    ids=["s8", "wreath3", "intransitive", "primitive"],
+)
+def test_classify_op_takes_the_block_from_its_one_primitivity_pass(monkeypatch, spec):
+    assignment = resolve_assignment(spec)
+    primitive, witness = permgrp.is_primitive(list(assignment.images), assignment.degree)
+    calls = []
+    primitivity = homsearch._primitivity
+    monkeypatch.setattr(
+        homsearch, "_primitivity", lambda *args: calls.append(args) or primitivity(*args)
+    )
+    monkeypatch.setattr(permgrp, "is_primitive", None)  # a second pass would raise
+    out = OPS["classify-hom"](spec)
+    assert len(calls) == 1
+    assert out["primitive"] == primitive
+    assert out["block"] == (None if primitive else list(witness))
 
 
 def test_symmetric_lcs_op():

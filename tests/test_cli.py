@@ -655,3 +655,56 @@ def test_small_json_values_never_raise(tmp_path, capsys):
         assert code in (0, 1, 2)
 
     check()
+
+
+# --- the parser fills in the invoked subcommand alone ---------------------------------------
+
+USAGE = (
+    "usage: braidkit [-h]\n"
+    "                {present,abelianize,lcs,epi,homsearch,verify-hom,perm,smallgrp,klein-scan,claims}\n"
+    "                ...\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [[name, "--help"] for name in cli._SUBCOMMANDS] + [["claims", "run", "--help"]]
+)
+def test_every_subcommand_help_exits_zero(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: braidkit {' '.join(argv[:-1])} [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'present', "
+         "'abelianize', 'lcs', 'epi', 'homsearch', 'verify-hom', 'perm', 'smallgrp', "
+         "'klein-scan', 'claims')"),
+        (["--json", "present"], "unrecognized arguments: --json"),
+    ],
+)
+def test_usage_errors_before_a_subcommand_read_as_before(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"{USAGE}braidkit: error: {message}\n"
+
+
+def test_option_before_the_subcommand_still_fills_it_in(capsys, monkeypatch):
+    # argparse runs the first word that names a subcommand, here lcs
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(["--json", "lcs"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: braidkit lcs [-h]\n")
+    assert err.endswith("braidkit lcs: error: the following arguments are required: --layer\n")
+
+
+def test_unknown_words_are_never_parser_cache_keys(capsys):
+    cli.build_parser.cache_clear()  # count the parsers main builds, and no others
+    for i in range(50):
+        assert cli.main([f"bogus{i}", "--json"]) == 2
+    for name in cli._SUBCOMMANDS:
+        cli.main([name, "--help"])
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().currsize <= len(cli._SUBCOMMANDS) + 1
