@@ -21,7 +21,9 @@ every relation row its coordinates:
 One echelon reduces all the rows together.  The rows it leaves leading
 in weight w's block, cut to that block, span the weight-w lattice (the
 relations whose lower weights vanish), and the weight-w layer of the
-presented group is its cokernel.
+presented group is its cokernel.  That is read off the staircase as it
+stands: the rows with pivot 1 split off trivial summands, and only the
+others go on to a Smith reduction (``zlinalg._staircase_cokernel``).
 
 Only rows that can be nonzero are built.  A relator whose exponent
 vector is zero (a braid or commutation relator) has S_1 = 0, so its
@@ -34,7 +36,12 @@ by the Jacobi identity
 
 each is the difference of the [[r, x_k], x_l] and [[r, x_l], x_k] rows,
 so it adds nothing to the lattice (Magnus, Karrass & Solitar,
-*Combinatorial Group Theory*, 1966, ch. 5).  No row that projects to
+*Combinatorial Group Theory*, 1966, ch. 5).  The [[r, x], y] rows
+depend on r's exponent vector alone, so a relator whose vector an
+earlier relator has builds none: they would repeat the earlier rows,
+and an exact repeat never changes the echelon.  Its twin comes first in
+every tie, so the two are reduced alike, the repeat is never a pivot,
+and it vanishes when its twin becomes one.  No row that projects to
 zero is kept.
 
 For u in Γ_i and v in Γ_j the image of [u, v] is 1 + [u_i, v_j] plus
@@ -53,6 +60,7 @@ bounded by an estimate of the matrix size made before any row is built.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -62,9 +70,9 @@ from .word import exponent_vector
 from .zlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    _cokernel,
     _kernel_basis,
     _row_echelon,
+    _staircase_cokernel,
     abelianization,
 )
 
@@ -230,7 +238,7 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
     """Sparse nonzero rows spanning the relation lattice of weights 2..c,
     in the Lyndon coordinates of ``index`` (none has a weight-1 entry):
     per relator its [r, x] rows and, at c = 3, its [[r, x], y] rows, each
-    group left out where it vanishes (see the module docstring).
+    group left out where it vanishes or repeats (see the module docstring).
 
     The last rows are products of relator powers whose exponent vectors
     cancel, one per basis vector of the multiplicity lattice with
@@ -249,15 +257,19 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
         return built[i, inverse]
 
     rows: list[dict[int, int]] = []
+    seen: set[tuple[int, ...]] = set()
     for i, vec in enumerate(exponents):
         s1 = {(j,): v for j, v in enumerate(vec) if v}
         if c == 2 and not s1:  # every [r, x] row is B_2 = 0
             continue
         s2 = {k: v for k, v in series(i).items() if len(k) == 2} if c == 3 else {}
+        # [[s, x], y] leads with [B_2, X_y], which S_1 alone fixes
+        double = c == 3 and s1 and vec not in seen
+        seen.add(vec)
         for x in range(n):
             row, b2 = _commutator_row(s1, s2, x, c, index)
             rows.append(row)
-            if c == 3 and s1:  # [[s, x], y] leads with [B_2, X_y]
+            if double:
                 rows.extend(_project(_bracket_terms(b2, {(y,): 1}), index) for y in range(n))
     for lam in _kernel_basis(exponents, n):
         prod: Series = {(): 1}
@@ -272,7 +284,9 @@ def _weight_row_count(relators, n: int, c: int) -> int:
     """The most rows ``_weight_rows`` builds: n rows [r, x] per relator
     (at c = 2 only per relator whose exponent vector is nonzero), at c = 3
     also n^2 rows [[r, x], y] per such relator, and at most one relator
-    product per relator.  Reads letter counts, not n-long vectors."""
+    product per relator.  Reads letter counts, not n-long vectors, so it
+    still counts the [[r, x], y] rows of a relator whose exponent vector
+    repeats an earlier one's, which ``_weight_rows`` does not build."""
     counts = [Counter(r.letters) for r in relators]
     unbalanced = sum(any(k != cnt[-x] for x, k in cnt.items()) for cnt in counts)
     if c == 2:
@@ -282,14 +296,13 @@ def _weight_row_count(relators, n: int, c: int) -> int:
 
 def _layer_from_lattice(rows: list, width: int) -> tuple[FgAbelianGroup, IntMatrix]:
     """Quotient of the free weight layer (``width`` Lyndon coordinates)
-    by the lattice of sparse ``_row_echelon`` rows, and those rows as an
-    ``IntMatrix``."""
+    by the lattice of sparse ``_row_echelon`` rows, read off their
+    staircase, and those rows as an ``IntMatrix``."""
     entries = [0] * (len(rows) * width)
     for i, row in enumerate(rows):
         for j, x in row.items():
             entries[i * width + j] = x
-    lattice = IntMatrix(len(rows), width, tuple(entries))
-    return _cokernel(lattice), lattice
+    return _staircase_cokernel(rows, width), IntMatrix(len(rows), width, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -329,14 +342,16 @@ def nilpotent_quotient(
     exponents = [exponent_vector(r, n) for r in p.relators]
     rows = exponents + (_weight_rows(p, c, exponents, _lyndon_index(n, c)) if c > 1 else [])
     echelon = _row_echelon(rows, sum(widths))
-    lattices, layers, lo = [], [], 0
+    pivots = [min(r) for r in echelon]  # increasing
+    lattices, layers, lo, first = [], [], 0, 0
     for width in widths:  # one weight's block: columns lo..hi-1
         hi = lo + width
-        lead = [{j - lo: x for j, x in r.items() if j < hi} for r in echelon if lo <= min(r) < hi]
+        last = bisect_left(pivots, hi, first)
+        lead = [{j - lo: x for j, x in r.items() if j < hi} for r in echelon[first:last]]
         layer, lattice = _layer_from_lattice(lead, width)
         layers.append(layer)
         lattices.append(lattice)
-        lo = hi
+        lo, first = hi, last
     return NilpotentQuotient(c, tuple(lattices), tuple(layers))
 
 

@@ -4,10 +4,12 @@ finitely generated abelian groups, and surjection tests between them.
 There is one elimination kernel: ``_row_echelon`` brings sparse or dense
 rows to integer staircase form, for relation lattices and kernels alike,
 and returns its pivot rows sparse, as ``{column: entry}`` dicts.
-``smith_normal_form`` alternates it over the columns and the rows,
-transposing the sparse rows between passes, until the matrix is
-diagonal, and ``_cokernel`` turns a relation matrix into its
-``FgAbelianGroup``, for abelianisations and lower central layers alike.
+``_smith_diagonal`` alternates it with a sparse transposition until the
+rows are diagonal, and ``smith_normal_form`` starts that from a matrix's
+columns.  ``_staircase_cokernel`` reads the ``FgAbelianGroup`` cut out
+by echelon rows, for lower central layers and, through ``_cokernel``,
+abelianisations: the rows with pivot 1 split off trivial summands, and
+only the others go on to ``_smith_diagonal``.
 Everything is arbitrary-precision; intermediate entries of an
 elimination can grow far beyond machine integers even for small
 matrices.
@@ -101,9 +103,10 @@ def smith_normal_form(matrix: IntMatrix) -> SmithNormalForm:
     The diagonal satisfies d_1 | d_2 | ... with non-negative entries,
     zeros last; ``factors`` lists the diagonal entries greater than 1.
 
-    The columns are echelonised (column operations), then the rows of the
-    result, and so on, until every echelon row holds one nonzero entry;
-    ``_invariant_chain`` orders that diagonal (Cohen, *A Course in
+    The columns are echelonised (column operations), then
+    ``_smith_diagonal`` echelonises the rows of the result, and so on,
+    until every echelon row holds one nonzero entry; ``_invariant_chain``
+    orders that diagonal (Cohen, *A Course in
     Computational Algebraic Number Theory*, GTM 138, 1993, section 2.4).
 
     The alternation ends.  Each pass's first pivot that is not yet final
@@ -121,21 +124,27 @@ def smith_normal_form(matrix: IntMatrix) -> SmithNormalForm:
     """
     # dense column slices; the echelon keeps only their nonzero entries
     vectors = [matrix.entries[j :: matrix.cols] for j in range(matrix.cols)]
-    width = matrix.rows
-    while True:
-        echelon = _row_echelon(vectors, width)
-        if all(len(r) == 1 for r in echelon):
-            break
-        # transpose sparsely: the nonzero columns, in order, become the vectors
+    echelon = _row_echelon(vectors, matrix.rows)
+    diag = _invariant_chain(_smith_diagonal(echelon))
+    diag += [0] * (min(matrix.rows, matrix.cols) - len(diag))
+    return SmithNormalForm(tuple(diag), len(echelon), tuple(x for x in diag if x > 1))
+
+
+def _smith_diagonal(echelon: list[dict[int, int]]) -> list[int]:
+    """Diagonal entries, positive and in no set order, that
+    ``_row_echelon`` rows reach by the Smith alternation: transpose
+    sparsely, echelonise, and repeat until every row holds one nonzero
+    entry.  Row and column operations alone, keeping the row count, so
+    the rows' cokernel in Z^width is Z^(width - len(echelon)) plus Z/d
+    for each returned d."""
+    while not all(len(r) == 1 for r in echelon):
+        # the nonzero columns, in order, become the vectors
         columns: dict[int, dict[int, int]] = {}
         for i, r in enumerate(echelon):
             for j, x in r.items():
                 columns.setdefault(j, {})[i] = x
-        vectors, width = [columns[j] for j in sorted(columns)], len(echelon)
-    # each row's one entry is its pivot, made positive
-    diag = _invariant_chain(x for r in echelon for x in r.values())
-    diag += [0] * (min(matrix.rows, matrix.cols) - len(diag))
-    return SmithNormalForm(tuple(diag), len(echelon), tuple(x for x in diag if x > 1))
+        echelon = _row_echelon([columns[j] for j in sorted(columns)], len(echelon))
+    return [x for r in echelon for x in r.values()]
 
 
 def _row_echelon(
@@ -287,8 +296,43 @@ class FgAbelianGroup:
 
 def _cokernel(matrix: IntMatrix) -> FgAbelianGroup:
     """Isomorphism type of Z^cols / (lattice spanned by the rows)."""
-    snf = smith_normal_form(matrix)
-    return FgAbelianGroup(matrix.cols - snf.rank, snf.factors)
+    c = matrix.cols
+    rows = [matrix.entries[i * c : (i + 1) * c] for i in range(matrix.rows)]
+    return _staircase_cokernel(_row_echelon(rows, c), c)
+
+
+def _staircase_cokernel(rows: list[dict[int, int]], width: int) -> FgAbelianGroup:
+    """Isomorphism type of Z^width / (lattice of the ``_row_echelon`` rows).
+
+    The rows are independent, so the free rank is width - len(rows).  A
+    row whose pivot is 1 splits off a trivial summand: once the other rows
+    are cleared at its pivot column, column operations turn it into a unit
+    vector that no other row meets (Havas, Holt & Rees, "Recognizing badly
+    presented Z-modules", *Linear Algebra Appl.* 192, 1993).  So only the
+    rows with a larger pivot, each cleared at the unit pivot columns, go on
+    to ``_smith_diagonal``.  Clearing adds unit rows, which lead past the
+    row's own pivot, so the cleared rows are still a staircase; when every
+    pivot is 1 there are none, and the torsion is trivial.
+    """
+    units: list[tuple[int, dict[int, int]]] = []
+    rest: list[dict[int, int]] = []
+    for r in rows:
+        p = min(r)
+        if r[p] == 1:
+            units.append((p, r))
+        else:
+            rest.append(dict(r))
+    for r in rest:
+        for p, u in units:  # in pivot order, so a cleared column stays clear
+            q = r.get(p)
+            if q:
+                for j, x in u.items():
+                    y = r.get(j, 0) - q * x
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]
+    return FgAbelianGroup.from_moduli(_smith_diagonal(rest) if rest else (), width - len(rows))
 
 
 def relator_matrix(presentation: Presentation) -> IntMatrix:
@@ -318,29 +362,23 @@ def abelianization(presentation: Presentation) -> FgAbelianGroup:
     return _cokernel(relator_matrix(presentation))
 
 
-def _padded_factor_list(g: FgAbelianGroup) -> list[int]:
-    # largest-first, with 0 (= Z) entries for the free part
-    return [0] * g.free_rank + list(reversed(g.invariant_factors))
-
-
 def admits_epimorphism(a: FgAbelianGroup, b: FgAbelianGroup) -> bool:
     """Whether a surjective homomorphism a -> b exists.
 
     Criterion: align both factor lists largest-first (free summands first,
     as 0); b's list must be no longer than a's and divide it position by
-    position, where every x divides 0 and 0 divides only 0.
+    position, where every x divides 0 and 0 divides only 0.  The free
+    ranks are compared as numbers, never spelled out as lists: b's may not
+    exceed a's, and from position a.free_rank on b's torsion, largest
+    first, must divide a's.
     """
-    fa = _padded_factor_list(a)
-    fb = _padded_factor_list(b)
-    if len(fb) > len(fa):
+    if b.free_rank > a.free_rank:
         return False
-    for x, y in zip(fa, fb):
-        # need y | x in the cyclic-group sense: Z_x surjects onto Z_y
-        if x == 0:
-            continue
-        if y == 0 or x % y:
-            return False
-    return True
+    ta = a.invariant_factors[::-1]
+    # b's torsion entries that meet a's free summands are met by Z, which
+    # surjects onto anything cyclic
+    tb = b.invariant_factors[::-1][a.free_rank - b.free_rank :]
+    return len(tb) <= len(ta) and all(x % y == 0 for x, y in zip(ta, tb))
 
 
 def min_generators_lower_bound(presentation: Presentation) -> int:

@@ -118,6 +118,28 @@ def test_epi_subcommand():
     assert json.loads(out.stdout) == {"admits": True}
 
 
+HUGE = 99999999999999999999999  # far past what a list of slots could hold
+
+
+@pytest.mark.parametrize(
+    "source, target, admits",
+    [
+        ({"free_rank": HUGE}, {"free_rank": 0, "torsion": [2]}, True),
+        ({"free_rank": HUGE}, {"free_rank": HUGE}, True),
+        ({"free_rank": HUGE, "torsion": [4]}, {"free_rank": HUGE - 1, "torsion": [2, 2]}, True),
+        ({"free_rank": HUGE}, {"free_rank": HUGE, "torsion": [2]}, False),
+        ({"free_rank": HUGE - 1, "torsion": [6]}, {"free_rank": HUGE}, False),
+        ({"free_rank": 3}, {"free_rank": HUGE}, False),
+        ({"free_rank": 0, "torsion": [2]}, {"free_rank": HUGE}, False),
+    ],
+)
+def test_epi_compares_huge_free_ranks_as_numbers(capsys, source, target, admits):
+    code = cli.main(["epi", "--from", json.dumps(source), "--to", json.dumps(target), "--json"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    assert json.loads(out.out) == {"admits": admits}
+
+
 def test_perm_utilities():
     out = run("perm", "compose", "(1,2)", "(1,3)", "--degree", "3", "--json")
     assert json.loads(out.stdout) == {"result": "(1,2,3)"}

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from braidkit.errors import BoundExceededError, InvalidInputError
@@ -302,10 +304,10 @@ def _oracle_word_series(letters, c):
 def _oracle_weight_rows(p, c, index):
     """Every relation row, dense and tagged with its kind, from whole
     truncated series: per relator the [r, x] rows ("commutator"), at c = 3
-    each followed by its [[r, x], y] rows ("double"), then the
-    [r, [x_k, x_l]] rows ("jacobi"); the relator products ("product")
-    last.  Each jacobi row is checked to be the difference of two double
-    rows."""
+    each followed by its [[r, x], y] rows (("double", relator's exponent
+    vector)), then the [r, [x_k, x_l]] rows ("jacobi"); the relator
+    products ("product") last.  Each jacobi row is checked to be the
+    difference of two double rows."""
     n, width = p.generator_count, len(index)
 
     def project(s):
@@ -334,7 +336,7 @@ def _oracle_weight_rows(p, c, index):
                 c2 = {k: v for k, v in cs.items() if len(k) == 2}
                 for y in range(n):
                     double[x, y] = bracket(c2, {(y,): 1})
-                    rows.append(("double", double[x, y]))
+                    rows.append((("double", vec), double[x, y]))
         if c == 3:
             for k in range(n):
                 for l in range(k):
@@ -380,15 +382,63 @@ def _rows_agree_with_oracle(p):
         assert all(rows)  # no row that projects to zero is kept
         assert all(0 not in row.values() for row in rows)  # sparse rows hold no zeros
         dense = [[row.get(j, 0) for j in range(len(index))] for row in rows]
-        # the oracle's rows without the zero and the Jacobi-redundant ones
-        oracle = _oracle_weight_rows(p, c, index)
-        expected = [row for kind, row in oracle if kind != "jacobi" and any(row)]
+        # the oracle's rows without the zero and the Jacobi-redundant ones,
+        # and without the double rows of a relator whose exponent vector an
+        # earlier relator had: a relator has n^2 double rows, so each
+        # vector keeps its first n^2
+        doubles = Counter()
+        expected = []
+        for kind, row in _oracle_weight_rows(p, c, index):
+            if isinstance(kind, tuple):
+                doubles[kind] += 1
+                if doubles[kind] > n * n:
+                    continue
+            if kind != "jacobi" and any(row):
+                expected.append(row)
         assert dense == expected, (p.family, c)
 
 
 def test_weight_rows_match_full_product_oracle_on_grid():
     for p in GRID:
         _rows_agree_with_oracle(p)
+
+
+def test_class3_rows_skip_repeated_exponent_vectors():
+    # rows built at c = 3 over GRID, and over the 49 presentations of the
+    # lcs-grid benchmark (GRID without the five-strand surfaces); 12,686
+    # and 7,675 when every relator built its [[r, x], y] rows
+    counts = []
+    for p in GRID:
+        n = p.generator_count
+        exponents = [exponent_vector(r, n) for r in p.relators]
+        counts.append(len(_weight_rows(p, 3, exponents, _lyndon_index(n, 3))))
+    in_lcs_grid = [p.family.strands <= 4 or p.family.surface == "class2-quotient" for p in GRID]
+    assert sum(in_lcs_grid) == 49
+    assert sum(counts) == 10694
+    assert sum(k for k, kept in zip(counts, in_lcs_grid) if kept) == 6269
+
+
+def test_smith_loop_runs_only_for_layers_with_a_pivot_above_one(monkeypatch):
+    import braidkit.zlinalg as zlinalg
+
+    calls = []
+    smith_diagonal = zlinalg._smith_diagonal
+
+    def counting(rows):
+        calls.append(len(rows))
+        return smith_diagonal(rows)
+
+    monkeypatch.setattr(zlinalg, "_smith_diagonal", counting)
+    monkeypatch.setattr(zlinalg, "smith_normal_form", None)  # no dense detour
+    expected = []
+    for p in GRID:
+        for m in nilpotent_quotient(p, 3).relation_lattices:
+            rows = [m.entries[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+            larger = sum(next(x for x in r if x) > 1 for r in rows)
+            if larger:
+                expected.append(larger)
+    assert calls == expected
+    assert 0 < len(calls) < 3 * len(GRID)
 
 
 def test_word_series_are_built_once_per_relator_and_sign_when_a_row_needs_them(monkeypatch):

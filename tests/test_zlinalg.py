@@ -11,8 +11,10 @@ from braidkit.word import generator
 from braidkit.zlinalg import (
     FgAbelianGroup,
     IntMatrix,
+    _cokernel,
     _kernel_basis,
     _row_echelon,
+    _staircase_cokernel,
     abelianization,
     admits_epimorphism,
     min_generators_lower_bound,
@@ -297,6 +299,50 @@ def test_snf_matches_the_dense_reduction_on_grid_inputs():
             assert list(smith_normal_form(matrix).diagonal) == _dense_smith(dense), p
 
 
+def _smith_cokernel(matrix):
+    """Z^cols / rows, from the diagonal of the whole Smith normal form."""
+    snf = smith_normal_form(matrix)
+    return FgAbelianGroup(matrix.cols - snf.rank, snf.factors)
+
+
+def test_cokernel_matches_the_smith_diagonal_on_seeded_matrices():
+    rng = random.Random(23)
+    seen = dict.fromkeys(("empty", "zero row", "repeated row", "all pivots 1"), 0)
+    seen.update(dict.fromkeys(("pivot 1 and larger", "larger pivots only"), 0))
+    for trial in range(3000):
+        m, c = _random_snf_input(rng, trial)
+        if m and trial % 3 == 0:  # exact repeats, anywhere
+            for _ in range(rng.randint(1, 3)):
+                m.insert(rng.randint(0, len(m)), list(rng.choice(m)))
+        matrix = IntMatrix.from_rows(m, cols=c)
+        echelon = _row_echelon(m, c)
+        before = [dict(r) for r in echelon]
+        expected = _smith_cokernel(matrix)
+        assert _staircase_cokernel(echelon, c) == expected, (m, c)
+        assert echelon == before  # the rows are left alone
+        assert _cokernel(matrix) == expected, (m, c)
+        units = sum(r[min(r)] == 1 for r in echelon)
+        nonzero = [tuple(r) for r in m if any(r)]
+        seen["empty"] += not m or not c
+        seen["zero row"] += len(nonzero) < len(m)
+        seen["repeated row"] += len(set(nonzero)) < len(nonzero)
+        seen["all pivots 1"] += 0 < units == len(echelon)
+        seen["pivot 1 and larger"] += 0 < units < len(echelon)
+        seen["larger pivots only"] += units == 0 < len(echelon)
+    assert all(x >= 20 for x in seen.values()), seen
+
+
+def test_cokernel_matches_the_smith_diagonal_on_grid_lattices():
+    from test_nilq import GRID
+
+    for p in GRID:
+        assert abelianization(p) == _smith_cokernel(relator_matrix(p)), p
+        for c in (1, 2, 3):
+            q = nilpotent_quotient(p, c)
+            for matrix, layer in zip(q.relation_lattices, q.layers):
+                assert layer == _cokernel(matrix) == _smith_cokernel(matrix), (p, c)
+
+
 def test_from_moduli_matches_the_dense_reduction_of_its_diagonal():
     rng = random.Random(13)
     for _ in range(1000):
@@ -398,6 +444,25 @@ def test_row_echelon_matches_dense_oracle():
         seen["negative"] += any(next(x for x in r if x) < 0 for r in nonzero)
         seen["reduced to zero"] += len(expected) < len(nonzero)
     assert all(seen.values()), seen
+
+
+def test_exact_repeats_leave_the_row_echelon_unchanged():
+    # a repeat ties with its earlier twin at every step, so it is reduced
+    # alike, is never the pivot, and vanishes when its twin becomes one
+    rng = random.Random(2025)
+    for trial in range(3000):
+        if trial % 2:
+            rows, ncols = _random_echelon_input(rng, trial)
+        else:
+            rows, ncols = _random_snf_input(rng, trial)
+        if trial % 4 < 2:
+            rows = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        repeated = list(rows)
+        for _ in range(rng.randint(1, 6) if rows else 0):
+            twin = rng.randrange(len(repeated))
+            copy = dict(repeated[twin]) if trial % 4 < 2 else list(repeated[twin])
+            repeated.insert(rng.randint(twin + 1, len(repeated)), copy)
+        assert _row_echelon(repeated, ncols) == _row_echelon(rows, ncols), (rows, ncols)
 
 
 def test_row_echelon_refuses_rows_that_lead_past_its_columns():
