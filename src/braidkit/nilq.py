@@ -36,13 +36,14 @@ by the Jacobi identity
 
 each is the difference of the [[r, x_k], x_l] and [[r, x_l], x_k] rows,
 so it adds nothing to the lattice (Magnus, Karrass & Solitar,
-*Combinatorial Group Theory*, 1966, ch. 5).  The [[r, x], y] rows
-depend on r's exponent vector alone, so a relator whose vector an
-earlier relator has builds none: they would repeat the earlier rows,
-and an exact repeat never changes the echelon.  Its twin comes first in
-every tie, so the two are reduced alike, the repeat is never a pivot,
-and it vanishes when its twin becomes one.  No row that projects to
-zero is kept.
+*Combinatorial Group Theory*, 1966, ch. 5).  The [r, x] rows at c = 2
+(each is B_2, below) and the [[r, x], y] rows at c = 3 (each leads with
+[B_2, X_y]) depend on r's exponent vector alone, so a relator whose
+vector an earlier relator has builds none: they would repeat the earlier
+rows, and an exact repeat never changes the echelon.  Its twin comes
+first in every tie, so the two are reduced alike, the repeat is never a
+pivot, and it vanishes when its twin becomes one.  No row that projects
+to zero is kept.
 
 For u in Γ_i and v in Γ_j the image of [u, v] is 1 + [u_i, v_j] plus
 terms above degree i + j, so the weight-3 commutator rows are brackets
@@ -52,10 +53,22 @@ then [r, x] = 1 + (xr)^-1 (SX - XS), and below degree 4 only
 
     [r, x] = 1 + B_2 + B_3 - (S_1 + X) B_2,  B_d = S_{d-1} X - X S_{d-1}.
 
-Only the relator products multiply whole series.  A relator's series is
-built one letter at a time, and every row is a sparse ``{column: entry}``
-dict from the moment it is made.  Arithmetic is exact, and the work is
-bounded by an estimate of the matrix size made before any row is built.
+At c = 2 no series is built.  A word's coefficient at X_k X_l, k != l,
+is the sum of e_p e_q over its letter pairs p < q on generators k and l,
+e = ±1 being a letter's sign (an inverse letter's X^2 term never meets
+two generators; Fox, *Ann. Math.* 57, 1953), so one walk with running
+exponent sums gives S_2 at each Lyndon word (k, l).  As r^λ = 1 + λS_1 +
+λS_2 + C(λ, 2) S_1 S_1 + ..., where C(λ, 2) = λ(λ - 1)/2 also for
+λ < 0, a product of relator powers, in index order, has weight-2 part
+
+    Σ_i (λ_i S_2^i + C(λ_i, 2) S_1^i S_1^i) + Σ_{i<j} λ_i λ_j S_1^i S_1^j.
+
+At c = 3 only the products multiply whole series, and a product of one
+relator is its series, or its inverse's, as it stands.  A relator's
+series is built one letter at a time, and every row is a sparse
+``{column: entry}`` dict from the moment it is made.  Arithmetic is
+exact, and the work is bounded by an estimate of the matrix size made
+before any row is built.
 """
 
 from __future__ import annotations
@@ -63,6 +76,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import BoundExceededError, InvalidInputError, checked, json_field
 from .fpgroup import Presentation, resolve_presentation
@@ -117,15 +131,15 @@ def _series_mul(s: Series, t: Series, c: int) -> Series:
 
 
 def _series_pow(s: Series, k: int, c: int) -> Series:
-    out: Series = {(): 1}
-    base = s
-    while k:
+    # s^k for k >= 1 by squaring; s itself, not a copy, when k = 1
+    out = None
+    while True:
         if k & 1:
-            out = _series_mul(out, base, c)
+            out = s if out is None else _series_mul(out, s, c)
         k >>= 1
-        if k:
-            base = _series_mul(base, base, c)
-    return out
+        if not k:
+            return out
+        s = _series_mul(s, s, c)
 
 
 def _word_series(letters, c: int) -> Series:
@@ -150,6 +164,21 @@ def _word_series(letters, c: int) -> Series:
                     else:
                         del terms[key]
     return {key: v for terms in by_degree for key, v in terms.items()}
+
+
+def _pair_counts(letters) -> Series:
+    """A word's Magnus coefficients at X_k X_l, k < l, from one walk that
+    keeps running exponent sums: a letter x_l^e adds e times the sum so
+    far of each generator k < l (see the module docstring)."""
+    sums: dict[int, int] = {}
+    out: Series = {}
+    for let in letters:
+        l, e = abs(let) - 1, 1 if let > 0 else -1
+        for k, v in sums.items():
+            if k < l and v:
+                out[k, l] = out.get((k, l), 0) + e * v
+        sums[l] = sums.get(l, 0) + e
+    return {key: v for key, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +228,19 @@ def _bracket_terms(s: Series, t: Series):
             yield k2 + k1, -v1 * v2
 
 
-def _commutator_row(s1: Series, s2: Series, x: int, c: int, index: dict):
-    """Sparse Lyndon coordinates of [s, x] = s^-1 x^-1 s x, and its
-    degree-2 part B_2, from the degree-1 and degree-2 parts of s by
+def _commutator_row(s1: Series, s2: Series, x: int, index: dict):
+    """Sparse Lyndon coordinates, at c = 3, of [s, x] = s^-1 x^-1 s x, and
+    its degree-2 part B_2, from the degree-1 and degree-2 parts of s by
     [s, x] = 1 + B_2 + B_3 - (S_1 + X) B_2 (see the module docstring)."""
     gx = {(x,): 1}
     b2: Series = {}
     for key, v in _bracket_terms(s1, gx):
         b2[key] = b2.get(key, 0) + v
     terms = list(b2.items())
-    if c == 3:
-        terms.extend(_bracket_terms(s2, gx))
-        left = dict(s1)
-        left[(x,)] = left.get((x,), 0) + 1
-        terms.extend((k1 + k2, -v1 * v2) for k1, v1 in left.items() for k2, v2 in b2.items())
+    terms.extend(_bracket_terms(s2, gx))
+    left = dict(s1)
+    left[(x,)] = left.get((x,), 0) + 1
+    terms.extend((k1 + k2, -v1 * v2) for k1, v1 in left.items() for k2, v2 in b2.items())
     return _project(terms, index), b2
 
 
@@ -234,6 +262,29 @@ def free_layer_rank(n: int, w: int) -> int:
 # relation lattices per weight
 
 
+def _class2_product(lam, exponents, pairs, index: dict) -> dict[int, int]:
+    """Sparse Lyndon coordinates, at c = 2, of the relator product
+    Π r_i^λ_i in index order, from the exponent vectors S_1^i and the pair
+    counts S_2^i in ``pairs`` alone (see the module docstring)."""
+    terms: dict[tuple[int, int], int] = {}
+    prefix = [0] * len(exponents[0])  # Σ λ_i S_1^i over the factors so far
+    for i, k in enumerate(lam):
+        if k:
+            for key, v in pairs[i].items():
+                terms[key] = terms.get(key, 0) + k * v
+            vec = exponents[i]
+            if any(vec):
+                # the prefix times k S_1^i, and C(k, 2) S_1^i S_1^i
+                left = [k * a + k * (k - 1) // 2 * b for a, b in zip(prefix, vec)]
+                for l, b in enumerate(vec):
+                    if b:
+                        for j in range(l):
+                            if left[j]:
+                                terms[j, l] = terms.get((j, l), 0) + left[j] * b
+                prefix = [a + k * b for a, b in zip(prefix, vec)]
+    return _project(terms.items(), index)
+
+
 def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[int, int]]:
     """Sparse nonzero rows spanning the relation lattice of weights 2..c,
     in the Lyndon coordinates of ``index`` (none has a weight-1 entry):
@@ -242,10 +293,19 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
 
     The last rows are products of relator powers whose exponent vectors
     cancel, one per basis vector of the multiplicity lattice with
-    vanishing weight-1 part; a negative power is a power of the inverse
-    relator's series.  A relator's series, or its inverse's, is built
-    once, when a row first needs it: at c = 3 every relator's for its
-    degree-2 part, at c = 2 only those of the relators in such a product.
+    vanishing weight-1 part.
+
+    At c = 2 no series is built.  Each [r, x] row is B_2 = S_1 X - X S_1,
+    fixed by r's exponent vector, so a relator whose vector an earlier one
+    has builds none.  A word's coefficient at (k, l), k < l, is the sum of
+    e_p e_q over its letter pairs p < q on generators k and l, and the
+    product Π r_i^λ_i has the weight-2 part
+
+        Σ_i (λ_i S_2^i + C(λ_i, 2) S_1^i S_1^i) + Σ_{i<j} λ_i λ_j S_1^i S_1^j.
+
+    At c = 3 every relator's series is built once, for its degree-2 part,
+    and an inverse relator's once, when a product first has a negative
+    power of it.
     """
     n = p.generator_count
     built: dict[tuple[int, bool], Series] = {}
@@ -260,23 +320,33 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
     seen: set[tuple[int, ...]] = set()
     for i, vec in enumerate(exponents):
         s1 = {(j,): v for j, v in enumerate(vec) if v}
-        if c == 2 and not s1:  # every [r, x] row is B_2 = 0
-            continue
-        s2 = {k: v for k, v in series(i).items() if len(k) == 2} if c == 3 else {}
-        # [[s, x], y] leads with [B_2, X_y], which S_1 alone fixes
-        double = c == 3 and s1 and vec not in seen
+        # B_2 = [S_1, X] and [B_2, X_y] are fixed by S_1 alone
+        fresh = s1 and vec not in seen
         seen.add(vec)
+        if c == 2:
+            if fresh:  # each [r, x] is B_2 = S_1 X - X S_1, at (j, x) and (x, j)
+                rows.extend(
+                    {index[min(j, x), max(j, x)]: v if j < x else -v
+                     for j, v in enumerate(vec) if v and j != x}
+                    for x in range(n)
+                )
+            continue
+        s2 = {k: v for k, v in series(i).items() if len(k) == 2}
         for x in range(n):
-            row, b2 = _commutator_row(s1, s2, x, c, index)
+            row, b2 = _commutator_row(s1, s2, x, index)
             rows.append(row)
-            if double:
+            if fresh:
                 rows.extend(_project(_bracket_terms(b2, {(y,): 1}), index) for y in range(n))
-    for lam in _kernel_basis(exponents, n):
-        prod: Series = {(): 1}
-        for i, k in enumerate(lam):
-            if k:
-                prod = _series_mul(prod, _series_pow(series(i, k < 0), abs(k), c), c)
-        rows.append(_project(prod.items(), index))
+    kernel = _kernel_basis(exponents, n)
+    if c == 2:
+        used = {i for lam in kernel for i, k in enumerate(lam) if k}
+        pairs = {i: _pair_counts(p.relators[i].letters) for i in used}
+        rows.extend(_class2_product(lam, exponents, pairs, index) for lam in kernel)
+    else:
+        for lam in kernel:
+            powers = [_series_pow(series(i, k < 0), abs(k), c) for i, k in enumerate(lam) if k]
+            prod = reduce(lambda s, t: _series_mul(s, t, c), powers)
+            rows.append(_project(prod.items(), index))
     return [row for row in rows if row]
 
 
@@ -285,8 +355,9 @@ def _weight_row_count(relators, n: int, c: int) -> int:
     (at c = 2 only per relator whose exponent vector is nonzero), at c = 3
     also n^2 rows [[r, x], y] per such relator, and at most one relator
     product per relator.  Reads letter counts, not n-long vectors, so it
-    still counts the [[r, x], y] rows of a relator whose exponent vector
-    repeats an earlier one's, which ``_weight_rows`` does not build."""
+    over-counts at both classes: it still counts the rows of a relator
+    whose exponent vector repeats an earlier one's, which ``_weight_rows``
+    does not build, its [r, x] rows at c = 2 and [[r, x], y] rows at c = 3."""
     counts = [Counter(r.letters) for r in relators]
     unbalanced = sum(any(k != cnt[-x] for x, k in cnt.items()) for cnt in counts)
     if c == 2:
@@ -333,6 +404,7 @@ def nilpotent_quotient(
     widths = [free_layer_rank(n, w) for w in range(1, c + 1)]
     row_count = len(p.relators) + (_weight_row_count(p.relators, n, c) if c > 1 else 0)
     # the index costs a row of columns; a relator's series, letters x n^c
+    # (at c = 2 its pair walk, at most letters x n)
     cost = (row_count + 1) * sum(widths) + sum(len(r) for r in p.relators) * n**c
     if cost > bound:
         raise BoundExceededError(

@@ -13,8 +13,11 @@ from braidkit.fpgroup import (
     nonorientable,
 )
 from braidkit.nilq import (
+    _class2_product,
     _lyndon_index,
     _lyndon_words,
+    _pair_counts,
+    _project,
     _weight_row_count,
     _weight_rows,
     _word_series,
@@ -303,11 +306,11 @@ def _oracle_word_series(letters, c):
 
 def _oracle_weight_rows(p, c, index):
     """Every relation row, dense and tagged with its kind, from whole
-    truncated series: per relator the [r, x] rows ("commutator"), at c = 3
-    each followed by its [[r, x], y] rows (("double", relator's exponent
-    vector)), then the [r, [x_k, x_l]] rows ("jacobi"); the relator
-    products ("product") last.  Each jacobi row is checked to be the
-    difference of two double rows."""
+    truncated series: per relator the [r, x] rows (("commutator",
+    relator's exponent vector)), at c = 3 each followed by its [[r, x], y]
+    rows (("double", the vector)), then the [r, [x_k, x_l]] rows
+    ("jacobi"); the relator products ("product") last.  Each jacobi row is
+    checked to be the difference of two double rows."""
     n, width = p.generator_count, len(index)
 
     def project(s):
@@ -331,7 +334,7 @@ def _oracle_weight_rows(p, c, index):
         for x in range(n):
             g = {(): 1, (x,): 1}  # [s, x] = s^-1 x^-1 s x
             cs = _oracle_mul(_oracle_mul(s_inv, _oracle_inv(g, c), c), _oracle_mul(s, g, c), c)
-            rows.append(("commutator", project(cs)))
+            rows.append((("commutator", vec), project(cs)))
             if c == 3:
                 c2 = {k: v for k, v in cs.items() if len(k) == 2}
                 for y in range(n):
@@ -383,15 +386,16 @@ def _rows_agree_with_oracle(p):
         assert all(0 not in row.values() for row in rows)  # sparse rows hold no zeros
         dense = [[row.get(j, 0) for j in range(len(index))] for row in rows]
         # the oracle's rows without the zero and the Jacobi-redundant ones,
-        # and without the double rows of a relator whose exponent vector an
-        # earlier relator had: a relator has n^2 double rows, so each
-        # vector keeps its first n^2
-        doubles = Counter()
+        # and without the rows that the exponent vector alone fixes, of a
+        # relator whose vector an earlier relator had: the n^2 double rows,
+        # and at c = 2 the n commutator rows, so each vector keeps its first
+        fixed = {"double": n * n, "commutator": n if c == 2 else None}
+        seen = Counter()
         expected = []
         for kind, row in _oracle_weight_rows(p, c, index):
-            if isinstance(kind, tuple):
-                doubles[kind] += 1
-                if doubles[kind] > n * n:
+            if isinstance(kind, tuple) and fixed[kind[0]]:
+                seen[kind] += 1
+                if seen[kind] > fixed[kind[0]]:
                     continue
             if kind != "jacobi" and any(row):
                 expected.append(row)
@@ -416,6 +420,88 @@ def test_class3_rows_skip_repeated_exponent_vectors():
     assert sum(in_lcs_grid) == 49
     assert sum(counts) == 10694
     assert sum(k for k, kept in zip(counts, in_lcs_grid) if kept) == 6269
+
+
+def test_class2_rows_skip_repeated_exponent_vectors():
+    # rows built at c = 2 over GRID and over the 49 presentations of the
+    # lcs-grid benchmark; 1,644 and 1,072 when every relator with a nonzero
+    # exponent vector built its [r, x] rows
+    counts = []
+    for p in GRID:
+        n = p.generator_count
+        exponents = [exponent_vector(r, n) for r in p.relators]
+        counts.append(len(_weight_rows(p, 2, exponents, _lyndon_index(n, 2))))
+    in_lcs_grid = [p.family.strands <= 4 or p.family.surface == "class2-quotient" for p in GRID]
+    assert sum(counts) == 1370
+    assert sum(k for k, kept in zip(counts, in_lcs_grid) if kept) == 865
+
+
+def test_pair_counts_are_the_lyndon_coefficients_of_word_series():
+    import random
+
+    def expected(letters):
+        series = _word_series(letters, 2)
+        return {k: v for k, v in series.items() if len(k) == 2 and k[0] < k[1]}
+
+    rng = random.Random(25)
+    words = [class2_quotient_presentation(3, 1155).relators[0].letters]  # sigma^2314
+    for trial in range(2400):
+        n = 1 + trial % 5
+        letters = []
+        for _ in range(rng.randint(0, 12)):
+            x = rng.choice([i for i in range(-n, n + 1) if i])
+            # single letters, short runs, and long runs, unreduced at times
+            letters += [x] * rng.choice([1, 1, 1, 2, 3, rng.randint(4, 60)])
+        words.append(letters)
+    inverse = repeated = long_runs = 0
+    for letters in words:
+        assert _pair_counts(letters) == expected(letters), letters
+        inverse += any(x < 0 for x in letters)
+        repeated += len(set(map(abs, letters))) < len(letters)
+        long_runs += any(letters[i : i + 20] == [letters[i]] * 20 for i in range(len(letters)))
+    assert len(words) > 2000 and min(inverse, repeated, long_runs) > 100
+
+
+def _class2_product_oracle(p, lam, index):
+    """The relator product, in index order, multiplied out as whole series."""
+    prod = {(): 1}
+    for r, k in zip(p.relators, lam):
+        s = _oracle_word_series(r.letters, 2)
+        for _ in range(abs(k)):
+            prod = _oracle_mul(prod, s if k > 0 else _oracle_inv(s, 2), 2)
+    return _project(prod.items(), index)
+
+
+def test_class2_product_rows_equal_series_products():
+    import random
+
+    from braidkit.word import reduce_word
+
+    rng = random.Random(2314)
+    large = negative = three = 0
+    for trial in range(300):
+        n = 2 + trial % 3
+        letters = [i for i in range(-n, n + 1) if i]
+        u, v, extra = ([rng.choice(letters) for _ in range(rng.randint(1, 6))] for _ in range(3))
+        a, b = rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, -1, -3])
+        # a rearranged u^a v^b has exponent vector a u + b v, so the kernel
+        # has vectors over three relators, with entries of size 2 or more
+        # and of both signs
+        w = [x if k > 0 else -x for k, word in ((a, u), (b, v)) for x in word * abs(k)]
+        rng.shuffle(w)
+        relators = [r for r in (u, v, w, extra) if len(reduce_word(r, n))]
+        p = _named_presentation([f"x{i}" for i in range(1, n + 1)], relators)
+        exponents = [exponent_vector(r, n) for r in p.relators]
+        index = _lyndon_index(n, 2)
+        pairs = {i: _pair_counts(r.letters) for i, r in enumerate(p.relators)}
+        for lam in _kernel_basis(exponents, n):
+            assert _class2_product(lam, exponents, pairs, index) == _class2_product_oracle(
+                p, lam, index
+            ), (p.relators, lam)
+            large += max(map(abs, lam)) >= 2
+            negative += min(lam) < 0
+            three += sum(map(bool, lam)) >= 3
+    assert min(large, negative, three) > 50
 
 
 def test_smith_loop_runs_only_for_layers_with_a_pivot_above_one(monkeypatch):
@@ -455,16 +541,17 @@ def test_word_series_are_built_once_per_relator_and_sign_when_a_row_needs_them(m
     for p in GRID:
         n = p.generator_count
         exponents = [exponent_vector(r, n) for r in p.relators]
-        # at c = 2 only the relator products use series; at c = 3 every
-        # relator's series also gives its degree-2 part
+        # at c = 2 the rows come from exponent vectors and pair counts, and
+        # no series is built; at c = 3 every relator's series gives its
+        # degree-2 part, and the relator products use the inverses' too
+        built.clear()
+        _weight_rows(p, 2, exponents, _lyndon_index(n, 2))
+        assert built == [], p.family
         used = {(i, k < 0) for lam in _kernel_basis(exponents, n) for i, k in enumerate(lam) if k}
-        for c in (2, 3):
-            if c == 3:
-                used |= {(i, False) for i in range(len(p.relators))}
-            built.clear()
-            _weight_rows(p, c, exponents, _lyndon_index(n, c))
-            expected = [(~p.relators[i] if inverse else p.relators[i]).letters for i, inverse in used]
-            assert sorted(built) == sorted(expected), (p.family, c)
+        used |= {(i, False) for i in range(len(p.relators))}
+        _weight_rows(p, 3, exponents, _lyndon_index(n, 3))
+        expected = [(~p.relators[i] if inverse else p.relators[i]).letters for i, inverse in used]
+        assert sorted(built) == sorted(expected), p.family
 
 
 def _random_presentations():
