@@ -16,7 +16,7 @@ every relation row its coordinates:
 * in the weight-1 block, the relators' exponent vectors;
 * in the blocks of weights 2..c, commutators [r, x] of relators with
   generators (for c = 3 also [[r, x], y]) and products of relator powers
-  whose exponent sums cancel, each projected as it is made.
+  whose exponent sums cancel, each in Lyndon coordinates as it is made.
 
 One echelon reduces all the rows together.  The rows it leaves leading
 in weight w's block, cut to that block, span the weight-w lattice (the
@@ -53,22 +53,49 @@ then [r, x] = 1 + (xr)^-1 (SX - XS), and below degree 4 only
 
     [r, x] = 1 + B_2 + B_3 - (S_1 + X) B_2,  B_d = S_{d-1} X - X S_{d-1}.
 
-At c = 2 no series is built.  A word's coefficient at X_k X_l, k != l,
-is the sum of e_p e_q over its letter pairs p < q on generators k and l,
-e = ±1 being a letter's sign (an inverse letter's X^2 term never meets
-two generators; Fox, *Ann. Math.* 57, 1953), so one walk with running
-exponent sums gives S_2 at each Lyndon word (k, l).  As r^λ = 1 + λS_1 +
-λS_2 + C(λ, 2) S_1 S_1 + ..., where C(λ, 2) = λ(λ - 1)/2 also for
-λ < 0, a product of relator powers, in index order, has weight-2 part
+No series is built, at either class.  Every coefficient a row reads
+comes from one walk over the relator (``_magnus_walk``) that keeps
+running S_1 and S_2: right-multiplying by a letter x^e, e = ±1,
+multiplies the series by 1 + X or by 1 - X + X^2 - ..., so S_2 gains
+e S_1 X and S_3 gains e S_2 X, and an inverse letter also adds S_1 X^2
+to S_3 (its other terms fall on xx and xxx, which are not Lyndon words).
+The walk keeps S_2 at the Lyndon words (k, l), k < l, alone, where a
+word's coefficient is the sum of e_p e_q over its letter pairs p < q on
+generators k and l (Fox, *Ann. Math.* 57, 1953).  The other pairs follow
+from the quasi-shuffle identities
 
-    Σ_i (λ_i S_2^i + C(λ_i, 2) S_1^i S_1^i) + Σ_{i<j} λ_i λ_j S_1^i S_1^j.
+    c(lk) = c(k) c(l) - c(kl)  (k < l),    c(kk) = C(c(k), 2),
 
-At c = 3 only the products multiply whole series, and a product of one
-relator is its series, or its inverse's, as it stands.  A relator's
-series is built one letter at a time, and every row is a sparse
-``{column: entry}`` dict from the moment it is made.  Arithmetic is
-exact, and the work is bounded by an estimate of the matrix size made
-before any row is built.
+the second because the word's image in one generator k is
+(1 + X_k)^c(k); here C(λ, m) = λ(λ - 1)...(λ - m + 1)/m!, an integer
+also for λ < 0.  At c = 3 the walk writes S_3 only at the Lyndon words
+of length 3, the (a, b, d) with a < d and a <= b.  A step on x writes
+(a, b, x) with a < x and a <= b, so it reads S_2 only at (a, b), a <= b:
+the walk's own pairs and C(S_1[a], 2) on the diagonal.
+
+Each row is written straight into its Lyndon columns:
+
+* [r, x] is B_2 at c = 2 and B_2 + B_3 - (S_1 + X) B_2 at c = 3;
+* [[r, x], y] leads with [B_2, X_y] = Σ_j S_1[j] [[X_j, X_x], X_y], and
+  [[X_j, X_x], X_y] = jxy - xjy - yjx + yxj, of which only the Lyndon
+  words are kept;
+* a product of relator powers, in index order, is one running product
+  P = Π (1 + A_i) - 1.  By the binomial series r^λ = (1 + S)^λ = 1 + A,
+  with A_1 = λS_1, A_2 = λS_2 + C(λ, 2) S_1 S_1 and
+
+      A_3 = λS_3 + C(λ, 2)(S_1 S_2 + S_2 S_1) + C(λ, 3) S_1 S_1 S_1,
+
+  so a negative λ needs no inverse walk.  Each factor adds A + PA: P_2
+  gains A_2 + P_1 A_1, and P_3 gains A_3 + P_1 A_2 + P_2 A_1.  The top
+  degree c enters only as a sum, so P and every A are kept in full below
+  degree c and at the Lyndon words of length c alone.  At c = 2 the
+  product's weight-2 part is
+
+      Σ_i (λ_i S_2^i + C(λ_i, 2) S_1^i S_1^i) + Σ_{i<j} λ_i λ_j S_1^i S_1^j.
+
+Every row is a sparse ``{column: entry}`` dict from the moment it is
+made.  Arithmetic is exact, and the work is bounded by an estimate of
+the matrix size made before any row is built.
 """
 
 from __future__ import annotations
@@ -76,7 +103,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import BoundExceededError, InvalidInputError, checked, json_field
 from .fpgroup import Presentation, resolve_presentation
@@ -100,85 +126,54 @@ __all__ = [
 ]
 
 MAX_CLASS = 3
-# (relation rows + 1) x Lyndon columns plus relator letters x n^c; every
-# corpus and test presentation needs under 1 million, which take well
-# under a second and a few tens of MB
+# (relation rows + 1) x Lyndon columns plus relator letters x n^c, the
+# charge for the relators' walks; every corpus and test presentation
+# needs under 1 million, which take well under a second and a few tens
+# of MB
 DEFAULT_LCS_BOUND = 10**7
 
 # ---------------------------------------------------------------------------
-# truncated tensor-series arithmetic (exact, over Z)
-
-Series = dict  # {tuple of 0-based generator indices: int coefficient}
+# Magnus coefficients, read off one walk over a word
 
 
-def _series_mul(s: Series, t: Series, c: int) -> Series:
-    # t's terms grouped by degree, so no pair above degree c is formed: the
-    # product of two dense degree-3 series costs O(n^3) steps, not O(n^6)
-    by_degree: list[list] = [[] for _ in range(c + 1)]
-    for k2, v2 in t.items():
-        by_degree[len(k2)].append((k2, v2))
-    out: Series = {}
-    for k1, v1 in s.items():
-        for d in range(c + 1 - len(k1)):
-            for k2, v2 in by_degree[d]:
-                key = k1 + k2
-                val = out.get(key, 0) + v1 * v2
-                if val:
-                    out[key] = val
-                elif key in out:
-                    del out[key]
+def _magnus_walk(letters, c: int) -> dict[tuple[int, ...], int]:
+    """A word's Magnus coefficients at the words of length 1..c-1 and at
+    the Lyndon words of length c, as ``{word: coefficient}`` without zeros,
+    from one walk that keeps running S_1 and S_2 (see the module
+    docstring)."""
+    s1: dict[int, int] = {}
+    s2: dict[tuple[int, ...], int] = {}  # at (k, l), k < l
+    s3: dict[tuple[int, ...], int] = {}  # at the Lyndon words (a, b, x)
+    for let in letters:
+        x, e = abs(let) - 1, 1 if let > 0 else -1
+        if c == 3:  # S_3 gains e S_2 X at (a, b, x), a < x and a <= b
+            for (a, b), v in s2.items():
+                if a < x:
+                    s3[a, b, x] = s3.get((a, b, x), 0) + e * v
+            for a, v in s1.items():
+                if a < x and v:  # S_2 at (a, a) is C(v, 2)
+                    s3[a, a, x] = s3.get((a, a, x), 0) + e * (v * (v - 1) // 2)
+                    if e < 0:  # x^-1 = 1 - X + X^2 - ...: S_1 X^2 at (a, x, x)
+                        s3[a, x, x] = s3.get((a, x, x), 0) + v
+        for a, v in s1.items():
+            if a < x and v:
+                v = s2.get((a, x), 0) + e * v
+                if v:
+                    s2[a, x] = v
+                else:  # kept without zeros
+                    del s2[a, x]
+        s1[x] = s1.get(x, 0) + e
+    out = {(k,): v for k, v in s1.items() if v}
+    out.update(s2)
+    if c == 3:  # S_2 at (l, k) and (k, k) too, by the quasi-shuffle identities
+        for k, u in s1.items():
+            for l, w in s1.items():
+                if k >= l:
+                    v = u * w - s2.get((l, k), 0) if k > l else u * (u - 1) // 2
+                    if v:
+                        out[k, l] = v
+        out.update({key: v for key, v in s3.items() if v})
     return out
-
-
-def _series_pow(s: Series, k: int, c: int) -> Series:
-    # s^k for k >= 1 by squaring; s itself, not a copy, when k = 1
-    out = None
-    while True:
-        if k & 1:
-            out = s if out is None else _series_mul(out, s, c)
-        k >>= 1
-        if not k:
-            return out
-        s = _series_mul(s, s, c)
-
-
-def _word_series(letters, c: int) -> Series:
-    # right-multiply by one letter at a time: 1 + X for x, and
-    # 1 - X + X^2 - ... for x^-1, appending powers of X to shorter keys.
-    # Terms are kept by degree and the degrees below c read from the top
-    # down, so each is read before it is written and degree c, the
-    # largest, is never walked
-    by_degree: list[Series] = [{(): 1}] + [{} for _ in range(c)]
-    for let in letters:
-        x, sign = abs(let) - 1, 1 if let > 0 else -1
-        top = 1 if let > 0 else c
-        for d in range(c - 1, -1, -1):
-            for key, v in by_degree[d].items():
-                for e in range(d + 1, d + 1 + min(top, c - d)):
-                    v *= sign
-                    key += (x,)
-                    terms = by_degree[e]
-                    val = terms.get(key, 0) + v
-                    if val:
-                        terms[key] = val
-                    else:
-                        del terms[key]
-    return {key: v for terms in by_degree for key, v in terms.items()}
-
-
-def _pair_counts(letters) -> Series:
-    """A word's Magnus coefficients at X_k X_l, k < l, from one walk that
-    keeps running exponent sums: a letter x_l^e adds e times the sum so
-    far of each generator k < l (see the module docstring)."""
-    sums: dict[int, int] = {}
-    out: Series = {}
-    for let in letters:
-        l, e = abs(let) - 1, 1 if let > 0 else -1
-        for k, v in sums.items():
-            if k < l and v:
-                out[k, l] = out.get((k, l), 0) + e * v
-        sums[l] = sums.get(l, 0) + e
-    return {key: v for key, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -209,41 +204,6 @@ def _lyndon_index(n: int, c: int) -> dict[tuple[int, ...], int]:
     return {w: j for j, w in enumerate(sorted(_lyndon_words(n, c), key=len))}
 
 
-def _project(terms, index: dict) -> dict[int, int]:
-    """Sparse Lyndon coordinates, ``{column: entry}``, of a sum of
-    (word, coefficient) terms."""
-    row: dict[int, int] = {}
-    for key, v in terms:
-        j = index.get(key)
-        if j is not None:
-            row[j] = row.get(j, 0) + v
-    return {j: v for j, v in row.items() if v}
-
-
-def _bracket_terms(s: Series, t: Series):
-    """Terms of the bracket st - ts."""
-    for k1, v1 in s.items():
-        for k2, v2 in t.items():
-            yield k1 + k2, v1 * v2
-            yield k2 + k1, -v1 * v2
-
-
-def _commutator_row(s1: Series, s2: Series, x: int, index: dict):
-    """Sparse Lyndon coordinates, at c = 3, of [s, x] = s^-1 x^-1 s x, and
-    its degree-2 part B_2, from the degree-1 and degree-2 parts of s by
-    [s, x] = 1 + B_2 + B_3 - (S_1 + X) B_2 (see the module docstring)."""
-    gx = {(x,): 1}
-    b2: Series = {}
-    for key, v in _bracket_terms(s1, gx):
-        b2[key] = b2.get(key, 0) + v
-    terms = list(b2.items())
-    terms.extend(_bracket_terms(s2, gx))
-    left = dict(s1)
-    left[(x,)] = left.get((x,), 0) + 1
-    terms.extend((k1 + k2, -v1 * v2) for k1, v1 in left.items() for k2, v2 in b2.items())
-    return _project(terms, index), b2
-
-
 def free_layer_rank(n: int, w: int) -> int:
     """Rank of the weight-w lower central layer of a free group of rank n,
     by the necklace formula (1/w) * sum over d | w of mu(d) * n^(w/d);
@@ -262,27 +222,45 @@ def free_layer_rank(n: int, w: int) -> int:
 # relation lattices per weight
 
 
-def _class2_product(lam, exponents, pairs, index: dict) -> dict[int, int]:
-    """Sparse Lyndon coordinates, at c = 2, of the relator product
-    Π r_i^λ_i in index order, from the exponent vectors S_1^i and the pair
-    counts S_2^i in ``pairs`` alone (see the module docstring)."""
-    terms: dict[tuple[int, int], int] = {}
-    prefix = [0] * len(exponents[0])  # Σ λ_i S_1^i over the factors so far
+def _product_row(lam, walks: dict, index: dict, c: int) -> dict[int, int]:
+    """Sparse Lyndon coordinates of the relator product Π r_i^λ_i, in
+    index order, from one running product of the A_i = r_i^λ_i - 1 and the
+    relators' walks alone (see the module docstring)."""
+
+    def mul(s, t):  # the words of s t of length < c, and of length c if Lyndon
+        by_length: list[list] = [[] for _ in range(c)]  # t's words shorter than c
+        for key, v in t.items():
+            if len(key) < c:
+                by_length[len(key)].append((key, v))
+        out: dict[tuple[int, ...], int] = {}
+        for k1, v1 in s.items():
+            for length in range(1, c + 1 - len(k1)):
+                for k2, v2 in by_length[length]:
+                    key = k1 + k2
+                    if len(key) < c or key[0] < key[-1] and key[0] <= key[1]:
+                        out[key] = out.get(key, 0) + v1 * v2
+        return out
+
+    prod: dict[tuple[int, ...], int] = {}  # P, the product so far less 1
     for i, k in enumerate(lam):
         if k:
-            for key, v in pairs[i].items():
-                terms[key] = terms.get(key, 0) + k * v
-            vec = exponents[i]
-            if any(vec):
-                # the prefix times k S_1^i, and C(k, 2) S_1^i S_1^i
-                left = [k * a + k * (k - 1) // 2 * b for a, b in zip(prefix, vec)]
-                for l, b in enumerate(vec):
-                    if b:
-                        for j in range(l):
-                            if left[j]:
-                                terms[j, l] = terms.get((j, l), 0) + left[j] * b
-                prefix = [a + k * b for a, b in zip(prefix, vec)]
-    return _project(terms.items(), index)
+            s = walks[i]
+            power = {key: k * v for key, v in s.items()}  # A = k S + C(k, 2) S^2 + C(k, 3) S^3
+            if k != 1:
+                square = mul(s, s)
+                terms = [(square, k * (k - 1) // 2)]
+                if c == 3:
+                    terms.append((mul(square, s), k * (k - 1) * (k - 2) // 6))
+                for t, coefficient in terms:
+                    for key, v in t.items():
+                        power[key] = power.get(key, 0) + coefficient * v
+            if not prod:
+                prod = power
+                continue
+            for t in (power, mul(prod, power)):  # (1 + P)(1 + A) = 1 + P + A + PA
+                for key, v in t.items():
+                    prod[key] = prod.get(key, 0) + v
+    return {index[key]: v for key, v in prod.items() if v and key in index}
 
 
 def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[int, int]]:
@@ -295,58 +273,71 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
     cancel, one per basis vector of the multiplicity lattice with
     vanishing weight-1 part.
 
-    At c = 2 no series is built.  Each [r, x] row is B_2 = S_1 X - X S_1,
-    fixed by r's exponent vector, so a relator whose vector an earlier one
-    has builds none.  A word's coefficient at (k, l), k < l, is the sum of
-    e_p e_q over its letter pairs p < q on generators k and l, and the
-    product Π r_i^λ_i has the weight-2 part
+    No series is built.  Each relator that a row reads is walked once
+    (``_magnus_walk``): at c = 3 every relator, for the S_2 of its [r, x]
+    rows, and at c = 2 only the relators in a product.  The walk keeps
+    S_2 at the pairs (k, l), k < l, and gives (l, k) as
+    S_1[k] S_1[l] - S_2[k, l] and (k, k) as C(S_1[k], 2); at c = 3 it
+    writes S_3 only at the Lyndon words (a, b, d), a < d and a <= b.
+    Each row is written straight into the Lyndon columns:
 
-        Σ_i (λ_i S_2^i + C(λ_i, 2) S_1^i S_1^i) + Σ_{i<j} λ_i λ_j S_1^i S_1^j.
-
-    At c = 3 every relator's series is built once, for its degree-2 part,
-    and an inverse relator's once, when a product first has a negative
-    power of it.
+    * [r, x] is B_2 at c = 2, fixed by r's exponent vector, and
+      B_2 + B_3 - (S_1 + X) B_2 at c = 3;
+    * [[r, x], y] leads with [B_2, X_y] = Σ_j S_1[j] [[X_j, X_x], X_y],
+      and [[X_j, X_x], X_y] = jxy - xjy - yjx + yxj, of which only the
+      Lyndon words are kept;
+    * a product keeps P = Π (1 + A_i) - 1 in full below degree c and at
+      the Lyndon words of degree c.  Each factor adds A + PA, where
+      A = λS + C(λ, 2) S^2 + C(λ, 3) S^3, so P_3 gains
+      A_3 + P_1 A_2 + P_2 A_1, and no factor needs an inverse walk.
     """
     n = p.generator_count
-    built: dict[tuple[int, bool], Series] = {}
+    kernel = _kernel_basis(exponents, n)
+    used = {i for lam in kernel for i, k in enumerate(lam) if k}
+    walks = {
+        i: _magnus_walk(r.letters, c) for i, r in enumerate(p.relators) if c == 3 or i in used
+    }
 
-    def series(i: int, inverse: bool = False) -> Series:
-        if (i, inverse) not in built:
-            r = p.relators[i]
-            built[i, inverse] = _word_series((~r if inverse else r).letters, c)
-        return built[i, inverse]
+    def bracket(row, terms, x):  # row plus T X - X T at the Lyndon words, T of degree 2
+        for (a, b), v in terms:
+            if a < x and a <= b:
+                j = index[a, b, x]
+                row[j] = row.get(j, 0) + v
+            if x < b and x <= a:
+                j = index[x, a, b]
+                row[j] = row.get(j, 0) - v
+        return {j: v for j, v in row.items() if v}
 
     rows: list[dict[int, int]] = []
     seen: set[tuple[int, ...]] = set()
     for i, vec in enumerate(exponents):
-        s1 = {(j,): v for j, v in enumerate(vec) if v}
+        s1 = [(j, v) for j, v in enumerate(vec) if v]
         # B_2 = [S_1, X] and [B_2, X_y] are fixed by S_1 alone
         fresh = s1 and vec not in seen
         seen.add(vec)
-        if c == 2:
-            if fresh:  # each [r, x] is B_2 = S_1 X - X S_1, at (j, x) and (x, j)
-                rows.extend(
-                    {index[min(j, x), max(j, x)]: v if j < x else -v
-                     for j, v in enumerate(vec) if v and j != x}
-                    for x in range(n)
-                )
+        if c == 2 and not fresh:
             continue
-        s2 = {k: v for k, v in series(i).items() if len(k) == 2}
+        s2 = [(key, v) for key, v in walks[i].items() if len(key) == 2] if c == 3 else []
         for x in range(n):
-            row, b2 = _commutator_row(s1, s2, x, index)
-            rows.append(row)
-            if fresh:
-                rows.extend(_project(_bracket_terms(b2, {(y,): 1}), index) for y in range(n))
-    kernel = _kernel_basis(exponents, n)
-    if c == 2:
-        used = {i for lam in kernel for i, k in enumerate(lam) if k}
-        pairs = {i: _pair_counts(p.relators[i].letters) for i in used}
-        rows.extend(_class2_product(lam, exponents, pairs, index) for lam in kernel)
-    else:
-        for lam in kernel:
-            powers = [_series_pow(series(i, k < 0), abs(k), c) for i, k in enumerate(lam) if k]
-            prod = reduce(lambda s, t: _series_mul(s, t, c), powers)
-            rows.append(_project(prod.items(), index))
+            # B_2 = Σ_j S_1[j] (jx - xj), at the Lyndon word (j, x) or (x, j)
+            row = {
+                index[j, x] if j < x else index[x, j]: v if j < x else -v
+                for j, v in s1
+                if j != x
+            }
+            if c == 2:
+                rows.append(row)
+                continue
+            b2 = [((j, x), v) for j, v in s1 if j != x] + [((x, j), -v) for j, v in s1 if j != x]
+            for k, u in s1 + [(x, 1)]:  # - (S_1 + X) B_2 at the Lyndon words (k, a, b)
+                for (a, b), v in b2:
+                    if k < b and k <= a:
+                        j = index[k, a, b]
+                        row[j] = row.get(j, 0) - u * v
+            rows.append(bracket(row, s2, x))  # B_3 = S_2 X - X S_2
+            if fresh:  # [B_2, X_y]
+                rows.extend(bracket({}, b2, y) for y in range(n))
+    rows.extend(_product_row(lam, walks, index, c) for lam in kernel)
     return [row for row in rows if row]
 
 
@@ -394,7 +385,7 @@ def nilpotent_quotient(
 
     Raises BoundExceededError, before building any row, if the relation
     rows plus one times the Lyndon columns, plus the relator letters times
-    n^c, would exceed ``bound``.
+    n^c (the charge for walking the relators), would exceed ``bound``.
     """
     c = nilpotency_class
     if c not in (1, 2, 3):
@@ -403,8 +394,8 @@ def nilpotent_quotient(
     # the Lyndon columns of each weight, counted before the index is built
     widths = [free_layer_rank(n, w) for w in range(1, c + 1)]
     row_count = len(p.relators) + (_weight_row_count(p.relators, n, c) if c > 1 else 0)
-    # the index costs a row of columns; a relator's series, letters x n^c
-    # (at c = 2 its pair walk, at most letters x n)
+    # the index costs a row of columns; a relator's walk is charged
+    # letters x n^c, above its cost of at most letters x (n^2 + n) steps
     cost = (row_count + 1) * sum(widths) + sum(len(r) for r in p.relators) * n**c
     if cost > bound:
         raise BoundExceededError(

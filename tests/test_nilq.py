@@ -13,14 +13,12 @@ from braidkit.fpgroup import (
     nonorientable,
 )
 from braidkit.nilq import (
-    _class2_product,
     _lyndon_index,
     _lyndon_words,
-    _pair_counts,
-    _project,
+    _magnus_walk,
+    _product_row,
     _weight_row_count,
     _weight_rows,
-    _word_series,
     free_layer_rank,
     lcs_layer,
     nilpotent_quotient,
@@ -270,8 +268,8 @@ def test_grid_relation_lattices_are_pinned():
 
 
 # Oracles for the relation rows: whole truncated series multiplied out, as
-# the rows were built before [r, x] came from the B_2/B_3 identity and word
-# series from one letter at a time.
+# the rows were built before [r, x] came from the B_2/B_3 identity and
+# every coefficient from one walk over the relator.
 
 
 def _oracle_mul(s, t, c):
@@ -302,6 +300,17 @@ def _oracle_word_series(letters, c):
         g = {(): 1, (abs(let) - 1,): 1}
         out = _oracle_mul(out, g if let > 0 else _oracle_inv(g, c), c)
     return out
+
+
+def _oracle_walk(letters, c):
+    """What _magnus_walk gives: the word's series, cut to the words of
+    length 1..c-1 and the Lyndon words of length c."""
+    series = _oracle_word_series(letters, c)
+    return {k: v for k, v in series.items() if k and (len(k) < c or _is_lyndon(k))}
+
+
+def _oracle_project(series, index):
+    return {index[k]: v for k, v in series.items() if k in index and v}
 
 
 def _oracle_weight_rows(p, c, index):
@@ -378,8 +387,8 @@ def _rows_agree_with_oracle(p):
     n = p.generator_count
     for c in (2, 3):
         index = _lyndon_index(n, c)
-        for r in p.relators:
-            assert _word_series(r.letters, c) == _oracle_word_series(r.letters, c)
+        for r in p.relators:  # S_1, S_2 and, at c = 3, S_3 at the Lyndon words
+            assert _magnus_walk(r.letters, c) == _oracle_walk(r.letters, c)
         exponents = [exponent_vector(r, n) for r in p.relators]
         rows = _weight_rows(p, c, exponents, index)
         assert all(rows)  # no row that projects to zero is kept
@@ -436,72 +445,101 @@ def test_class2_rows_skip_repeated_exponent_vectors():
     assert sum(k for k, kept in zip(counts, in_lcs_grid) if kept) == 865
 
 
-def test_pair_counts_are_the_lyndon_coefficients_of_word_series():
+def _seeded_words(seed, count):
+    """The relator sigma^2314 of class2_quotient_presentation(3, 1155), then
+    seeded words on 1..5 generators: single letters, short runs and long
+    runs, unreduced at times."""
     import random
 
-    def expected(letters):
-        series = _word_series(letters, 2)
-        return {k: v for k, v in series.items() if len(k) == 2 and k[0] < k[1]}
-
-    rng = random.Random(25)
-    words = [class2_quotient_presentation(3, 1155).relators[0].letters]  # sigma^2314
-    for trial in range(2400):
+    rng = random.Random(seed)
+    words = [class2_quotient_presentation(3, 1155).relators[0].letters]
+    for trial in range(count):
         n = 1 + trial % 5
         letters = []
         for _ in range(rng.randint(0, 12)):
             x = rng.choice([i for i in range(-n, n + 1) if i])
-            # single letters, short runs, and long runs, unreduced at times
             letters += [x] * rng.choice([1, 1, 1, 2, 3, rng.randint(4, 60)])
         words.append(letters)
+    return words
+
+
+def _check_walks(words, c):
     inverse = repeated = long_runs = 0
     for letters in words:
-        assert _pair_counts(letters) == expected(letters), letters
+        # S_1, at c = 3 S_2 at every pair, and degree c at the Lyndon words
+        assert _magnus_walk(letters, c) == _oracle_walk(letters, c), letters
         inverse += any(x < 0 for x in letters)
         repeated += len(set(map(abs, letters))) < len(letters)
         long_runs += any(letters[i : i + 20] == [letters[i]] * 20 for i in range(len(letters)))
-    assert len(words) > 2000 and min(inverse, repeated, long_runs) > 100
+    return inverse, repeated, long_runs
 
 
-def _class2_product_oracle(p, lam, index):
-    """The relator product, in index order, multiplied out as whole series."""
-    prod = {(): 1}
-    for r, k in zip(p.relators, lam):
-        s = _oracle_word_series(r.letters, 2)
-        for _ in range(abs(k)):
-            prod = _oracle_mul(prod, s if k > 0 else _oracle_inv(s, 2), 2)
-    return _project(prod.items(), index)
+def test_pair_counts_are_the_lyndon_coefficients_of_word_series():
+    words = _seeded_words(25, 2400)
+    assert len(words) > 2000 and min(_check_walks(words, 2)) > 100
 
 
-def test_class2_product_rows_equal_series_products():
+def test_walk_gives_every_pair_and_the_lyndon_triples_of_word_series():
+    words = _seeded_words(26, 600)
+    assert len(words[0]) == 2314
+    assert min(_check_walks(words, 3)) > 50
+
+
+def _product_cases(seed):
+    """300 seeded presentations, each with its exponent vectors and kernel
+    basis: a rearranged u^a v^b has exponent vector a u + b v, so the
+    kernel has vectors over three relators, with entries of size 2 or more
+    and of both signs."""
     import random
 
     from braidkit.word import reduce_word
 
-    rng = random.Random(2314)
-    large = negative = three = 0
+    rng = random.Random(seed)
     for trial in range(300):
         n = 2 + trial % 3
         letters = [i for i in range(-n, n + 1) if i]
         u, v, extra = ([rng.choice(letters) for _ in range(rng.randint(1, 6))] for _ in range(3))
         a, b = rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, -1, -3])
-        # a rearranged u^a v^b has exponent vector a u + b v, so the kernel
-        # has vectors over three relators, with entries of size 2 or more
-        # and of both signs
         w = [x if k > 0 else -x for k, word in ((a, u), (b, v)) for x in word * abs(k)]
         rng.shuffle(w)
         relators = [r for r in (u, v, w, extra) if len(reduce_word(r, n))]
         p = _named_presentation([f"x{i}" for i in range(1, n + 1)], relators)
         exponents = [exponent_vector(r, n) for r in p.relators]
-        index = _lyndon_index(n, 2)
-        pairs = {i: _pair_counts(r.letters) for i, r in enumerate(p.relators)}
-        for lam in _kernel_basis(exponents, n):
-            assert _class2_product(lam, exponents, pairs, index) == _class2_product_oracle(
-                p, lam, index
-            ), (p.relators, lam)
+        yield p, _kernel_basis(exponents, n)
+
+
+def _product_oracle(p, lam, index, c):
+    """The relator product, in index order, multiplied out as whole series."""
+    prod = {(): 1}
+    for r, k in zip(p.relators, lam):
+        s = _oracle_word_series(r.letters, c)
+        for _ in range(abs(k)):
+            prod = _oracle_mul(prod, s if k > 0 else _oracle_inv(s, c), c)
+    return _oracle_project(prod, index)
+
+
+def _check_product_rows(c, seed):
+    large = negative = three = 0
+    for p, kernel in _product_cases(seed):
+        index = _lyndon_index(p.generator_count, c)
+        walks = {i: _magnus_walk(r.letters, c) for i, r in enumerate(p.relators)}
+        for lam in kernel:
+            assert _product_row(lam, walks, index, c) == _product_oracle(p, lam, index, c), (
+                p.relators,
+                lam,
+            )
             large += max(map(abs, lam)) >= 2
             negative += min(lam) < 0
             three += sum(map(bool, lam)) >= 3
     assert min(large, negative, three) > 50
+
+
+def test_class2_product_rows_equal_series_products():
+    _check_product_rows(2, 2314)
+
+
+def test_class3_product_rows_equal_series_products():
+    _check_product_rows(3, 3314)
 
 
 def test_smith_loop_runs_only_for_layers_with_a_pivot_above_one(monkeypatch):
@@ -527,31 +565,33 @@ def test_smith_loop_runs_only_for_layers_with_a_pivot_above_one(monkeypatch):
     assert 0 < len(calls) < 3 * len(GRID)
 
 
-def test_word_series_are_built_once_per_relator_and_sign_when_a_row_needs_them(monkeypatch):
+def test_no_series_is_built_and_each_relator_is_walked_at_most_once(monkeypatch):
     import braidkit.nilq as nilq
 
-    built = []
-    word_series = nilq._word_series
+    for name in ("_word_series", "_series_mul", "_series_pow", "_bracket_terms", "_commutator_row"):
+        assert not hasattr(nilq, name), name
+    walked = []
+    walk = nilq._magnus_walk
 
     def counting(letters, c):
-        built.append(tuple(letters))
-        return word_series(letters, c)
+        walked.append(tuple(letters))
+        out = walk(letters, c)
+        # no truncated series: the top degree only at Lyndon words
+        assert all(len(k) < c or len(k) == c and _is_lyndon(k) for k in out)
+        return out
 
-    monkeypatch.setattr(nilq, "_word_series", counting)
+    monkeypatch.setattr(nilq, "_magnus_walk", counting)
     for p in GRID:
         n = p.generator_count
         exponents = [exponent_vector(r, n) for r in p.relators]
-        # at c = 2 the rows come from exponent vectors and pair counts, and
-        # no series is built; at c = 3 every relator's series gives its
-        # degree-2 part, and the relator products use the inverses' too
-        built.clear()
-        _weight_rows(p, 2, exponents, _lyndon_index(n, 2))
-        assert built == [], p.family
-        used = {(i, k < 0) for lam in _kernel_basis(exponents, n) for i, k in enumerate(lam) if k}
-        used |= {(i, False) for i in range(len(p.relators))}
-        _weight_rows(p, 3, exponents, _lyndon_index(n, 3))
-        expected = [(~p.relators[i] if inverse else p.relators[i]).letters for i, inverse in used]
-        assert sorted(built) == sorted(expected), p.family
+        # at c = 2 only the relators in a product are walked, and at c = 3
+        # every relator, for the S_2 of its [r, x] rows
+        used = {i for lam in _kernel_basis(exponents, n) for i, k in enumerate(lam) if k}
+        for c, expected in ((2, used), (3, range(len(p.relators)))):
+            walked.clear()
+            _weight_rows(p, c, exponents, _lyndon_index(n, c))
+            letters = sorted(tuple(p.relators[i].letters) for i in expected)
+            assert sorted(walked) == letters, (p.family, c)
 
 
 def _random_presentations():
@@ -750,7 +790,7 @@ def test_bound_is_checked_before_any_row(monkeypatch):
     def no_rows(*args):
         raise AssertionError("rows built before the bound check")
 
-    monkeypatch.setattr(nilq, "_word_series", no_rows)
+    monkeypatch.setattr(nilq, "_magnus_walk", no_rows)
     monkeypatch.setattr(nilq, "_weight_rows", no_rows)
     monkeypatch.setattr(nilq, "exponent_vector", no_rows)
     monkeypatch.setattr(nilq, "_lyndon_index", no_rows)
@@ -789,7 +829,7 @@ def test_relator_length_counts_toward_the_bound(monkeypatch):
     import braidkit.nilq as nilq
 
     def no_series(*args):
-        raise AssertionError("series built before the bound check")
+        raise AssertionError("relator walked before the bound check")
 
     # one reduced relator of 7,374 letters on 12 generators: its rows times
     # Lyndon columns are at most 102,700, but letters x 12^3 is over 10^7
@@ -800,7 +840,7 @@ def test_relator_length_counts_toward_the_bound(monkeypatch):
         letters.append(x)
     p = _named_presentation([f"x{i}" for i in range(1, 13)], [letters])
     assert len(p.relators[0]) == 7374
-    monkeypatch.setattr(nilq, "_word_series", no_series)
+    monkeypatch.setattr(nilq, "_magnus_walk", no_series)
     monkeypatch.setattr(nilq, "_weight_rows", no_series)
     with pytest.raises(BoundExceededError):
         lcs_layer(p, 3)
