@@ -254,7 +254,7 @@ def _product_row(lam, walks: dict, index: dict, c: int) -> dict[int, int]:
                 for t, coefficient in terms:
                     for key, v in t.items():
                         power[key] = power.get(key, 0) + coefficient * v
-            if not prod:
+            if not prod:  # the first factor: P = A
                 prod = power
                 continue
             for t in (power, mul(prod, power)):  # (1 + P)(1 + A) = 1 + P + A + PA
