@@ -187,6 +187,8 @@ def _cmd_perm(args) -> int:
     from . import permgrp
 
     degree = args.degree
+    if degree < 0:
+        raise InvalidInputError(f"--degree must be >= 0, got {degree}")
     if args.action == "compose":
         if len(args.perms) != 2:
             raise InvalidInputError("compose takes exactly two permutations")

@@ -148,6 +148,11 @@ class GeneratorAssignment:
                 f"{presentation.generator_count} generators), over the bound "
                 f"{DEFAULT_CLOSURE_BOUND}"
             )
+        unknown = sorted(set(named) - set(presentation.generator_names))
+        if unknown:
+            raise InvalidInputError(
+                f"images for generators the presentation lacks: {', '.join(map(repr, unknown))}"
+            )
         images = []
         for name in presentation.generator_names:
             if name not in named:

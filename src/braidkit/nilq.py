@@ -18,12 +18,14 @@ every relation row its coordinates:
   generators (for c = 3 also [[r, x], y]) and products of relator powers
   whose exponent sums cancel, each in Lyndon coordinates as it is made.
 
-One echelon reduces all the rows together.  The rows it leaves leading
-in weight w's block, cut to that block, span the weight-w lattice (the
-relations whose lower weights vanish), and the weight-w layer of the
-presented group is its cokernel.  That is read off the staircase as it
-stands: the rows with pivot 1 split off trivial summands, and only the
-others go on to a Smith reduction (``zlinalg._staircase_cokernel``).
+The exponent vectors are echeloned first, and the rows of weights 2..c
+apart; those have no weight-1 entry, so the two echelons together are
+the one over all the rows.  The rows leading in weight w's block, cut
+to that block, span the weight-w lattice (the relations whose lower
+weights vanish), and the weight-w layer of the presented group is its
+cokernel.  That is read off the staircase as it stands: the rows with
+pivot 1 split off trivial summands, and only the others go on to a
+Smith reduction (``zlinalg._staircase_cokernel``).
 
 Only rows that can be nonzero are built.  A relator whose exponent
 vector is zero (a braid or commutation relator) has S_1 = 0, so its
@@ -37,13 +39,13 @@ by the Jacobi identity
 each is the difference of the [[r, x_k], x_l] and [[r, x_l], x_k] rows,
 so it adds nothing to the lattice (Magnus, Karrass & Solitar,
 *Combinatorial Group Theory*, 1966, ch. 5).  The [r, x] rows at c = 2
-(each is B_2, below) and the [[r, x], y] rows at c = 3 (each leads with
-[B_2, X_y]) depend on r's exponent vector alone, so a relator whose
-vector an earlier relator has builds none: they would repeat the earlier
-rows, and an exact repeat never changes the echelon.  Its twin comes
-first in every tie, so the two are reduced alike, the repeat is never a
-pivot, and it vanishes when its twin becomes one.  No row that projects
-to zero is kept.
+(each is B_2, below) and the [[r, x], y] rows at c = 3 (each is
+[B_2, X_y]) are Z-linear in r's exponent vector S_1, so they are built
+once per vector of a Z-basis of the exponent lattice, the weight-1
+echelon rows, in place of S_1.  The relators' vectors and the basis
+vectors are integer combinations of each other, so by linearity the
+basis rows and the per-relator rows span the same lattice.  No row that
+projects to zero is kept.
 
 For u in Γ_i and v in Γ_j the image of [u, v] is 1 + [u_i, v_j] plus
 terms above degree i + j, so the weight-3 commutator rows are brackets
@@ -263,13 +265,17 @@ def _product_row(lam, walks: dict, index: dict, c: int) -> dict[int, int]:
     return {index[key]: v for key, v in prod.items() if v and key in index}
 
 
-def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[int, int]]:
+def _weight_rows(
+    p: Presentation, c: int, exponents, basis: list, index: dict
+) -> list[dict[int, int]]:
     """Sparse nonzero rows spanning the relation lattice of weights 2..c,
-    in the Lyndon coordinates of ``index`` (none has a weight-1 entry):
-    per relator its [r, x] rows and, at c = 3, its [[r, x], y] rows, each
-    group left out where it vanishes or repeats (see the module docstring).
+    in the Lyndon coordinates of ``index`` (none has a weight-1 entry).
 
-    The last rows are products of relator powers whose exponent vectors
+    At c = 3 each relator gives its n rows [r, x].  The rows linear in
+    S_1, the [r, x] rows at c = 2 and the [[r, x], y] rows at c = 3, are
+    built once per vector of ``basis``, a Z-basis of the relators'
+    exponent vectors, in place of S_1 (see the module docstring).  The
+    last rows are products of relator powers whose exponent vectors
     cancel, one per basis vector of the multiplicity lattice with
     vanishing weight-1 part.
 
@@ -281,8 +287,7 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
     writes S_3 only at the Lyndon words (a, b, d), a < d and a <= b.
     Each row is written straight into the Lyndon columns:
 
-    * [r, x] is B_2 at c = 2, fixed by r's exponent vector, and
-      B_2 + B_3 - (S_1 + X) B_2 at c = 3;
+    * [r, x] is B_2 at c = 2, and B_2 + B_3 - (S_1 + X) B_2 at c = 3;
     * [[r, x], y] leads with [B_2, X_y] = Σ_j S_1[j] [[X_j, X_x], X_y],
       and [[X_j, X_x], X_y] = jxy - xjy - yjx + yxj, of which only the
       Lyndon words are kept;
@@ -298,6 +303,10 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
         i: _magnus_walk(r.letters, c) for i, r in enumerate(p.relators) if c == 3 or i in used
     }
 
+    def b2(s1, x):  # B_2 = Σ_j S_1[j] (jx - xj), as terms and at the Lyndon words (j, x) or (x, j)
+        terms = [((j, x), v) for j, v in s1 if j != x] + [((x, j), -v) for j, v in s1 if j != x]
+        return terms, {index[key]: v for key, v in terms if key[0] < key[1]}
+
     def bracket(row, terms, x):  # row plus T X - X T at the Lyndon words, T of degree 2
         for (a, b), v in terms:
             if a < x and a <= b:
@@ -309,46 +318,35 @@ def _weight_rows(p: Presentation, c: int, exponents, index: dict) -> list[dict[i
         return {j: v for j, v in row.items() if v}
 
     rows: list[dict[int, int]] = []
-    seen: set[tuple[int, ...]] = set()
-    for i, vec in enumerate(exponents):
-        s1 = [(j, v) for j, v in enumerate(vec) if v]
-        # B_2 = [S_1, X] and [B_2, X_y] are fixed by S_1 alone
-        fresh = s1 and vec not in seen
-        seen.add(vec)
-        if c == 2 and not fresh:
-            continue
-        s2 = [(key, v) for key, v in walks[i].items() if len(key) == 2] if c == 3 else []
+    if c == 3:  # per relator, [r, x] = B_2 + B_3 - (S_1 + X) B_2
+        for i, vec in enumerate(exponents):
+            s1 = [(j, v) for j, v in enumerate(vec) if v]
+            s2 = [(key, v) for key, v in walks[i].items() if len(key) == 2]
+            for x in range(n):
+                terms, row = b2(s1, x)
+                for k, u in s1 + [(x, 1)]:  # - (S_1 + X) B_2 at the Lyndon words (k, a, b)
+                    for (a, b), v in terms:
+                        if k < b and k <= a:
+                            j = index[k, a, b]
+                            row[j] = row.get(j, 0) - u * v
+                rows.append(bracket(row, s2, x))  # B_3 = S_2 X - X S_2
+    for vec in basis:  # the rows linear in S_1: B_2 at c = 2, [B_2, X_y] at c = 3
+        s1 = list(vec.items())
         for x in range(n):
-            # B_2 = Σ_j S_1[j] (jx - xj), at the Lyndon word (j, x) or (x, j)
-            row = {
-                index[j, x] if j < x else index[x, j]: v if j < x else -v
-                for j, v in s1
-                if j != x
-            }
-            if c == 2:
-                rows.append(row)
-                continue
-            b2 = [((j, x), v) for j, v in s1 if j != x] + [((x, j), -v) for j, v in s1 if j != x]
-            for k, u in s1 + [(x, 1)]:  # - (S_1 + X) B_2 at the Lyndon words (k, a, b)
-                for (a, b), v in b2:
-                    if k < b and k <= a:
-                        j = index[k, a, b]
-                        row[j] = row.get(j, 0) - u * v
-            rows.append(bracket(row, s2, x))  # B_3 = S_2 X - X S_2
-            if fresh:  # [B_2, X_y]
-                rows.extend(bracket({}, b2, y) for y in range(n))
+            terms, row = b2(s1, x)
+            rows.extend([row] if c == 2 else (bracket({}, terms, y) for y in range(n)))
     rows.extend(_product_row(lam, walks, index, c) for lam in kernel)
     return [row for row in rows if row]
 
 
 def _weight_row_count(relators, n: int, c: int) -> int:
-    """The most rows ``_weight_rows`` builds: n rows [r, x] per relator
-    (at c = 2 only per relator whose exponent vector is nonzero), at c = 3
-    also n^2 rows [[r, x], y] per such relator, and at most one relator
-    product per relator.  Reads letter counts, not n-long vectors, so it
-    over-counts at both classes: it still counts the rows of a relator
-    whose exponent vector repeats an earlier one's, which ``_weight_rows``
-    does not build, its [r, x] rows at c = 2 and [[r, x], y] rows at c = 3."""
+    """The most rows ``_weight_rows`` builds: at c = 3 n rows [r, x] per
+    relator; n rows B_2 at c = 2, or n^2 rows [B_2, X_y] at c = 3, per
+    relator whose exponent vector is nonzero; and at most one relator
+    product per relator.  Reads letter counts, not n-long vectors.  It
+    over-counts at both classes: ``_weight_rows`` builds the B_2 and
+    [B_2, X_y] rows once per vector of a basis of the exponent lattice,
+    whose rank is at most the number of those relators."""
     counts = [Counter(r.letters) for r in relators]
     unbalanced = sum(any(k != cnt[-x] for x, k in cnt.items()) for cnt in counts)
     if c == 2:
@@ -403,8 +401,11 @@ def nilpotent_quotient(
         )
 
     exponents = [exponent_vector(r, n) for r in p.relators]
-    rows = exponents + (_weight_rows(p, c, exponents, _lyndon_index(n, c)) if c > 1 else [])
-    echelon = _row_echelon(rows, sum(widths))
+    # the weight-1 block, a basis of the exponent lattice; no other row has
+    # an entry there, so the rows of weights 2..c are echeloned apart
+    basis = _row_echelon(exponents, n)
+    rows = _weight_rows(p, c, exponents, basis, _lyndon_index(n, c)) if c > 1 else []
+    echelon = basis + _row_echelon(rows, sum(widths))
     pivots = [min(r) for r in echelon]  # increasing
     lattices, layers, lo, first = [], [], 0, 0
     for width in widths:  # one weight's block: columns lo..hi-1

@@ -128,7 +128,8 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
 
     Points are comma-separated; spaces may surround points and cycles, but
     an empty point, as in "(1,,2)", or points separated by spaces alone,
-    as in "(1 2)", are refused.
+    as in "(1 2)", are refused, and so are cycles that share a point, as
+    in "(1,2)(2,3)".
     """
     if not text.strip():
         raise InvalidInputError("empty permutation string")
@@ -159,7 +160,10 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
             cycles.append(points)
     if consumed != len(text):
         raise InvalidInputError(f"cannot parse permutation {text!r}")
-    maxpoint = max((p for cyc in cycles for p in cyc), default=0)
+    moved = [x for cyc in cycles for x in cyc]
+    if len(moved) != len(set(moved)):
+        raise InvalidInputError(f"cycles overlap in {text!r}")
+    maxpoint = max(moved, default=0)
     m = degree if degree is not None else maxpoint
     if maxpoint > m:
         raise InvalidInputError(f"cycle point {maxpoint} exceeds degree {m}")
@@ -169,11 +173,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             images[a - 1] = b - 1
-    perm = Permutation(tuple(images))
-    moved = [x for cyc in cycles for x in cyc]
-    if len(moved) != len(set(moved)):
-        raise InvalidInputError(f"cycles overlap in {text!r}")
-    return perm
+    return Permutation(tuple(images))
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,6 @@ def closure(gens: Sequence[Permutation], bound: int = DEFAULT_CLOSURE_BOUND) -> 
     for g in gens:
         if g.degree != m:
             raise InvalidInputError("generator degree mismatch")
-    if m < 2:  # the identity is the only permutation
-        return [Permutation(tuple(range(m)))]
     # the chain's cells are at most m·Π|Δ_i|, so past the list's cell
     # bound they show a list past it too
     chain = _Chain(m, [g.images for g in gens], CLOSURE_MAX_CELLS, bound)

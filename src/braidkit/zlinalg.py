@@ -7,9 +7,10 @@ and returns its pivot rows sparse, as ``{column: entry}`` dicts.
 ``_smith_diagonal`` alternates it with a sparse transposition until the
 rows are diagonal, and ``smith_normal_form`` starts that from a matrix's
 columns.  ``_staircase_cokernel`` reads the ``FgAbelianGroup`` cut out
-by echelon rows, for lower central layers and, through ``_cokernel``,
-abelianisations: the rows with pivot 1 split off trivial summands, and
-only the others go on to ``_smith_diagonal``.
+by echelon rows, for lower central layers and abelianisations alike
+(the echelon of the relators' exponent vectors): the rows with pivot 1
+split off trivial summands, and only the others go on to
+``_smith_diagonal``.
 Everything is arbitrary-precision; intermediate entries of an
 elimination can grow far beyond machine integers even for small
 matrices.
@@ -35,8 +36,8 @@ __all__ = [
     "min_generators_lower_bound",
 ]
 
-# relators x generators of a dense relator matrix, checked before any row
-# is built; the largest matrix of the claims corpus has 460 cells
+# relators x generators of the exponent vectors an abelianisation reads,
+# checked before any vector is built; the corpus's largest has 460 cells
 RELATOR_MATRIX_MAX_CELLS = 10**7
 
 
@@ -58,9 +59,12 @@ class IntMatrix:
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         rows = [list(r) for r in rows]
         if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise InvalidInputError("ragged rows")
+            if cols is not None and cols != width:
+                raise InvalidInputError(f"rows have {width} columns, not {cols}")
+            cols = width
         elif cols is None:
             cols = 0
         flat = tuple(x for r in rows for x in r)
@@ -294,13 +298,6 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "trivial"
 
 
-def _cokernel(matrix: IntMatrix) -> FgAbelianGroup:
-    """Isomorphism type of Z^cols / (lattice spanned by the rows)."""
-    c = matrix.cols
-    rows = [matrix.entries[i * c : (i + 1) * c] for i in range(matrix.rows)]
-    return _staircase_cokernel(_row_echelon(rows, c), c)
-
-
 def _staircase_cokernel(rows: list[dict[int, int]], width: int) -> FgAbelianGroup:
     """Isomorphism type of Z^width / (lattice of the ``_row_echelon`` rows).
 
@@ -335,31 +332,26 @@ def _staircase_cokernel(rows: list[dict[int, int]], width: int) -> FgAbelianGrou
     return FgAbelianGroup.from_moduli(_smith_diagonal(rest) if rest else (), width - len(rows))
 
 
-def relator_matrix(presentation: Presentation) -> IntMatrix:
-    """Exponent-sum matrix: one row per relator, one column per generator.
+def abelianization(presentation: Presentation) -> FgAbelianGroup:
+    """Abelianisation of a finitely presented group: the cokernel of the
+    relators' exponent vectors, read off their echelon's staircase.
 
-    Raises BoundExceededError, before any row is built, when its cells
-    exceed ``RELATOR_MATRIX_MAX_CELLS``.
+    Raises BoundExceededError, before any vector is built, when the
+    relators times the generators exceed ``RELATOR_MATRIX_MAX_CELLS``.
+
+    >>> from .fpgroup import artin_presentation
+    >>> str(abelianization(artin_presentation(5)))
+    'Z'
     """
-    n = len(presentation.generator_names)
+    n = presentation.generator_count
     cells = len(presentation.relators) * n
     if cells > RELATOR_MATRIX_MAX_CELLS:
         raise BoundExceededError(
             f"relator matrix needs {cells} cells ({len(presentation.relators)} relators × "
             f"{n} generators), over the bound {RELATOR_MATRIX_MAX_CELLS}"
         )
-    rows = [list(exponent_vector(r, n)) for r in presentation.relators]
-    return IntMatrix.from_rows(rows, cols=n)
-
-
-def abelianization(presentation: Presentation) -> FgAbelianGroup:
-    """Abelianisation of a finitely presented group.
-
-    >>> from .fpgroup import artin_presentation
-    >>> str(abelianization(artin_presentation(5)))
-    'Z'
-    """
-    return _cokernel(relator_matrix(presentation))
+    rows = [exponent_vector(r, n) for r in presentation.relators]
+    return _staircase_cokernel(_row_echelon(rows, n), n)
 
 
 def admits_epimorphism(a: FgAbelianGroup, b: FgAbelianGroup) -> bool:

@@ -153,6 +153,34 @@ def test_perm_utilities():
     assert data["primitive"] is False
 
 
+def test_perm_negative_degree_exits_two(capsys):
+    for argv in (
+        ["closure", "()", "--degree", "-1"],
+        ["centralizer-order", "--cycle-lengths", "1", "--degree", "-2"],
+    ):
+        code, err = _main_exit(capsys, "perm", *argv)
+        assert code == 2
+        assert err == f"error: --degree must be >= 0, got {argv[-1]}\n"
+
+
+def test_verify_hom_refuses_images_of_unknown_generators(tmp_path, capsys, monkeypatch):
+    import braidkit.homsearch as homsearch
+
+    def no_parse(*args):
+        raise AssertionError("an image was parsed before the names were checked")
+
+    monkeypatch.setattr(homsearch, "parse_cycles", no_parse)
+    path = tmp_path / "assignment.json"
+    images = {"a1": "()", "b1": "()", "sigma1": "()", "zzz": "(1,2)"}
+    path.write_text(json.dumps({"degree": 2, "images": images}), encoding="utf-8")
+    code, err = _main_exit(
+        capsys, "verify-hom", "--surface", "closed-orientable", "--genus", "1",
+        "--strands", "2", "--assignment", str(path),
+    )
+    assert code == 2
+    assert err == "error: images for generators the presentation lacks: 'zzz'\n"
+
+
 def test_smallgrp_subcommand():
     out = run("smallgrp", "dicyclic", "--n", "4", "--json")
     assert json.loads(out.stdout) == {"order": 16, "dihedral": False}

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from braidkit.errors import BoundExceededError, InvalidInputError
@@ -27,9 +25,9 @@ from braidkit.word import exponent_vector, generator
 from braidkit.zlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    _cokernel,
     _kernel_basis,
     _row_echelon,
+    _staircase_cokernel,
     abelianization,
     admits_epimorphism,
 )
@@ -151,7 +149,7 @@ def test_no_generators_give_no_lyndon_words_and_no_rows():
     assert list(itertools.islice(_lyndon_words(0, 3), 10)) == []
     assert list(itertools.islice(_lyndon_words(-1, 2), 10)) == []
     for c in (2, 3):
-        assert _weight_rows(Presentation((), ()), c, [], _lyndon_index(0, c)) == []
+        assert _weight_rows(Presentation((), ()), c, [], [], _lyndon_index(0, c)) == []
 
 
 def test_lyndon_index_blocks_weights_in_order():
@@ -252,9 +250,15 @@ def test_grid_layers_are_pinned():
 
 
 # SHA-256 of the concatenated reprs of nilpotent_quotient(p, c).relation_lattices
-# over GRID in order and c = 1, 2, 3, recorded from the dense-row engine
-# that preceded the sparse-row one.
-GRID_LATTICES_SHA256 = "92d0d9dc82daabff9a6d228dd574a30efd3c69413e0c66cd3e5de0fce144997e"
+# over GRID in order and c = 1, 2, 3.  These are echelon rows, which move
+# with the row set even when no lattice does; recorded when the rows
+# linear in S_1 came from a basis of the exponent lattice.
+GRID_LATTICES_SHA256 = "c3870f0dd31f4d46334db2f04e9d11485ffb8e3076c4c51b35c73f793bd207e3"
+
+# The same over the Hermite forms of the lattices (_hermite), which are
+# unique to each lattice; recorded from the engine that built the rows
+# linear in S_1 per distinct exponent vector.
+GRID_HERMITE_SHA256 = "8e10b036cdf64cb7657adcfa67481db77163218555702e2407b2e926440f08bd"
 
 
 def test_grid_relation_lattices_are_pinned():
@@ -265,6 +269,40 @@ def test_grid_relation_lattices_are_pinned():
         for c in (1, 2, 3):
             digest.update(repr(nilpotent_quotient(p, c).relation_lattices).encode())
     assert digest.hexdigest() == GRID_LATTICES_SHA256
+
+
+def _hermite(matrix):
+    """Hermite normal form of a matrix of echelon rows with positive
+    pivots, as relation_lattices holds: the entries above each pivot
+    reduced into [0, pivot).  It is unique to the rows' lattice."""
+    cols = matrix.cols
+    rows = [list(matrix.entries[i * cols : (i + 1) * cols]) for i in range(matrix.rows)]
+    for i, r in enumerate(rows):
+        p = next(j for j, x in enumerate(r) if x)
+        assert r[p] > 0
+        for above in rows[:i]:  # column p of later rows is zero
+            q = above[p] // r[p]
+            if q:
+                for j in range(p, cols):
+                    above[j] -= q * r[j]
+    return IntMatrix.from_rows(rows, cols=cols)
+
+
+def _lattice_hermite(rows, width):
+    """Hermite normal form of the lattice of any rows of the given width."""
+    echelon = [[r.get(j, 0) for j in range(width)] for r in _row_echelon(rows, width)]
+    return _hermite(IntMatrix.from_rows(echelon, cols=width))
+
+
+def test_grid_relation_lattices_keep_their_hermite_forms():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for p in GRID:
+        for c in (1, 2, 3):
+            lattices = nilpotent_quotient(p, c).relation_lattices
+            digest.update(repr(tuple(_hermite(m) for m in lattices)).encode())
+    assert digest.hexdigest() == GRID_HERMITE_SHA256
 
 
 # Oracles for the relation rows: whole truncated series multiplied out, as
@@ -387,28 +425,30 @@ def _rows_agree_with_oracle(p):
     n = p.generator_count
     for c in (2, 3):
         index = _lyndon_index(n, c)
+        width = len(index)
         for r in p.relators:  # S_1, S_2 and, at c = 3, S_3 at the Lyndon words
             assert _magnus_walk(r.letters, c) == _oracle_walk(r.letters, c)
         exponents = [exponent_vector(r, n) for r in p.relators]
-        rows = _weight_rows(p, c, exponents, index)
+        rows = _weight_rows(p, c, exponents, _row_echelon(exponents, n), index)
         assert all(rows)  # no row that projects to zero is kept
         assert all(0 not in row.values() for row in rows)  # sparse rows hold no zeros
-        dense = [[row.get(j, 0) for j in range(len(index))] for row in rows]
-        # the oracle's rows without the zero and the Jacobi-redundant ones,
-        # and without the rows that the exponent vector alone fixes, of a
-        # relator whose vector an earlier relator had: the n^2 double rows,
-        # and at c = 2 the n commutator rows, so each vector keeps its first
-        fixed = {"double": n * n, "commutator": n if c == 2 else None}
-        seen = Counter()
-        expected = []
+        dense = [[row.get(j, 0) for j in range(width)] for row in rows]
+        # the oracle's nonzero rows by kind, without the Jacobi-redundant
+        # ones; the rows linear in S_1 (the commutator rows at c = 2, the
+        # double rows at c = 3) are built from a basis of the exponent
+        # vectors, so they are compared by the lattice they span, and the
+        # others row for row
+        kinds = {}
         for kind, row in _oracle_weight_rows(p, c, index):
-            if isinstance(kind, tuple) and fixed[kind[0]]:
-                seen[kind] += 1
-                if seen[kind] > fixed[kind[0]]:
-                    continue
             if kind != "jacobi" and any(row):
-                expected.append(row)
-        assert dense == expected, (p.family, c)
+                kinds.setdefault(kind if isinstance(kind, str) else kind[0], []).append(row)
+        per_relator = kinds.get("commutator", []) if c == 3 else []
+        products = kinds.get("product", [])
+        linear = kinds.get("commutator" if c == 2 else "double", [])
+        k, m = len(per_relator), len(dense) - len(products)
+        assert dense[:k] == per_relator and dense[m:] == products, (p.family, c)
+        assert k <= m <= k + len(linear), (p.family, c)
+        assert _lattice_hermite(dense[k:m], width) == _lattice_hermite(linear, width), (p.family, c)
 
 
 def test_weight_rows_match_full_product_oracle_on_grid():
@@ -418,31 +458,37 @@ def test_weight_rows_match_full_product_oracle_on_grid():
 
 def test_class3_rows_skip_repeated_exponent_vectors():
     # rows built at c = 3 over GRID, and over the 49 presentations of the
-    # lcs-grid benchmark (GRID without the five-strand surfaces); 12,686
-    # and 7,675 when every relator built its [[r, x], y] rows
+    # lcs-grid benchmark (GRID without the five-strand surfaces), with the
+    # [[r, x], y] rows built once per vector of a basis of the exponent
+    # lattice; 12,686 and 7,675 when every relator built them, and 10,694
+    # and 6,269 when every distinct exponent vector did
     counts = []
     for p in GRID:
         n = p.generator_count
         exponents = [exponent_vector(r, n) for r in p.relators]
-        counts.append(len(_weight_rows(p, 3, exponents, _lyndon_index(n, 3))))
+        basis = _row_echelon(exponents, n)
+        counts.append(len(_weight_rows(p, 3, exponents, basis, _lyndon_index(n, 3))))
     in_lcs_grid = [p.family.strands <= 4 or p.family.surface == "class2-quotient" for p in GRID]
     assert sum(in_lcs_grid) == 49
-    assert sum(counts) == 10694
-    assert sum(k for k, kept in zip(counts, in_lcs_grid) if kept) == 6269
+    assert sum(counts) == 10010
+    assert sum(k for k, kept in zip(counts, in_lcs_grid) if kept) == 5789
 
 
 def test_class2_rows_skip_repeated_exponent_vectors():
     # rows built at c = 2 over GRID and over the 49 presentations of the
-    # lcs-grid benchmark; 1,644 and 1,072 when every relator with a nonzero
-    # exponent vector built its [r, x] rows
+    # lcs-grid benchmark, with the [r, x] rows built once per vector of a
+    # basis of the exponent lattice; 1,644 and 1,072 when every relator
+    # with a nonzero exponent vector built them, and 1,370 and 865 when
+    # every distinct exponent vector did
     counts = []
     for p in GRID:
         n = p.generator_count
         exponents = [exponent_vector(r, n) for r in p.relators]
-        counts.append(len(_weight_rows(p, 2, exponents, _lyndon_index(n, 2))))
+        basis = _row_echelon(exponents, n)
+        counts.append(len(_weight_rows(p, 2, exponents, basis, _lyndon_index(n, 2))))
     in_lcs_grid = [p.family.strands <= 4 or p.family.surface == "class2-quotient" for p in GRID]
-    assert sum(counts) == 1370
-    assert sum(k for k, kept in zip(counts, in_lcs_grid) if kept) == 865
+    assert sum(counts) == 1268
+    assert sum(k for k, kept in zip(counts, in_lcs_grid) if kept) == 788
 
 
 def _seeded_words(seed, count):
@@ -589,7 +635,7 @@ def test_no_series_is_built_and_each_relator_is_walked_at_most_once(monkeypatch)
         used = {i for lam in _kernel_basis(exponents, n) for i, k in enumerate(lam) if k}
         for c, expected in ((2, used), (3, range(len(p.relators)))):
             walked.clear()
-            _weight_rows(p, c, exponents, _lyndon_index(n, c))
+            _weight_rows(p, c, exponents, _row_echelon(exponents, n), _lyndon_index(n, c))
             letters = sorted(tuple(p.relators[i].letters) for i in expected)
             assert sorted(walked) == letters, (p.family, c)
 
@@ -629,7 +675,7 @@ def _weight_layers(rows, n, c):
     for w in range(2, c + 1):
         start, end = sum(widths[: w - 1]), sum(widths[:w])
         block = [r[start:end] for r in echelon if not any(r[:start])]
-        layers.append(_cokernel(IntMatrix.from_rows(block, cols=end - start)))
+        layers.append(_staircase_cokernel(_row_echelon(block, end - start), end - start))
     return layers
 
 
@@ -640,8 +686,9 @@ def test_left_out_rows_do_not_change_the_layers_on_random_relators():
         for c in (2, 3):
             index = _lyndon_index(n, c)
             full = [row for _, row in _oracle_weight_rows(p, c, index)]
+            basis = _row_echelon(exponents, n)
             assert _weight_layers(full, n, c) == _weight_layers(
-                _weight_rows(p, c, exponents, index), n, c
+                _weight_rows(p, c, exponents, basis, index), n, c
             ), (p.relators, c)
 
 
@@ -819,7 +866,7 @@ def test_row_estimate_covers_the_rows_built():
         n = p.generator_count
         exponents = [exponent_vector(r, n) for r in p.relators]
         for c in (2, 3):
-            built = _weight_rows(p, c, exponents, _lyndon_index(n, c))
+            built = _weight_rows(p, c, exponents, _row_echelon(exponents, n), _lyndon_index(n, c))
             assert _weight_row_count(p.relators, n, c) >= len(built), (p.family, p.relators, c)
 
 

@@ -77,6 +77,15 @@ def test_parse_rejects_garbage():
             parse_cycles(bad, 4)
 
 
+def test_overlapping_cycles_are_refused_with_one_message():
+    # a shared point, a cycle that closes on another's point, a repeat
+    for text in ("(1,2)(2,3)", "(1,2)(3,1)", "(1,2)(1,2)"):
+        with pytest.raises(InvalidInputError, match=r"^cycles overlap in "):
+            parse_cycles(text)
+        with pytest.raises(InvalidInputError, match=r"^cycles overlap in "):
+            parse_cycles(text, 5)
+
+
 def test_parse_allows_spaces_around_points_and_cycles():
     assert parse_cycles("( 1 , 2 )", 4) == parse_cycles("(1,2)", 4)
     assert parse_cycles(" (1,2) (3,4) ", 4) == parse_cycles("(1,2)(3,4)", 4)

@@ -7,18 +7,16 @@ import pytest
 from braidkit.errors import BoundExceededError, InvalidInputError
 from braidkit.fpgroup import Presentation, artin_presentation, closed_orientable, nonorientable
 from braidkit.nilq import nilpotent_quotient
-from braidkit.word import generator
+from braidkit.word import exponent_vector, generator
 from braidkit.zlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    _cokernel,
     _kernel_basis,
     _row_echelon,
     _staircase_cokernel,
     abelianization,
     admits_epimorphism,
     min_generators_lower_bound,
-    relator_matrix,
     smith_normal_form,
 )
 
@@ -56,6 +54,13 @@ def test_snf_diag_2_3():
 def test_snf_2x2_example():
     snf = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert snf.diagonal == (2, 4)
+
+
+def test_from_rows_refuses_a_column_count_the_rows_do_not_have():
+    with pytest.raises(InvalidInputError, match="rows have 2 columns, not 5"):
+        IntMatrix.from_rows([[1, 2]], cols=5)
+    assert IntMatrix.from_rows([[1, 2]], cols=2) == IntMatrix(1, 2, (1, 2))
+    assert IntMatrix.from_rows([], cols=5) == IntMatrix(0, 5, ())
 
 
 def test_snf_zero_and_empty():
@@ -290,13 +295,26 @@ def test_snf_matches_the_dense_reduction_on_grid_inputs():
     from test_nilq import GRID
 
     for p in GRID:
-        matrices = [relator_matrix(p)]
+        matrices = [_relator_matrix(p)]
         for c in (1, 2, 3):
             matrices.extend(nilpotent_quotient(p, c).relation_lattices)
         for matrix in matrices:
             c = matrix.cols
             dense = [list(matrix.entries[i * c : (i + 1) * c]) for i in range(matrix.rows)]
             assert list(smith_normal_form(matrix).diagonal) == _dense_smith(dense), p
+
+
+def _relator_matrix(p):
+    """The relators' exponent vectors as a dense matrix, one row per relator."""
+    n = p.generator_count
+    return IntMatrix.from_rows([exponent_vector(r, n) for r in p.relators], cols=n)
+
+
+def _cokernel(matrix):
+    """Z^cols / rows, from the staircase of the matrix's echelon rows."""
+    c = matrix.cols
+    rows = [matrix.entries[i * c : (i + 1) * c] for i in range(matrix.rows)]
+    return _staircase_cokernel(_row_echelon(rows, c), c)
 
 
 def _smith_cokernel(matrix):
@@ -336,7 +354,7 @@ def test_cokernel_matches_the_smith_diagonal_on_grid_lattices():
     from test_nilq import GRID
 
     for p in GRID:
-        assert abelianization(p) == _smith_cokernel(relator_matrix(p)), p
+        assert abelianization(p) == _smith_cokernel(_relator_matrix(p)), p
         for c in (1, 2, 3):
             q = nilpotent_quotient(p, c)
             for matrix, layer in zip(q.relation_lattices, q.layers):
@@ -520,13 +538,14 @@ def test_abelianization_metamorphic_invariance():
         assert abelianization(mutated) == expected
 
 
-def test_relator_matrix_is_bounded_before_any_row(monkeypatch):
+def test_abelianization_is_bounded_before_any_row(monkeypatch):
     import braidkit.zlinalg as zlinalg
 
     def no_rows(*args):
         raise AssertionError("an exponent vector was built before the bound check")
 
     monkeypatch.setattr(zlinalg, "exponent_vector", no_rows)
+    monkeypatch.setattr(zlinalg, "_row_echelon", no_rows)
     n = 3163  # n² = 10,004,569 cells, just over the bound of 10⁷
     wide = Presentation.from_json(
         {"generators": [f"x{i}" for i in range(n)], "relators": [[i] for i in range(1, n + 1)]}
