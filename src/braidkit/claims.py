@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import homsearch, nilq, permgrp, smallgrp, zlinalg
-from .errors import InvalidInputError, checked
+from .errors import InvalidInputError, checked, json_field
 from .fpgroup import resolve_presentation
 from .nilq import resolve_group
 
@@ -146,7 +146,7 @@ def _op_abelianize(args: dict):
 
 
 def _op_lcs(args: dict):
-    layer = int(args["layer"])
+    layer = json_field(args, "layer", int, "lcs claim")
     return nilq.lcs_layer(resolve_presentation(args), layer).to_json()
 
 
@@ -164,9 +164,9 @@ def _op_homsearch(args: dict):
     presentation = resolve_presentation(args)
     result = homsearch.enumerate_homs(
         presentation,
-        int(args["target_sym"]),
+        json_field(args, "target_sym", int, "homsearch claim"),
         predicate=args.get("filter", "all"),
-        max_representatives=int(args.get("representatives", 0)),
+        max_representatives=json_field(args, "representatives", int, "homsearch claim", 0),
     )
     return result.to_json(include_representatives=False)
 
@@ -200,12 +200,12 @@ def _op_image_order(args: dict):
 
 
 def _op_klein_scan(args: dict):
-    result = smallgrp.klein_relation_scan(int(args["radius"]))
+    result = smallgrp.klein_relation_scan(json_field(args, "radius", int, "klein-scan claim"))
     return {"nontrivial_solutions": len(result.nontrivial_solutions)}
 
 
 def _op_dicyclic_central_quotient(args: dict):
-    group = smallgrp.dicyclic(int(args["n"]))
+    group = smallgrp.dicyclic(json_field(args, "n", int, "dicyclic-central-quotient claim"))
     involutions = [e for e in group.elements if e.order() == 2]
     quo = smallgrp.quotient(group, involutions)
     return {"order": quo.order, "dihedral": smallgrp.is_dihedral(quo)}
@@ -216,16 +216,17 @@ def _op_dihedral_subgroup_count(args: dict):
     build = smallgrp.NAMED_GROUPS.get(name) if isinstance(name, str) else None
     if build is None:
         raise InvalidInputError(f"unknown group {name!r}")
-    group = build(int(args.get("n", 4)))  # the CLI's default n
+    what = "dihedral-subgroup-count claim"
+    group = build(json_field(args, "n", int, what, 4))  # the CLI's default n
     subs = smallgrp.subgroup_scan(
-        group, min_order=int(args.get("min_order", 4)), dihedral=True
+        group, min_order=json_field(args, "min_order", int, what, 4), dihedral=True
     )
     return len(subs)
 
 
 def _op_symmetric_lcs(args: dict):
     # S_n from a transposition and an n-cycle: the terms are chains, never lists
-    n = int(args["n"])
+    n = json_field(args, "n", int, "symmetric-lcs claim")
     gens, order = smallgrp._symmetric_generators(n)
     terms = permgrp._series(gens, n, order)
     orders = [order] + [chain.order() for chain, _ in terms]
@@ -234,8 +235,10 @@ def _op_symmetric_lcs(args: dict):
 
 
 def _op_centralizer_order(args: dict):
+    lengths = json_field(args, "cycle_lengths", list, "centralizer-order claim")
     t = permgrp.CycleType.from_lengths(
-        [int(k) for k in args["cycle_lengths"]], args.get("degree")
+        [checked(k, int, "centralizer-order claim cycle length") for k in lengths],
+        args.get("degree"),
     )
     return permgrp.centralizer_order(t)
 

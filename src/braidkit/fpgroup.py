@@ -94,7 +94,10 @@ class Presentation:
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
         checked(data, dict, "presentation")
-        names = tuple(str(x) for x in json_field(data, "generators", list, "presentation"))
+        names = tuple(
+            checked(x, str, "generator name")
+            for x in json_field(data, "generators", list, "presentation")
+        )
         relators = json_field(data, "relators", list, "presentation")
         rels = tuple(Word.from_json(r, len(names)) for r in relators)
         fam = data.get("family")

@@ -18,14 +18,24 @@ every relation row its coordinates:
   generators (for c = 3 also [[r, x], y]) and products of relator powers
   whose exponent sums cancel, each in Lyndon coordinates as it is made.
 
-The exponent vectors are echeloned first, and the rows of weights 2..c
-apart; those have no weight-1 entry, so the two echelons together are
-the one over all the rows.  The rows leading in weight w's block, cut
-to that block, span the weight-w lattice (the relations whose lower
+Each relator's letters are counted once, into its sparse exponent
+vector e_i.  At c >= 2 the m vectors are echeloned once, each with the
+unit vector of its relator appended past the n generator columns (an
+m x m identity block).  The rows that pivot below n, cut to n columns,
+are the plain echelon of the vectors, since the block lies past n and
+so changes no pivot choice below n: a Z-basis of the exponent lattice
+and the weight-1 block.  The rows that pivot at or past n hold in the
+block a basis of the multiplicity vectors λ with Σ λ_i e_i = 0, the
+relator products of the weight 2..c rows.  Those rows have no weight-1
+entry and are echeloned apart, so the two echelons together are the
+one over all the rows.  The rows leading in weight w's block, cut to
+that block, span the weight-w lattice (the relations whose lower
 weights vanish), and the weight-w layer of the presented group is its
-cokernel.  That is read off the staircase as it stands: the rows with
-pivot 1 split off trivial summands, and only the others go on to a
-Smith reduction (``zlinalg._staircase_cokernel``).
+cokernel.  It is read only for the weights asked for, off the
+staircase as it stands: the rows with pivot 1 split off trivial
+summands, and only the others go on to a Smith reduction
+(``zlinalg._staircase_cokernel``).  No dense matrix is built unless the
+lattices are asked for.
 
 Only rows that can be nonzero are built.  A relator whose exponent
 vector is zero (a braid or commutation relator) has S_1 = 0, so its
@@ -103,16 +113,15 @@ the matrix size made before any row is built.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BoundExceededError, InvalidInputError, checked, json_field
 from .fpgroup import Presentation, resolve_presentation
-from .word import exponent_vector
 from .zlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    _kernel_basis,
+    _exponent_sums,
     _row_echelon,
     _staircase_cokernel,
     abelianization,
@@ -266,18 +275,22 @@ def _product_row(lam, walks: dict, index: dict, c: int) -> dict[int, int]:
 
 
 def _weight_rows(
-    p: Presentation, c: int, exponents, basis: list, index: dict
+    p: Presentation, c: int, exponents: list, basis: list, kernel: list, index: dict
 ) -> list[dict[int, int]]:
     """Sparse nonzero rows spanning the relation lattice of weights 2..c,
     in the Lyndon coordinates of ``index`` (none has a weight-1 entry).
 
+    ``exponents`` are the relators' sparse exponent vectors
+    (``zlinalg._exponent_sums``), ``basis`` is a Z-basis of their lattice
+    and ``kernel`` a basis of the multiplicity vectors λ with
+    Σ λ_i e_i = 0, dense over the relators; ``nilpotent_quotient`` reads
+    the last two off one echelon.
+
     At c = 3 each relator gives its n rows [r, x].  The rows linear in
     S_1, the [r, x] rows at c = 2 and the [[r, x], y] rows at c = 3, are
-    built once per vector of ``basis``, a Z-basis of the relators'
-    exponent vectors, in place of S_1 (see the module docstring).  The
-    last rows are products of relator powers whose exponent vectors
-    cancel, one per basis vector of the multiplicity lattice with
-    vanishing weight-1 part.
+    built once per vector of ``basis`` in place of S_1 (see the module
+    docstring).  The last rows are products of relator powers, one per
+    vector λ of ``kernel``, whose weight-1 part vanishes.
 
     No series is built.  Each relator that a row reads is walked once
     (``_magnus_walk``): at c = 3 every relator, for the S_2 of its [r, x]
@@ -297,7 +310,6 @@ def _weight_rows(
       A_3 + P_1 A_2 + P_2 A_1, and no factor needs an inverse walk.
     """
     n = p.generator_count
-    kernel = _kernel_basis(exponents, n)
     used = {i for lam in kernel for i, k in enumerate(lam) if k}
     walks = {
         i: _magnus_walk(r.letters, c) for i, r in enumerate(p.relators) if c == 3 or i in used
@@ -320,7 +332,7 @@ def _weight_rows(
     rows: list[dict[int, int]] = []
     if c == 3:  # per relator, [r, x] = B_2 + B_3 - (S_1 + X) B_2
         for i, vec in enumerate(exponents):
-            s1 = [(j, v) for j, v in enumerate(vec) if v]
+            s1 = list(vec.items())
             s2 = [(key, v) for key, v in walks[i].items() if len(key) == 2]
             for x in range(n):
                 terms, row = b2(s1, x)
@@ -339,59 +351,90 @@ def _weight_rows(
     return [row for row in rows if row]
 
 
-def _weight_row_count(relators, n: int, c: int) -> int:
-    """The most rows ``_weight_rows`` builds: at c = 3 n rows [r, x] per
-    relator; n rows B_2 at c = 2, or n^2 rows [B_2, X_y] at c = 3, per
-    relator whose exponent vector is nonzero; and at most one relator
-    product per relator.  Reads letter counts, not n-long vectors.  It
+def _weight_row_count(exponents: list, n: int, c: int) -> int:
+    """The most rows ``_weight_rows`` builds, from the relators' sparse
+    exponent vectors: at c = 3 n rows [r, x] per relator; n rows B_2 at
+    c = 2, or n^2 rows [B_2, X_y] at c = 3, per relator whose exponent
+    vector is nonzero; and at most one relator product per relator.  It
     over-counts at both classes: ``_weight_rows`` builds the B_2 and
     [B_2, X_y] rows once per vector of a basis of the exponent lattice,
     whose rank is at most the number of those relators."""
-    counts = [Counter(r.letters) for r in relators]
-    unbalanced = sum(any(k != cnt[-x] for x, k in cnt.items()) for cnt in counts)
+    unbalanced = sum(1 for vec in exponents if vec)
     if c == 2:
-        return n * unbalanced + len(relators)
-    return (n + 1) * len(relators) + n * n * unbalanced
+        return n * unbalanced + len(exponents)
+    return (n + 1) * len(exponents) + n * n * unbalanced
 
 
-def _layer_from_lattice(rows: list, width: int) -> tuple[FgAbelianGroup, IntMatrix]:
-    """Quotient of the free weight layer (``width`` Lyndon coordinates)
-    by the lattice of sparse ``_row_echelon`` rows, read off their
-    staircase, and those rows as an ``IntMatrix``."""
+def _layer_from_lattice(rows: list, width: int) -> IntMatrix:
+    """The sparse ``_row_echelon`` rows of one weight's lattice, in its
+    ``width`` Lyndon coordinates, as a dense ``IntMatrix``."""
     entries = [0] * (len(rows) * width)
     for i, row in enumerate(rows):
         for j, x in row.items():
             entries[i * width + j] = x
-    return _staircase_cokernel(rows, width), IntMatrix(len(rows), width, tuple(entries))
+    return IntMatrix(len(rows), width, tuple(entries))
 
 
 @dataclass(frozen=True)
 class NilpotentQuotient:
-    """Per-weight relation lattices, in Lyndon coordinates, and layer
-    isomorphism types of the class-c nilpotent quotient of a presented
-    group."""
+    """The class-c nilpotent quotient of a presented group, per weight:
+    the echelon rows of its relation lattice, in Lyndon coordinates, and
+    read from them on demand the layer isomorphism types (``layers``,
+    ``layer(w)``) and the lattices as dense matrices
+    (``relation_lattices``).
+
+    ``widths[w - 1]`` is the number of Lyndon coordinates of weight w,
+    and ``lead_rows[w - 1]`` holds the echelon rows that lead in that
+    block, cut to it: the relations whose lower weights vanish.
+    """
 
     nilpotency_class: int
-    relation_lattices: tuple[IntMatrix, ...]
-    layers: tuple[FgAbelianGroup, ...]
+    widths: tuple[int, ...]
+    lead_rows: tuple[list[dict[int, int]], ...] = field(repr=False)
+
+    def layer(self, w: int) -> FgAbelianGroup:
+        """Isomorphism type of the weight-w layer: the cokernel of its
+        lead rows, read off their staircase."""
+        if not 1 <= w <= self.nilpotency_class:
+            raise InvalidInputError(f"weight {w} outside 1..{self.nilpotency_class}")
+        return _staircase_cokernel(self.lead_rows[w - 1], self.widths[w - 1])
+
+    @cached_property
+    def layers(self) -> tuple[FgAbelianGroup, ...]:
+        return tuple(self.layer(w) for w in range(1, self.nilpotency_class + 1))
+
+    @cached_property
+    def relation_lattices(self) -> tuple[IntMatrix, ...]:
+        return tuple(map(_layer_from_lattice, self.lead_rows, self.widths))
 
 
 def nilpotent_quotient(
     p: Presentation, nilpotency_class: int, bound: int = DEFAULT_LCS_BOUND
 ) -> NilpotentQuotient:
-    """Compute all lower central layers of weight <= nilpotency_class.
+    """The lower central layers of weight <= nilpotency_class, as echelon
+    rows per weight; layers and dense lattices are read from them on
+    demand (``NilpotentQuotient``).
 
-    Raises BoundExceededError, before building any row, if the relation
-    rows plus one times the Lyndon columns, plus the relator letters times
-    n^c (the charge for walking the relators), would exceed ``bound``.
+    Each relator's letters are counted once, into its sparse exponent
+    vector, before the bound check.  Raises BoundExceededError, before
+    building any row, if the relation rows plus one times the Lyndon
+    columns, plus the relator letters times n^c (the charge for walking
+    the relators), would exceed ``bound``.
+
+    At c >= 2 one echelon of the exponent vectors, with an identity
+    block appended past column n, gives both the weight-1 block, which
+    is the basis of ``_weight_rows``, and the kernel of its relator
+    products (see the module docstring).
     """
     c = nilpotency_class
     if c not in (1, 2, 3):
         raise InvalidInputError(f"class-{c} quotients are unsupported (max {MAX_CLASS})")
     n = p.generator_count
+    exponents = [_exponent_sums(r) for r in p.relators]
+    m = len(exponents)
     # the Lyndon columns of each weight, counted before the index is built
     widths = [free_layer_rank(n, w) for w in range(1, c + 1)]
-    row_count = len(p.relators) + (_weight_row_count(p.relators, n, c) if c > 1 else 0)
+    row_count = m + (_weight_row_count(exponents, n, c) if c > 1 else 0)
     # the index costs a row of columns; a relator's walk is charged
     # letters x n^c, above its cost of at most letters x (n^2 + n) steps
     cost = (row_count + 1) * sum(widths) + sum(len(r) for r in p.relators) * n**c
@@ -400,23 +443,25 @@ def nilpotent_quotient(
             f"class-{c} quotient needs about {cost} cells and steps, over the bound {bound}"
         )
 
-    exponents = [exponent_vector(r, n) for r in p.relators]
-    # the weight-1 block, a basis of the exponent lattice; no other row has
-    # an entry there, so the rows of weights 2..c are echeloned apart
-    basis = _row_echelon(exponents, n)
-    rows = _weight_rows(p, c, exponents, basis, _lyndon_index(n, c)) if c > 1 else []
-    echelon = basis + _row_echelon(rows, sum(widths))
+    if c == 1:
+        echelon = _row_echelon(exponents, n)
+    else:
+        augmented = _row_echelon([{**vec, n + i: 1} for i, vec in enumerate(exponents)], n + m)
+        rank = sum(1 for r in augmented if min(r) < n)  # the rows pivoting below n come first
+        basis = [{j: x for j, x in r.items() if j < n} for r in augmented[:rank]]
+        kernel = [[r.get(n + i, 0) for i in range(m)] for r in augmented[rank:]]
+        rows = _weight_rows(p, c, exponents, basis, kernel, _lyndon_index(n, c))
+        # no row of weights 2..c has a weight-1 entry, so they are echeloned
+        # apart, and the basis is the weight-1 block of the one echelon
+        echelon = basis + _row_echelon(rows, sum(widths))
     pivots = [min(r) for r in echelon]  # increasing
-    lattices, layers, lo, first = [], [], 0, 0
+    lead_rows, lo, first = [], 0, 0
     for width in widths:  # one weight's block: columns lo..hi-1
         hi = lo + width
         last = bisect_left(pivots, hi, first)
-        lead = [{j - lo: x for j, x in r.items() if j < hi} for r in echelon[first:last]]
-        layer, lattice = _layer_from_lattice(lead, width)
-        layers.append(layer)
-        lattices.append(lattice)
+        lead_rows.append([{j - lo: x for j, x in r.items() if j < hi} for r in echelon[first:last]])
         lo, first = hi, last
-    return NilpotentQuotient(c, tuple(lattices), tuple(layers))
+    return NilpotentQuotient(c, tuple(widths), tuple(lead_rows))
 
 
 def lcs_layer(p: Presentation, i: int, bound: int = DEFAULT_LCS_BOUND) -> FgAbelianGroup:
@@ -429,7 +474,7 @@ def lcs_layer(p: Presentation, i: int, bound: int = DEFAULT_LCS_BOUND) -> FgAbel
     """
     if i not in (1, 2, 3):
         raise InvalidInputError(f"layer {i} unsupported (1..{MAX_CLASS})")
-    return nilpotent_quotient(p, i, bound).layers[i - 1]
+    return nilpotent_quotient(p, i, bound).layer(i)
 
 
 def resolve_group(spec) -> FgAbelianGroup:

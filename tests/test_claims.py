@@ -253,6 +253,43 @@ def test_symmetric_lcs_op():
         assert out["terminal_abelianization"] == {"free_rank": 0, "torsion": torsion}, n
 
 
+# (op, arguments, the integer argument set to a bad value)
+INTEGER_ARGS = [
+    ("lcs", {"surface": "closed-orientable", "genus": 1, "strands": 3}, "layer"),
+    ("homsearch", {"surface": "artin", "strands": 3}, "target_sym"),
+    ("homsearch", {"surface": "artin", "strands": 3, "target_sym": 3}, "representatives"),
+    ("klein-scan", {}, "radius"),
+    ("dicyclic-central-quotient", {}, "n"),
+    ("dihedral-subgroup-count", {"group": "dicyclic"}, "n"),
+    ("dihedral-subgroup-count", {"group": "dicyclic", "n": 4}, "min_order"),
+    ("symmetric-lcs", {}, "n"),
+]
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "3"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("op, args, key", INTEGER_ARGS, ids=[f"{o}-{k}" for o, _, k in INTEGER_ARGS])
+def test_integer_claim_arguments_are_not_coerced(op, args, key, bad):
+    with pytest.raises(InvalidInputError, match=f"{op} claim field '{key}' must be of type int"):
+        OPS[op]({**args, key: bad})
+
+
+@pytest.mark.parametrize("bad", [2.7, True, "3"], ids=["float", "bool", "string"])
+def test_cycle_lengths_are_not_coerced(bad):
+    with pytest.raises(InvalidInputError, match="cycle length must be of type int"):
+        OPS["centralizer-order"]({"cycle_lengths": [4, bad]})
+    with pytest.raises(InvalidInputError, match="'cycle_lengths' must be of type list"):
+        OPS["centralizer-order"]({"cycle_lengths": "44"})
+
+
+def test_a_non_integer_layer_makes_an_erroring_claim(tmp_path):
+    text = PASSING_CLAIM.replace("op: abelianize", "op: lcs").replace("strands: 3", "strands: 3, layer: 2.7")
+    (outcome,) = run_corpus(write_corpus(tmp_path, text)).outcomes
+    assert outcome.status == "error"
+    assert outcome.message == (
+        "InvalidInputError: lcs claim field 'layer' must be of type int, got 2.7"
+    )
+
+
 def test_symmetric_lcs_of_degree_seven_is_fast():
     start = time.perf_counter()
     assert OPS["symmetric-lcs"]({"n": 7})["orders"] == [5040, 2520, 2520]

@@ -651,6 +651,16 @@ def test_malformed_presentation_exits_two_with_a_message(tmp_path, capsys, conte
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("names", [[[1]], [None, None], [1, 2]], ids=["list", "null", "int"])
+def test_generator_names_must_be_strings(tmp_path, capsys, names):
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps({"generators": names, "relators": []}), encoding="utf-8")
+    for argv in (["lcs", "--layer", "2"], ["present"], ["abelianize"]):
+        code, err = _main_exit(capsys, *argv, "--presentation", str(path))
+        assert code == 2, argv
+        assert err == f"error: generator name must be of type str, got {names[0]!r}\n", argv
+
+
 def test_directory_in_place_of_a_file_exits_two(tmp_path, capsys):
     for argv in (["claims", "run"], ["abelianize", "--presentation"]):
         code, err = _main_exit(capsys, *argv, str(tmp_path))

@@ -25,6 +25,7 @@ from braidkit.word import exponent_vector, generator
 from braidkit.zlinalg import (
     FgAbelianGroup,
     IntMatrix,
+    _exponent_sums,
     _kernel_basis,
     _row_echelon,
     _staircase_cokernel,
@@ -149,7 +150,7 @@ def test_no_generators_give_no_lyndon_words_and_no_rows():
     assert list(itertools.islice(_lyndon_words(0, 3), 10)) == []
     assert list(itertools.islice(_lyndon_words(-1, 2), 10)) == []
     for c in (2, 3):
-        assert _weight_rows(Presentation((), ()), c, [], [], _lyndon_index(0, c)) == []
+        assert _weight_rows(Presentation((), ()), c, [], [], [], _lyndon_index(0, c)) == []
 
 
 def test_lyndon_index_blocks_weights_in_order():
@@ -269,6 +270,19 @@ def test_grid_relation_lattices_are_pinned():
         for c in (1, 2, 3):
             digest.update(repr(nilpotent_quotient(p, c).relation_lattices).encode())
     assert digest.hexdigest() == GRID_LATTICES_SHA256
+
+
+def test_relation_lattices_read_after_the_layers_keep_their_digests():
+    import hashlib
+
+    digests = [hashlib.sha256(), hashlib.sha256()]
+    for p in GRID:
+        for c in (1, 2, 3):
+            q = nilpotent_quotient(p, c)
+            q.layers  # read first; the lattices come from the same rows
+            digests[0].update(repr(q.relation_lattices).encode())
+            digests[1].update(repr(tuple(_hermite(m) for m in q.relation_lattices)).encode())
+    assert [d.hexdigest() for d in digests] == [GRID_LATTICES_SHA256, GRID_HERMITE_SHA256]
 
 
 def _hermite(matrix):
@@ -421,6 +435,15 @@ def _random_relators(rng, n):
     return relators
 
 
+def _row_inputs(p):
+    """What nilpotent_quotient gives _weight_rows besides the index, each
+    computed on its own: the sparse exponent vectors, the echelon of the
+    vectors and the kernel basis of _kernel_basis."""
+    n = p.generator_count
+    dense = [exponent_vector(r, n) for r in p.relators]
+    return [_exponent_sums(r) for r in p.relators], _row_echelon(dense, n), _kernel_basis(dense, n)
+
+
 def _rows_agree_with_oracle(p):
     n = p.generator_count
     for c in (2, 3):
@@ -428,8 +451,7 @@ def _rows_agree_with_oracle(p):
         width = len(index)
         for r in p.relators:  # S_1, S_2 and, at c = 3, S_3 at the Lyndon words
             assert _magnus_walk(r.letters, c) == _oracle_walk(r.letters, c)
-        exponents = [exponent_vector(r, n) for r in p.relators]
-        rows = _weight_rows(p, c, exponents, _row_echelon(exponents, n), index)
+        rows = _weight_rows(p, c, *_row_inputs(p), index)
         assert all(rows)  # no row that projects to zero is kept
         assert all(0 not in row.values() for row in rows)  # sparse rows hold no zeros
         dense = [[row.get(j, 0) for j in range(width)] for row in rows]
@@ -464,10 +486,7 @@ def test_class3_rows_skip_repeated_exponent_vectors():
     # and 6,269 when every distinct exponent vector did
     counts = []
     for p in GRID:
-        n = p.generator_count
-        exponents = [exponent_vector(r, n) for r in p.relators]
-        basis = _row_echelon(exponents, n)
-        counts.append(len(_weight_rows(p, 3, exponents, basis, _lyndon_index(n, 3))))
+        counts.append(len(_weight_rows(p, 3, *_row_inputs(p), _lyndon_index(p.generator_count, 3))))
     in_lcs_grid = [p.family.strands <= 4 or p.family.surface == "class2-quotient" for p in GRID]
     assert sum(in_lcs_grid) == 49
     assert sum(counts) == 10010
@@ -482,10 +501,7 @@ def test_class2_rows_skip_repeated_exponent_vectors():
     # every distinct exponent vector did
     counts = []
     for p in GRID:
-        n = p.generator_count
-        exponents = [exponent_vector(r, n) for r in p.relators]
-        basis = _row_echelon(exponents, n)
-        counts.append(len(_weight_rows(p, 2, exponents, basis, _lyndon_index(n, 2))))
+        counts.append(len(_weight_rows(p, 2, *_row_inputs(p), _lyndon_index(p.generator_count, 2))))
     in_lcs_grid = [p.family.strands <= 4 or p.family.surface == "class2-quotient" for p in GRID]
     assert sum(counts) == 1268
     assert sum(k for k, kept in zip(counts, in_lcs_grid) if kept) == 788
@@ -602,7 +618,9 @@ def test_smith_loop_runs_only_for_layers_with_a_pivot_above_one(monkeypatch):
     monkeypatch.setattr(zlinalg, "smith_normal_form", None)  # no dense detour
     expected = []
     for p in GRID:
-        for m in nilpotent_quotient(p, 3).relation_lattices:
+        q = nilpotent_quotient(p, 3)
+        q.layers  # the record reads its layers on demand
+        for m in q.relation_lattices:
             rows = [m.entries[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
             larger = sum(next(x for x in r if x) > 1 for r in rows)
             if larger:
@@ -628,14 +646,13 @@ def test_no_series_is_built_and_each_relator_is_walked_at_most_once(monkeypatch)
 
     monkeypatch.setattr(nilq, "_magnus_walk", counting)
     for p in GRID:
-        n = p.generator_count
-        exponents = [exponent_vector(r, n) for r in p.relators]
+        inputs = _row_inputs(p)
         # at c = 2 only the relators in a product are walked, and at c = 3
         # every relator, for the S_2 of its [r, x] rows
-        used = {i for lam in _kernel_basis(exponents, n) for i, k in enumerate(lam) if k}
+        used = {i for lam in inputs[2] for i, k in enumerate(lam) if k}
         for c, expected in ((2, used), (3, range(len(p.relators)))):
             walked.clear()
-            _weight_rows(p, c, exponents, _row_echelon(exponents, n), _lyndon_index(n, c))
+            _weight_rows(p, c, *inputs, _lyndon_index(p.generator_count, c))
             letters = sorted(tuple(p.relators[i].letters) for i in expected)
             assert sorted(walked) == letters, (p.family, c)
 
@@ -682,14 +699,69 @@ def _weight_layers(rows, n, c):
 def test_left_out_rows_do_not_change_the_layers_on_random_relators():
     for p in _random_presentations():
         n = p.generator_count
-        exponents = [exponent_vector(r, n) for r in p.relators]
         for c in (2, 3):
             index = _lyndon_index(n, c)
             full = [row for _, row in _oracle_weight_rows(p, c, index)]
-            basis = _row_echelon(exponents, n)
             assert _weight_layers(full, n, c) == _weight_layers(
-                _weight_rows(p, c, exponents, basis, index), n, c
+                _weight_rows(p, c, *_row_inputs(p), index), n, c
             ), (p.relators, c)
+
+
+def test_single_layer_equals_the_quotients_layer_at_every_class():
+    for p in GRID + _random_presentations():
+        layers = {c: nilpotent_quotient(p, c).layers for c in (1, 2, 3)}
+        for i in (1, 2, 3):
+            got = lcs_layer(p, i)
+            assert all(got == layers[c][i - 1] for c in range(i, 4)), (p.relators, i)
+
+
+def test_single_layer_reads_one_cokernel_and_builds_no_matrix(monkeypatch):
+    import braidkit.nilq as nilq
+
+    calls = []
+    cokernel = nilq._staircase_cokernel
+
+    def counting(rows, width):
+        calls.append(width)
+        return cokernel(rows, width)
+
+    def no_matrix(*args):
+        raise AssertionError("a dense lattice was built")
+
+    monkeypatch.setattr(nilq, "_staircase_cokernel", counting)
+    monkeypatch.setattr(nilq, "IntMatrix", no_matrix)
+    monkeypatch.setattr(nilq, "_layer_from_lattice", no_matrix)
+    for p in GRID:
+        for i in (1, 2, 3):
+            calls.clear()
+            lcs_layer(p, i)
+            assert calls == [free_layer_rank(p.generator_count, i)], (p.family, i)
+
+
+def test_a_quotient_echelons_the_exponent_vectors_once(monkeypatch):
+    import braidkit.nilq as nilq
+    import braidkit.zlinalg as zlinalg
+
+    def no_kernel(*args):
+        raise AssertionError("the exponent vectors were echeloned again for the kernel")
+
+    calls = []
+    echelon = nilq._row_echelon
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return echelon(rows, ncols)
+
+    assert not hasattr(nilq, "_kernel_basis")
+    monkeypatch.setattr(zlinalg, "_kernel_basis", no_kernel)
+    monkeypatch.setattr(nilq, "_row_echelon", counting)
+    for p in GRID + _random_presentations():
+        n, m = p.generator_count, len(p.relators)
+        for c in (1, 2, 3):
+            calls.clear()
+            nilpotent_quotient(p, c)
+            widths = sum(free_layer_rank(n, w) for w in range(1, c + 1))
+            assert calls == ([n] if c == 1 else [n + m, widths]), (p.relators, c)
 
 
 def test_layer1_equals_abelianization_on_grid():
@@ -839,7 +911,7 @@ def test_bound_is_checked_before_any_row(monkeypatch):
 
     monkeypatch.setattr(nilq, "_magnus_walk", no_rows)
     monkeypatch.setattr(nilq, "_weight_rows", no_rows)
-    monkeypatch.setattr(nilq, "exponent_vector", no_rows)
+    monkeypatch.setattr(nilq, "_row_echelon", no_rows)
     monkeypatch.setattr(nilq, "_lyndon_index", no_rows)
     with pytest.raises(BoundExceededError):  # estimated at 437,040
         nilpotent_quotient(closed_orientable(3, 4), 3, bound=10**5)
@@ -864,10 +936,10 @@ def test_lyndon_columns_count_toward_the_bound(monkeypatch):
 def test_row_estimate_covers_the_rows_built():
     for p in GRID + _random_presentations():
         n = p.generator_count
-        exponents = [exponent_vector(r, n) for r in p.relators]
+        inputs = _row_inputs(p)
         for c in (2, 3):
-            built = _weight_rows(p, c, exponents, _row_echelon(exponents, n), _lyndon_index(n, c))
-            assert _weight_row_count(p.relators, n, c) >= len(built), (p.family, p.relators, c)
+            built = _weight_rows(p, c, *inputs, _lyndon_index(n, c))
+            assert _weight_row_count(inputs[0], n, c) >= len(built), (p.family, p.relators, c)
 
 
 def test_relator_length_counts_toward_the_bound(monkeypatch):

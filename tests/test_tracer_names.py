@@ -1,6 +1,7 @@
 """The benchmark tracer (bench/tracer.py) wraps braidkit functions by
-name.  Every name it lists must resolve, and installing and removing the
-tracer must leave the program's objects as they were.
+name.  Every name it lists must resolve, installing and removing the
+tracer must leave the program's objects as they were, and the spans it
+records must still give the nilq metrics.
 """
 
 import importlib
@@ -41,3 +42,16 @@ def test_install_and_uninstall_restore_the_originals(monkeypatch):
     assert permgrp.closure is closure
     assert smallgrp.closure is closure
     assert vars(smallgrp.FiniteGroup)["__post_init__"] is post_init
+
+
+def test_a_traced_layer_reads_the_nilq_metrics(monkeypatch):
+    tracer = _tracer(monkeypatch)
+    from braidkit import nilq
+    from braidkit.fpgroup import closed_orientable
+
+    p = closed_orientable(1, 3)
+    with tracer.Tracer() as t:
+        t.run("bench.job", lambda: nilq.lcs_layer(p, 3))
+    metrics = tracer.layer_metrics(t.spans, t.counts)
+    assert metrics["nilq.quotient_calls"] == 1
+    assert metrics["nilq.rows"] > 0

@@ -544,7 +544,7 @@ def test_abelianization_is_bounded_before_any_row(monkeypatch):
     def no_rows(*args):
         raise AssertionError("an exponent vector was built before the bound check")
 
-    monkeypatch.setattr(zlinalg, "exponent_vector", no_rows)
+    monkeypatch.setattr(zlinalg, "_exponent_sums", no_rows)
     monkeypatch.setattr(zlinalg, "_row_echelon", no_rows)
     n = 3163  # n² = 10,004,569 cells, just over the bound of 10⁷
     wide = Presentation.from_json(
