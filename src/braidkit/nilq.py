@@ -118,10 +118,10 @@ from functools import cached_property
 
 from .errors import BoundExceededError, InvalidInputError, checked, json_field
 from .fpgroup import Presentation, resolve_presentation
+from .word import _exponent_sums
 from .zlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    _exponent_sums,
     _row_echelon,
     _staircase_cokernel,
     abelianization,

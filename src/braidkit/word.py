@@ -144,6 +144,19 @@ def exponent_vector(w: Word, n: int | None = None) -> tuple[int, ...]:
     if n < w.alphabet_size:
         raise InvalidInputError("exponent_vector target smaller than word alphabet")
     out = [0] * n
-    for let in w.letters:
-        out[abs(let) - 1] += 1 if let > 0 else -1
+    for g, k in _exponent_sums(w).items():
+        out[g] = k
     return tuple(out)
+
+
+def _exponent_sums(w: Word) -> dict[int, int]:
+    """The exponent vector of ``w``, sparse: ``{generator index: signed
+    letter count}`` without zeros, from one pass over its letters, so that
+    a relator costs its length and not the generator count."""
+    out: dict[int, int] = {}
+    for let in w.letters:
+        if let > 0:
+            out[let] = out.get(let, 0) + 1
+        else:
+            out[-let] = out.get(-let, 0) - 1
+    return {g - 1: k for g, k in out.items() if k}

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, InvalidInputError, checked, json_field
 from .fpgroup import Presentation
-from .word import Word
+from .word import _exponent_sums
 
 __all__ = [
     "IntMatrix",
@@ -201,19 +201,6 @@ def _row_echelon(
     if buckets:
         raise ValueError(f"a row leads at column {min(buckets)}, past the {ncols} columns")
     return out
-
-
-def _exponent_sums(w: Word) -> dict[int, int]:
-    """The exponent vector of ``w``, sparse: ``{generator index: signed
-    letter count}`` without zeros, from one pass over its letters, so that
-    a relator costs its length and not the generator count."""
-    out: dict[int, int] = {}
-    for let in w.letters:
-        if let > 0:
-            out[let] = out.get(let, 0) + 1
-        else:
-            out[-let] = out.get(-let, 0) - 1
-    return {g - 1: k for g, k in out.items() if k}
 
 
 def _kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:

@@ -21,11 +21,10 @@ from braidkit.nilq import (
     lcs_layer,
     nilpotent_quotient,
 )
-from braidkit.word import exponent_vector, generator
+from braidkit.word import _exponent_sums, exponent_vector, generator
 from braidkit.zlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    _exponent_sums,
     _kernel_basis,
     _row_echelon,
     _staircase_cokernel,
