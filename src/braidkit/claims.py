@@ -129,12 +129,22 @@ class ClaimReport:
 # argument resolution
 
 
+# the integer fields a builtin assignment reads from its spec; the others take none
+_BUILTIN_FIELDS = {"imprimitive-s8": ("strands",), "wreath-cycle": ("block_count",)}
+
+
 def resolve_assignment(spec: dict) -> homsearch.GeneratorAssignment:
     if "builtin" in spec:
-        kwargs = {k: v for k, v in spec.items() if k != "builtin"}
-        return homsearch.builtin_assignment(spec["builtin"], **kwargs)
+        name = json_field(spec, "builtin", str, "assignment spec")
+        fields = _BUILTIN_FIELDS.get(name, ())
+        extra = sorted(set(spec) - {"builtin", *fields})
+        if extra and name in homsearch._BUILTIN_ASSIGNMENTS:
+            raise InvalidInputError(f"assignment {name!r} takes no field {extra[0]!r}")
+        kwargs = {k: json_field(spec, k, int, f"assignment {name!r}") for k in fields if k in spec}
+        return homsearch.builtin_assignment(name, **kwargs)
     presentation = resolve_presentation(spec)
-    return homsearch.GeneratorAssignment.from_json(presentation, spec["assignment"])
+    assignment = json_field(spec, "assignment", dict, "assignment spec")
+    return homsearch.GeneratorAssignment.from_json(presentation, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +172,16 @@ def _op_epi(args: dict):
 
 def _op_homsearch(args: dict):
     presentation = resolve_presentation(args)
+    representatives = json_field(args, "representatives", int, "homsearch claim", 0)
+    if representatives < 0:  # as the CLI's --representatives
+        raise InvalidInputError(
+            f"homsearch claim field 'representatives' must be >= 0, got {representatives}"
+        )
     result = homsearch.enumerate_homs(
         presentation,
         json_field(args, "target_sym", int, "homsearch claim"),
-        predicate=args.get("filter", "all"),
-        max_representatives=json_field(args, "representatives", int, "homsearch claim", 0),
+        predicate=json_field(args, "filter", str, "homsearch claim", "all"),
+        max_representatives=representatives,
     )
     return result.to_json(include_representatives=False)
 
@@ -178,10 +193,15 @@ def _op_verify_hom(args: dict):
 
 
 def _op_classify_hom(args: dict):
+    fields = json_field(args, "fields", list, "classify-hom claim", None)
     spec = {k: v for k, v in args.items() if k != "fields"}
     result = classification_with_block(resolve_assignment(spec))
-    fields = args.get("fields")
     if fields:
+        for k in fields:
+            if checked(k, str, "classify-hom claim field name") not in result:
+                raise InvalidInputError(
+                    f"classify-hom claim has no field {k!r}; choose from {sorted(result)}"
+                )
         return {k: result[k] for k in fields}
     return result
 
@@ -196,7 +216,7 @@ def classification_with_block(assignment: homsearch.GeneratorAssignment) -> dict
 def _op_image_order(args: dict):
     spec = {k: v for k, v in args.items() if k != "generator"}
     assignment = resolve_assignment(spec)
-    return assignment.image_of(args["generator"]).order()
+    return assignment.image_of(json_field(args, "generator", str, "image-order claim")).order()
 
 
 def _op_klein_scan(args: dict):
@@ -238,7 +258,7 @@ def _op_centralizer_order(args: dict):
     lengths = json_field(args, "cycle_lengths", list, "centralizer-order claim")
     t = permgrp.CycleType.from_lengths(
         [checked(k, int, "centralizer-order claim cycle length") for k in lengths],
-        args.get("degree"),
+        json_field(args, "degree", int, "centralizer-order claim", None),
     )
     return permgrp.centralizer_order(t)
 

@@ -1,11 +1,21 @@
 """Finitely presented groups: surface braid presentation builders and
 relator surgery.
 
-Generator order is fixed per family (a_1, b_1, ..., a_g, b_g, sigma_1, ...
-for orientable surfaces; rho_1, ..., rho_g, sigma_1, ... for
-non-orientable ones) and relators are emitted in the order the defining
-relations are customarily listed, so that builders are bit-for-bit
-deterministic.
+One rule, ``_surface_braid``, presents the braid group of every surface
+family: the closed orientable surfaces (the sphere at genus 0), the
+orientable ones with one boundary component, the closed non-orientable
+ones, and the disc, whose braid group is Artin's.  It takes g groups of
+surface generators, (a_i, b_i) per handle or rho_i per crosscap, then
+sigma_1 .. sigma_{n-1}, and emits the relators in one order: the braid
+relators of the sigmas; each surface generator commuting with sigma_j for
+j >= 2; c sigma_1 c sigma_1 = sigma_1^(+-1) c sigma_1 c; a_i sigma_1 b_i =
+sigma_1 b_i sigma_1 a_i sigma_1 per handle; the relations between
+generators of different groups; and, on a closed surface only, the
+product of the group words equal to the boundary word.  So the builders
+are bit-for-bit deterministic.  Each family's size is known in closed
+form and checked against ``FAMILY_MAX_SIZE`` before any word is made.
+The class-2 quotient presentation, of another group, has its own builder
+and the same check.
 """
 
 from __future__ import annotations
@@ -13,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, UnsupportedFamilyError, checked, json_field
+from .errors import (
+    BoundExceededError,
+    InvalidInputError,
+    UnsupportedFamilyError,
+    checked,
+    json_field,
+)
 from .word import Word, reduce_word
 
 __all__ = [
@@ -109,44 +125,122 @@ def _relation(lhs: Sequence[int], rhs: Sequence[int], n: int) -> Word:
     return reduce_word(list(lhs) + [-x for x in reversed(rhs)], n)
 
 
-def _braid_relators(sigma, n_strands: int, n: int) -> list[Word]:
-    """Commuting and braid relations among sigma_1 .. sigma_{n_strands-1}."""
-    rels = []
-    for i in range(1, n_strands):
-        for j in range(i + 2, n_strands):
-            rels.append(_relation([sigma(i), sigma(j)], [sigma(j), sigma(i)], n))
-    for i in range(1, n_strands - 1):
-        rels.append(
-            _relation(
-                [sigma(i), sigma(i + 1), sigma(i)],
-                [sigma(i + 1), sigma(i), sigma(i + 1)],
-                n,
-            )
+# generators plus relator letters a family presentation may have; the
+# largest that the corpus, the benchmark or the tests build,
+# class2_quotient_presentation(3, 1155), has 2,411
+FAMILY_MAX_SIZE = 10**6
+
+
+def _check_family_size(family: str, generators: int, letters: int) -> None:
+    """BoundExceededError when a family presentation of this many
+    generators and relator letters is over FAMILY_MAX_SIZE."""
+    size = generators + letters
+    if size > FAMILY_MAX_SIZE:
+        raise BoundExceededError(
+            f"{family} presentation needs {size} generators and relator letters,"
+            f" over the bound {FAMILY_MAX_SIZE}"
         )
-    return rels
 
 
-def _boundary_word(sigma, n_strands: int) -> list[int]:
-    """sigma_1 ... sigma_{n-2} sigma_{n-1}^2 sigma_{n-2} ... sigma_1."""
-    if n_strands < 2:
-        return []
-    up = [sigma(i) for i in range(1, n_strands - 1)]
-    return up + [sigma(n_strands - 1)] * 2 + list(reversed(up))
+def _surface_braid_size(g: int, n: int, handle: bool, closed: bool) -> tuple[int, int, int]:
+    """Generators, relators and relator letters of ``_surface_braid``'s
+    presentation, counted from its loops in closed form."""
+    k = 2 if handle else 1
+    m = max(n - 2, 0)
+    # (relators, letters each): commuting and braid sigma relators, then
+    # steps 2-5 of the rule
+    counts = [(m * (m - 1) // 2, 4), (m, 6)]
+    if n >= 2:
+        counts += [(k * g * m, 4), (k * g, 8), (g if handle else 0, 8)]
+        counts.append((k * k * g * (g - 1) // 2, 8))
+    surface = 2 * k * g + 2 * (n - 1) if closed else 0
+    return (
+        k * g + n - 1,
+        sum(c for c, _ in counts) + (surface > 0),
+        sum(c * w for c, w in counts) + surface,
+    )
+
+
+def _surface_braid(family: str, g: int, n: int, handle: bool, closed: bool) -> Presentation:
+    """Braid group on n strands of a surface with g handles (``handle``) or
+    g crosscaps, closed or with one boundary component.
+
+    Each handle gives the generators a_i, b_i and each crosscap rho_i,
+    followed by sigma_1 .. sigma_{n-1}.  Write c for any surface
+    generator; the relators come in this order:
+
+    1. sigma_i sigma_j = sigma_j sigma_i for j >= i + 2, then
+       sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1};
+    2. c sigma_j = sigma_j c for j >= 2;
+    3. c sigma_1 c sigma_1 = sigma_1^e c sigma_1 c, with e = 1 on a handle
+       and e = -1 on a crosscap;
+    4. a_i sigma_1 b_i = sigma_1 b_i sigma_1 a_i sigma_1, on a handle;
+    5. c_i sigma_1^-1 c_j sigma_1 = sigma_1^-1 c_j sigma_1 c_i for c_i of
+       the i-th group and c_j of an earlier one;
+    6. on a closed surface only, the product of the group words
+       [a_i^-1, b_i] or rho_i^-2 equals the boundary word
+       sigma_1 .. sigma_{n-2} sigma_{n-1}^2 sigma_{n-2} .. sigma_1, kept
+       when the relator is nonempty.
+
+    Steps 2-5 need n >= 2 (Bellingeri, J. Algebra 274, 2004).  The disc,
+    g = 0 with a boundary, gives Artin's braid group.  The size is checked
+    against FAMILY_MAX_SIZE, in closed form, before any name or word is
+    made.
+    """
+    generators, _, letters = _surface_braid_size(g, n, handle, closed)
+    _check_family_size(family, generators, letters)
+    k = 2 if handle else 1
+    if handle:
+        names = [f"{x}{i}" for i in range(1, g + 1) for x in "ab"]
+    else:
+        names = [f"rho{i}" for i in range(1, g + 1)]
+    names += [f"sigma{j}" for j in range(1, n)]
+    size = len(names)
+    groups = [range(k * i + 1, k * i + k + 1) for i in range(g)]
+    sigma = lambda j: k * g + j
+    rel = lambda lhs, rhs: _relation(lhs, rhs, size)
+
+    rels = [
+        rel([sigma(i), sigma(j)], [sigma(j), sigma(i)])
+        for i in range(1, n) for j in range(i + 2, n)
+    ]
+    rels += [
+        rel([sigma(i), sigma(i + 1), sigma(i)], [sigma(i + 1), sigma(i), sigma(i + 1)])
+        for i in range(1, n - 1)
+    ]
+    if n >= 2:
+        s1 = sigma(1)
+        e = s1 if handle else -s1
+        rels += [rel([c, sigma(j)], [sigma(j), c]) for grp in groups for c in grp for j in range(2, n)]
+        rels += [rel([c, s1, c, s1], [e, c, s1, c]) for grp in groups for c in grp]
+        if handle:
+            rels += [rel([a, s1, b], [s1, b, s1, a, s1]) for a, b in groups]
+        rels += [
+            rel([ci, -s1, cj, s1], [-s1, cj, s1, ci])
+            for i, gi in enumerate(groups) for gj in groups[:i] for ci in gi for cj in gj
+        ]
+    if closed:
+        lhs = []
+        for grp in groups:
+            lhs += [grp[0], -grp[1], -grp[0], grp[1]] if handle else [-grp[0], -grp[0]]
+        up = [sigma(j) for j in range(1, n - 1)]
+        boundary = up + [sigma(n - 1)] * 2 + up[::-1] if n >= 2 else []
+        surface = rel(lhs, boundary)
+        if not surface.is_identity():
+            rels.append(surface)
+    return Presentation(tuple(names), tuple(rels), FamilyTag(family, g, n))
 
 
 def artin_presentation(n: int) -> Presentation:
-    """Braid group on n strands: sigma generators, braid and commuting relations.
+    """Braid group on n strands: sigma generators, braid and commuting
+    relations; the disc's braid group.
 
     >>> artin_presentation(2).generator_count
     1
     """
     if n < 1:
         raise InvalidInputError("strand count must be >= 1")
-    names = tuple(f"sigma{i}" for i in range(1, n))
-    size = len(names)
-    sigma = lambda i: i
-    rels = _braid_relators(sigma, n, size)
-    return Presentation(names, tuple(rels), FamilyTag("artin", 0, n))
+    return _surface_braid("artin", 0, n, True, False)
 
 
 def closed_orientable(g: int, n: int) -> Presentation:
@@ -159,48 +253,14 @@ def closed_orientable(g: int, n: int) -> Presentation:
         raise InvalidInputError("genus must be >= 0")
     if n < 1:
         raise InvalidInputError("strand count must be >= 1")
-    names = []
-    for i in range(1, g + 1):
-        names += [f"a{i}", f"b{i}"]
-    names += [f"sigma{i}" for i in range(1, n)]
-    size = len(names)
-    a = lambda i: 2 * i - 1
-    b = lambda i: 2 * i
-    sigma = lambda i: 2 * g + i
-
-    rels = _braid_relators(sigma, n, size)
-    if n >= 2:
-        s1 = sigma(1)
-        for i in range(1, g + 1):
-            for c in (a(i), b(i)):
-                for j in range(2, n):
-                    rels.append(_relation([c, sigma(j)], [sigma(j), c], size))
-        for i in range(1, g + 1):
-            for c in (a(i), b(i)):
-                rels.append(_relation([c, s1, c, s1], [s1, c, s1, c], size))
-        for i in range(1, g + 1):
-            rels.append(_relation([a(i), s1, b(i)], [s1, b(i), s1, a(i), s1], size))
-        for i in range(2, g + 1):
-            for j in range(1, i):
-                for ci in (a(i), b(i)):
-                    for cj in (a(j), b(j)):
-                        rels.append(
-                            _relation([ci, -s1, cj, s1], [-s1, cj, s1, ci], size)
-                        )
-    lhs: list[int] = []
-    for i in range(1, g + 1):
-        lhs += [a(i), -b(i), -a(i), b(i)]  # [a_i^-1, b_i]
-    surface = _relation(lhs, _boundary_word(sigma, n), size)
-    if not surface.is_identity():
-        rels.append(surface)
-    return Presentation(tuple(names), tuple(rels), FamilyTag("closed-orientable", g, n))
+    return _surface_braid("closed-orientable", g, n, True, True)
 
 
 def boundary_orientable(g: int, n: int, boundary_components: int = 1) -> Presentation:
     """Braid group of the genus-g surface with one boundary component.
 
-    Identical to the closed-surface presentation with the final surface
-    relator removed.  Only one boundary component is supported.
+    The closed-surface relators without the surface relator.  Only one
+    boundary component is supported.
     """
     if boundary_components != 1:
         raise UnsupportedFamilyError(
@@ -209,13 +269,9 @@ def boundary_orientable(g: int, n: int, boundary_components: int = 1) -> Present
         )
     if g < 1:
         raise InvalidInputError("genus must be >= 1 for the boundary family")
-    closed = closed_orientable(g, n)
-    # the surface relator is the last one whenever it is nonempty, which
-    # holds for every g >= 1
-    rels = closed.relators[:-1]
-    return Presentation(
-        closed.generator_names, rels, FamilyTag("boundary-orientable", g, n)
-    )
+    if n < 1:
+        raise InvalidInputError("strand count must be >= 1")
+    return _surface_braid("boundary-orientable", g, n, True, False)
 
 
 def nonorientable(g: int, n: int) -> Presentation:
@@ -224,33 +280,7 @@ def nonorientable(g: int, n: int) -> Presentation:
         raise InvalidInputError("genus must be >= 1")
     if n < 1:
         raise InvalidInputError("strand count must be >= 1")
-    names = [f"rho{i}" for i in range(1, g + 1)] + [f"sigma{i}" for i in range(1, n)]
-    size = len(names)
-    rho = lambda i: i
-    sigma = lambda i: g + i
-
-    rels = _braid_relators(sigma, n, size)
-    if n >= 2:
-        s1 = sigma(1)
-        for i in range(1, g + 1):
-            for j in range(2, n):
-                rels.append(_relation([rho(i), sigma(j)], [sigma(j), rho(i)], size))
-        for i in range(1, g + 1):
-            rels.append(
-                _relation([rho(i), s1, rho(i), s1], [-s1, rho(i), s1, rho(i)], size)
-            )
-        for r in range(2, g + 1):
-            for s in range(1, r):
-                rels.append(
-                    _relation([rho(r), -s1, rho(s), s1], [-s1, rho(s), s1, rho(r)], size)
-                )
-    lhs = []
-    for i in range(1, g + 1):
-        lhs += [-rho(i), -rho(i)]
-    twist = _relation(lhs, _boundary_word(sigma, n), size)
-    if not twist.is_identity():
-        rels.append(twist)
-    return Presentation(tuple(names), tuple(rels), FamilyTag("nonorientable", g, n))
+    return _surface_braid("nonorientable", g, n, False, True)
 
 
 def class2_quotient_presentation(g: int, n: int) -> Presentation:
@@ -263,7 +293,17 @@ def class2_quotient_presentation(g: int, n: int) -> Presentation:
         raise InvalidInputError("genus must be >= 1")
     if n < 3:
         raise InvalidInputError("the class-2 quotient presentation needs n >= 3")
+    generators, _, letters = _class2_size(g, n)
+    _check_family_size("class2-quotient", generators, letters)
     return _central_sigma_presentation(g, 2 * (n - 1 + g), FamilyTag("class2-quotient", g, n))
+
+
+def _class2_size(g: int, n: int) -> tuple[int, int, int]:
+    """Generators, relators and relator letters of
+    ``class2_quotient_presentation(g, n)``: sigma^(2(n-1+g)), the commuting
+    pairs and the g relators [a_i, b_i] sigma^-2."""
+    pairs = (2 * g + 1) * g - g
+    return 2 * g + 1, 1 + pairs + g, 2 * (n - 1 + g) + 4 * pairs + 6 * g
 
 
 def _central_sigma_presentation(g: int, sigma_power: int, family: FamilyTag | None) -> Presentation:

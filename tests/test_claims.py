@@ -8,11 +8,13 @@ from braidkit import homsearch, permgrp
 from braidkit.claims import (
     MAX_CORPUS_DEPTH,
     OPS,
+    ClaimRecord,
     load_corpus,
     resolve_assignment,
     resolve_group,
     resolve_presentation,
     run_corpus,
+    run_records,
 )
 from braidkit.errors import BoundExceededError, InvalidInputError
 
@@ -279,6 +281,51 @@ def test_cycle_lengths_are_not_coerced(bad):
         OPS["centralizer-order"]({"cycle_lengths": [4, bad]})
     with pytest.raises(InvalidInputError, match="'cycle_lengths' must be of type list"):
         OPS["centralizer-order"]({"cycle_lengths": "44"})
+
+
+WREATH = {"builtin": "wreath-cycle", "generator": "sigma"}
+S8 = {"builtin": "imprimitive-s8"}
+ARTIN_S3 = {"surface": "artin", "strands": 3, "target_sym": 3}
+# (op, arguments, message): arguments that once ran coerced or raised a bare
+# TypeError or KeyError
+MALFORMED_CLAIM_ARGS = [
+    ("centralizer-order", {"cycle_lengths": [1], "degree": True},
+     "centralizer-order claim field 'degree' must be of type int, got True"),
+    ("centralizer-order", {"cycle_lengths": [1], "degree": 2.0},
+     "centralizer-order claim field 'degree' must be of type int, got 2.0"),
+    ("centralizer-order", {"cycle_lengths": [1], "degree": "3"},
+     "centralizer-order claim field 'degree' must be of type int, got '3'"),
+    ("image-order", {**WREATH, "block_count": 3.0},
+     "assignment 'wreath-cycle' field 'block_count' must be of type int, got 3.0"),
+    ("image-order", {**WREATH, "block_count": "3"},
+     "assignment 'wreath-cycle' field 'block_count' must be of type int, got '3'"),
+    ("image-order", {**WREATH, "block_count": 3, "bogus": 1},
+     "assignment 'wreath-cycle' takes no field 'bogus'"),
+    ("image-order", {"builtin": [1], "generator": "sigma"},
+     "assignment spec field 'builtin' must be of type str, got [1]"),
+    ("homsearch", {**ARTIN_S3, "filter": ["x"]},
+     "homsearch claim field 'filter' must be of type str, got ['x']"),
+    ("homsearch", {**ARTIN_S3, "representatives": -1},
+     "homsearch claim field 'representatives' must be >= 0, got -1"),
+    ("classify-hom", {**S8, "fields": "valid"},
+     "classify-hom claim field 'fields' must be of type list, got 'valid'"),
+    ("classify-hom", {**S8, "fields": ["nope"]},
+     "classify-hom claim has no field 'nope'; choose from ['abelian', 'block', 'cyclic',"
+     " 'image_order', 'primitive', 'surjective', 'transitive', 'valid']"),
+]
+
+
+@pytest.mark.parametrize("op, args, message", MALFORMED_CLAIM_ARGS)
+def test_malformed_claim_arguments_make_an_erroring_claim(op, args, message):
+    record = ClaimRecord("bad.args", "", op, args, None, "TEST")
+    (outcome,) = run_records([record]).outcomes
+    assert outcome.status == "error"
+    assert outcome.message == f"InvalidInputError: {message}"
+
+
+def test_an_unknown_builtin_is_named_before_its_fields():
+    with pytest.raises(InvalidInputError, match="unknown assignment 'nope'"):
+        resolve_assignment({"builtin": "nope", "bogus": 1})
 
 
 def test_a_non_integer_layer_makes_an_erroring_claim(tmp_path):

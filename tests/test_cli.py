@@ -385,6 +385,37 @@ def test_assignment_degree_over_the_bound_exits_three_at_once(tmp_path):
         assert out.stderr.startswith("error: ") and "bound" in out.stderr
 
 
+# family inputs that once ran out of memory or ran for seconds before any
+# bound was checked
+OVERSIZED_FAMILIES = [
+    ["lcs", "--surface", "closed-orientable", "--genus", "999999999999", "--strands", "3", "--layer", "1"],
+    ["abelianize", "--surface", "artin", "--strands", "99999999999"],
+    ["homsearch", "--surface", "artin", "--strands", "99999999", "--target-sym", "3"],
+    ["verify-hom", "--surface", "closed-orientable", "--genus", "99999999", "--strands", "2"],
+    ["lcs", "--surface", "class2-quotient", "--genus", "1", "--strands", "100000000", "--layer", "2"],
+    ["abelianize", "--surface", "nonorientable", "--genus", "99999999", "--strands", "2"],
+    ["abelianize", "--surface", "boundary-orientable", "--genus", "99999999", "--strands", "2"],
+    ["present", "--surface", "artin", "--strands", "100000"],
+    ["abelianize", "--surface", "closed-orientable", "--genus", "3000", "--strands", "3"],
+    ["lcs", "--surface", "artin", "--strands", "3000", "--layer", "1"],
+    ["abelianize", "--surface", "artin", "--strands", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_FAMILIES, ids=lambda argv: "-".join(a for a in argv if a[0] != "-"))
+def test_oversized_family_exits_three_within_a_second(tmp_path, argv):
+    if argv[0] == "verify-hom":
+        path = tmp_path / "assignment.json"
+        path.write_text(json.dumps({"degree": 2, "images": {}}), encoding="utf-8")
+        argv = argv + ["--assignment", str(path)]
+    start = time.perf_counter()
+    out = run_in_1gb(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 3, out.stderr[-300:]
+    assert out.stderr.startswith(f"error: {argv[2]} presentation needs ")
+    assert out.stderr.endswith(" generators and relator letters, over the bound 1000000\n")
+
+
 def test_malformed_cycles_exit_two_with_a_message():
     for text in ("(1,,2)", "(1,2,)", "(,)", "(1 2)"):
         out = run("perm", "cycle-type", text)

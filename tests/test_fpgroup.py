@@ -1,7 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
-from braidkit.errors import InvalidInputError, UnsupportedFamilyError
+from braidkit import fpgroup
+from braidkit.errors import BoundExceededError, InvalidInputError, UnsupportedFamilyError
 from braidkit.fpgroup import (
+    FAMILY_MAX_SIZE,
     Presentation,
     add_relators,
     artin_presentation,
@@ -9,6 +14,7 @@ from braidkit.fpgroup import (
     class2_quotient_presentation,
     closed_orientable,
     nonorientable,
+    resolve_presentation,
 )
 from braidkit.word import exponent_vector, generator
 from braidkit.zlinalg import abelianization
@@ -255,3 +261,84 @@ def test_presentation_json_round_trip():
     data = p.to_json()
     assert data["family"] == {"surface": "nonorientable", "genus": 2, "strands": 3}
     assert Presentation.from_json(data) == p
+
+
+# --- one rule for every family, bounded before it builds ----------------------
+
+# closed-orientable g 0-5, boundary-orientable and nonorientable g 1-5, each
+# on n 1-7, then artin n 1-11, in that order
+PINNED_SPECS = (
+    [{"surface": "closed-orientable", "genus": g, "strands": n} for g in range(6) for n in range(1, 8)]
+    + [
+        {"surface": surface, "genus": g, "strands": n}
+        for surface in ("boundary-orientable", "nonorientable")
+        for g in range(1, 6)
+        for n in range(1, 8)
+    ]
+    + [{"surface": "artin", "strands": n} for n in range(1, 12)]
+)
+# recorded when each family still had its own builder; a moved, changed or
+# renamed relator or generator changes it
+PINNED_SHA256 = "5e12d4bb739a3c80bec55d91f8081ab3357f3879dbe354bbfc19bd96780dc177"
+
+
+def test_family_presentations_are_pinned_byte_for_byte():
+    digest = hashlib.sha256()
+    for spec in PINNED_SPECS:
+        digest.update(json.dumps(resolve_presentation(spec).to_json()).encode())
+    assert digest.hexdigest() == PINNED_SHA256
+
+
+def _built_size(p):
+    return p.generator_count, len(p.relators), sum(len(r) for r in p.relators)
+
+
+def test_closed_form_sizes_equal_the_built_presentations():
+    for g in range(7):
+        for n in range(1, 10):
+            cases = [(closed_orientable(g, n), fpgroup._surface_braid_size(g, n, True, True))]
+            if g == 0:
+                cases.append((artin_presentation(n), fpgroup._surface_braid_size(0, n, True, False)))
+            else:
+                cases += [
+                    (boundary_orientable(g, n), fpgroup._surface_braid_size(g, n, True, False)),
+                    (nonorientable(g, n), fpgroup._surface_braid_size(g, n, False, True)),
+                ]
+            if g >= 1 and n >= 3:
+                cases.append((class2_quotient_presentation(g, n), fpgroup._class2_size(g, n)))
+            for p, size in cases:
+                assert _built_size(p) == size, p.family
+
+
+def test_the_largest_family_in_use_is_under_the_bound():
+    # sigma^2314 and 21 short relators on 7 generators: the composite-s408
+    # representation's presentation
+    generators, _, letters = _built_size(class2_quotient_presentation(3, 1155))
+    assert generators + letters == 2411 < FAMILY_MAX_SIZE
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: artin_presentation(708), "artin presentation needs 1000403 "),
+        (lambda: closed_orientable(1, 706), "closed-orientable presentation needs 1001825 "),
+        (lambda: boundary_orientable(250, 2), "boundary-orientable presentation needs 1002501 "),
+        (lambda: nonorientable(10**12, 3), "nonorientable presentation needs 4000000000011000000000012 "),
+        (lambda: class2_quotient_presentation(1, 499992), "class2-quotient presentation needs 1000001 "),
+    ],
+)
+def test_families_over_the_bound_are_refused_before_any_word(monkeypatch, build, message):
+    def no_words(*args):
+        raise AssertionError("a word was made")
+
+    monkeypatch.setattr(fpgroup, "reduce_word", no_words)
+    with pytest.raises(BoundExceededError, match=message + "generators and relator letters, over the bound 1000000"):
+        build()
+
+
+def test_families_at_the_bound_are_built():
+    # 3 generators and 999,996 letters, 999,982 of them in sigma^999982
+    assert _built_size(class2_quotient_presentation(1, 499991)) == (3, 4, 999996)
+    # artin(707), one strand short of the refused artin(708), is admitted
+    generators, _, letters = fpgroup._surface_braid_size(0, 707, True, False)
+    assert generators + letters == 997576 <= FAMILY_MAX_SIZE

@@ -1,7 +1,7 @@
 """The benchmark tracer (bench/tracer.py) wraps braidkit functions by
 name.  Every name it lists must resolve, installing and removing the
 tracer must leave the program's objects as they were, and the spans it
-records must still give the nilq metrics.
+records must still give the nilq and fpgroup metrics.
 """
 
 import importlib
@@ -55,3 +55,18 @@ def test_a_traced_layer_reads_the_nilq_metrics(monkeypatch):
     metrics = tracer.layer_metrics(t.spans, t.counts)
     assert metrics["nilq.quotient_calls"] == 1
     assert metrics["nilq.rows"] > 0
+
+
+def test_a_traced_build_reads_the_fpgroup_metrics(monkeypatch):
+    # each family builds under one span, since no builder calls another
+    tracer = _tracer(monkeypatch)
+    from braidkit import fpgroup
+
+    with tracer.Tracer() as t:
+        for surface in fpgroup._FAMILIES:
+            t.reset()
+            spec = {"surface": surface, "genus": 2, "strands": 4}
+            p = t.run("bench.job", lambda: fpgroup.resolve_presentation(spec))
+            metrics = tracer.layer_metrics(t.spans, t.counts)
+            assert metrics["fpgroup.relator_letters"] == sum(len(r) for r in p.relators), surface
+            assert metrics["fpgroup.build_s"] > 0, surface
