@@ -198,25 +198,27 @@ def _surface_braid(family: str, g: int, n: int, handle: bool, closed: bool) -> P
     size = len(names)
     groups = [range(k * i + 1, k * i + k + 1) for i in range(g)]
     sigma = lambda j: k * g + j
-    rel = lambda lhs, rhs: _relation(lhs, rhs, size)
 
     rels = [
-        rel([sigma(i), sigma(j)], [sigma(j), sigma(i)])
+        _relation([sigma(i), sigma(j)], [sigma(j), sigma(i)], size)
         for i in range(1, n) for j in range(i + 2, n)
     ]
     rels += [
-        rel([sigma(i), sigma(i + 1), sigma(i)], [sigma(i + 1), sigma(i), sigma(i + 1)])
+        _relation([sigma(i), sigma(i + 1), sigma(i)], [sigma(i + 1), sigma(i), sigma(i + 1)], size)
         for i in range(1, n - 1)
     ]
     if n >= 2:
         s1 = sigma(1)
         e = s1 if handle else -s1
-        rels += [rel([c, sigma(j)], [sigma(j), c]) for grp in groups for c in grp for j in range(2, n)]
-        rels += [rel([c, s1, c, s1], [e, c, s1, c]) for grp in groups for c in grp]
-        if handle:
-            rels += [rel([a, s1, b], [s1, b, s1, a, s1]) for a, b in groups]
         rels += [
-            rel([ci, -s1, cj, s1], [-s1, cj, s1, ci])
+            _relation([c, sigma(j)], [sigma(j), c], size)
+            for grp in groups for c in grp for j in range(2, n)
+        ]
+        rels += [_relation([c, s1, c, s1], [e, c, s1, c], size) for grp in groups for c in grp]
+        if handle:
+            rels += [_relation([a, s1, b], [s1, b, s1, a, s1], size) for a, b in groups]
+        rels += [
+            _relation([ci, -s1, cj, s1], [-s1, cj, s1, ci], size)
             for i, gi in enumerate(groups) for gj in groups[:i] for ci in gi for cj in gj
         ]
     if closed:
@@ -225,7 +227,7 @@ def _surface_braid(family: str, g: int, n: int, handle: bool, closed: bool) -> P
             lhs += [grp[0], -grp[1], -grp[0], grp[1]] if handle else [-grp[0], -grp[0]]
         up = [sigma(j) for j in range(1, n - 1)]
         boundary = up + [sigma(n - 1)] * 2 + up[::-1] if n >= 2 else []
-        surface = rel(lhs, boundary)
+        surface = _relation(lhs, boundary, size)
         if not surface.is_identity():
             rels.append(surface)
     return Presentation(tuple(names), tuple(rels), FamilyTag(family, g, n))
